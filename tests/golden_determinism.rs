@@ -6,7 +6,9 @@
 //! and for two 4-shard cluster runs (broadcast and hash-routed): any accidental change
 //! to the virtual-clock event ordering (tie-breaking, queue discipline, routing, the
 //! fan-out merge) fails loudly here instead of silently shifting every simulated
-//! result.
+//! result.  A third group pins the cluster mitigation paths — hedging into a
+//! deadline-shedding queue, tied requests under class priority, and a short burst
+//! trace — down to hedge counters, admission totals and unmerged fan-outs.
 //!
 //! The same constants are additionally pinned **through the unified experiment
 //! layer**: an `ExperimentSpec` with no sweep and one repeat must reproduce the direct
@@ -19,8 +21,13 @@
 
 use std::sync::Arc;
 use tailbench::core::app::{CostModel, EchoApp, InstructionRateModel};
-use tailbench::core::config::{BenchmarkConfig, ClusterConfig, FanoutPolicy, HarnessMode};
-use tailbench::core::{runner, ServerApp};
+use tailbench::core::config::{
+    BenchmarkConfig, ClusterConfig, FanoutPolicy, HarnessMode, HedgePolicy,
+};
+use tailbench::core::{
+    runner, AdmissionPolicy, ClusterReport, InterferencePlan, LoadMode, LoadTrace, RequestTags,
+    ServerApp,
+};
 use tailbench::experiment::{
     AppBuilder, BenchApp, ClusterApp, Experiment, ExperimentSpec, FanoutSpec, LoadSpec, ModeSpec,
     Registry, Scale, TopologySpec,
@@ -248,4 +255,172 @@ fn experiment_json_round_trip_reproduces_the_golden_percentiles() {
     );
     let report = from_json.points[0].report.cluster().unwrap();
     assert_eq!(report.cluster.sojourn.p99_ns, 1_150_870);
+}
+
+// ---------------------------------------------------------------------------
+// Cluster mitigation paths: shedding under hedging, tied requests under priority
+// admission, and a trace shorter than the run.
+// ---------------------------------------------------------------------------
+
+/// The four heterogeneous echo instances of the 2-shard × 2-replica mitigation layout.
+fn mitigation_apps() -> Vec<Arc<dyn ServerApp>> {
+    (0..4u64)
+        .map(|i| {
+            Arc::new(EchoApp {
+                spin_iters: 100_000 + 15_000 * i,
+            }) as Arc<dyn ServerApp>
+        })
+        .collect()
+}
+
+/// The golden config with instance 1 (shard 0's second replica) slowed 20x.
+fn straggler_config(qps: f64) -> BenchmarkConfig {
+    BenchmarkConfig::new(qps, 1_000)
+        .with_warmup(100)
+        .with_seed(0x601D)
+        .with_mode(HarnessMode::Simulated)
+        .with_interference(InterferencePlan::none().slow_instance(1, 0, u64::MAX, 20.0))
+}
+
+/// Everything a mitigation golden pins: end-to-end percentiles, hedge counters, the
+/// admission totals over all stations (the report aggregates per-station queues), the
+/// per-shard leg counts and the number of requests whose fan-out never merged.
+#[derive(Debug, PartialEq)]
+struct MitigationGolden {
+    requests: u64,
+    p50_ns: u64,
+    p95_ns: u64,
+    p99_ns: u64,
+    hedge_issued: u64,
+    hedge_wins: u64,
+    accepted: u64,
+    dropped: u64,
+    per_shard: Vec<u64>,
+    unmerged: u64,
+}
+
+fn golden_of(report: &ClusterReport) -> MitigationGolden {
+    let hedge = report.hedge.expect("mitigated runs report hedge stats");
+    MitigationGolden {
+        requests: report.cluster.requests,
+        p50_ns: report.cluster.sojourn.p50_ns,
+        p95_ns: report.cluster.sojourn.p95_ns,
+        p99_ns: report.cluster.sojourn.p99_ns,
+        hedge_issued: hedge.issued,
+        hedge_wins: hedge.wins,
+        accepted: report.cluster.queue_depth.accepted,
+        dropped: report.cluster.queue_depth.dropped,
+        per_shard: report.per_shard.iter().map(|s| s.requests).collect(),
+        unmerged: report.unmerged,
+    }
+}
+
+/// Pins the cluster DES paths the goldens above leave open: hedge copies shed after
+/// admission by a deadline queue (and hedges issued for legs whose primary was shed),
+/// tied copies evicted by class priority (including legs with both copies shed and
+/// losers retracted from the sibling queue), and a burst trace with tied timestamps
+/// that is shorter than `total_requests()`.
+#[test]
+fn cluster_mitigation_paths_are_exact() {
+    let base = ClusterConfig::new(2, FanoutPolicy::Broadcast).with_replication(2);
+    let run = |config: &BenchmarkConfig, cluster: &ClusterConfig| {
+        let mut factory = || b"golden".to_vec();
+        runner::execute_cluster(
+            &mitigation_apps(),
+            &mut factory,
+            config,
+            cluster,
+            Some(&cost_model()),
+        )
+        .unwrap()
+    };
+
+    // Hedging into a deadline-shedding queue.
+    let config = straggler_config(7_000.0).with_admission(AdmissionPolicy::DropDeadline {
+        capacity: 4,
+        slo_ns: 300_000,
+    });
+    let hedged = run(
+        &config,
+        &base.clone().with_hedge(HedgePolicy::after_ns(200_000)),
+    );
+    assert_eq!(
+        golden_of(&hedged),
+        MitigationGolden {
+            requests: 973,
+            p50_ns: 300_010,
+            p95_ns: 520_045,
+            p99_ns: 594_084,
+            hedge_issued: 976,
+            hedge_wins: 583,
+            accepted: 2_476,
+            dropped: 718,
+            per_shard: vec![984, 985],
+            unmerged: 24,
+        }
+    );
+
+    // Tied requests into a class-priority queue: odd ids are the batch class.
+    let total = 1_100usize;
+    let tags = Arc::new(RequestTags::new(
+        vec!["interactive".into(), "batch".into()],
+        vec!["all".into()],
+        (0..total).map(|i| (i % 2) as u16).collect(),
+        vec![0; total],
+    ));
+    let config = straggler_config(9_000.0)
+        .with_tags(tags)
+        .with_admission(AdmissionPolicy::Priority { capacity: 4 });
+    let tied = run(&config, &base.clone().with_tied(true));
+    assert_eq!(
+        golden_of(&tied),
+        MitigationGolden {
+            requests: 826,
+            p50_ns: 454_558,
+            p95_ns: 611_537,
+            p99_ns: 636_407,
+            hedge_issued: 2_200,
+            hedge_wins: 909,
+            accepted: 3_774,
+            dropped: 626,
+            per_shard: vec![936, 831],
+            unmerged: 124,
+        }
+    );
+    let per_class: Vec<u64> = tied
+        .cluster
+        .per_class
+        .iter()
+        .map(|c| c.sojourn.count)
+        .collect();
+    assert_eq!(
+        per_class,
+        vec![495, 331],
+        "the batch class absorbs the shedding"
+    );
+
+    // A 700-arrival burst trace (triples of tied timestamps) under a 1 100-request run:
+    // the trace's full length is simulated, 600 of it measured.
+    let times: Vec<u64> = (0..700u64)
+        .map(|i| (i / 3) * 600_000 + (i % 7) / 5 * 40_000)
+        .collect();
+    let mut times_sorted = times;
+    times_sorted.sort_unstable();
+    let config = golden_config().with_load(LoadMode::trace(LoadTrace::from_times(times_sorted)));
+    let traced = run(&config, &base.with_hedge(HedgePolicy::after_ns(150_000)));
+    assert_eq!(
+        golden_of(&traced),
+        MitigationGolden {
+            requests: 600,
+            p50_ns: 145_010,
+            p95_ns: 280_010,
+            p99_ns: 280_010,
+            hedge_issued: 466,
+            hedge_wins: 51,
+            accepted: 1_866,
+            dropped: 0,
+            per_shard: vec![600, 600],
+            unmerged: 0,
+        }
+    );
 }
