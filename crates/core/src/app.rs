@@ -39,6 +39,14 @@ pub trait ServerApp: Send + Sync {
 ///
 /// Factories are per-client-thread state machines; they are `Send` but not required to be
 /// `Sync`.  The harness never inspects payloads.
+///
+/// **Contract.** A payload may depend only on the factory's own state and on how many
+/// payloads it has produced before — never on the server, the clock or the responses.
+/// The wall-clock runners draw every payload before the run starts; the discrete-event
+/// simulator draws each one as its virtual clock reaches the request, interleaved with
+/// [`ServerApp::handle`] calls.  Both orders must yield the same payloads, which is what
+/// keeps simulated results identical however the draws are scheduled.  The builtin
+/// applications' factories and the scenario engine's class multiplexer all satisfy it.
 pub trait RequestFactory: Send {
     /// Produces the next request payload.
     fn next_request(&mut self) -> Vec<u8>;

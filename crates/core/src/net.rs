@@ -751,15 +751,15 @@ mod tests {
         let base = BenchmarkConfig::new(800.0, 200)
             .with_warmup(20)
             .with_seed(9);
-        let loopback = run_tcp(&app, &mut factory, &base, 4, 0, "loopback").unwrap();
         let networked = run_tcp(&app, &mut factory, &base, 4, 50_000, "networked").unwrap();
-        // 100 us of added round-trip must be visible in the median sojourn.
+        // The 50 us each way lands in every record's transport overhead, so the
+        // guarantee holds inside this one run however slow the host is.
         assert!(
-            networked.sojourn.p50_ns >= loopback.sojourn.p50_ns + 50_000,
-            "networked p50 {} vs loopback p50 {}",
-            networked.sojourn.p50_ns,
-            loopback.sojourn.p50_ns
+            networked.overhead.p50_ns >= 100_000,
+            "networked overhead p50 {} must carry the 100 us round trip",
+            networked.overhead.p50_ns
         );
+        assert!(networked.sojourn.p50_ns > networked.service.p50_ns + 50_000);
     }
 
     #[test]
@@ -798,16 +798,23 @@ mod tests {
             .with_warmup(15)
             .with_seed(2);
         let mut factory = || b"net".to_vec();
-        let loopback =
-            run_cluster_tcp(&apps, &mut factory, &config, &cluster, 0, "loopback").unwrap();
-        let mut factory = || b"net".to_vec();
         let networked =
             run_cluster_tcp(&apps, &mut factory, &config, &cluster, 50_000, "networked").unwrap();
+        // Every leg's record carries the 100 us round trip as transport overhead, and
+        // the end-to-end record is the slowest leg's.  Asserting it within the one run,
+        // not against a second, independently noisy loopback run, cannot flake when
+        // parallel tests slow the host.
+        let end_to_end = &networked.cluster;
         assert!(
-            networked.cluster.sojourn.p50_ns >= loopback.cluster.sojourn.p50_ns + 50_000,
-            "networked cluster p50 {} vs loopback {}",
-            networked.cluster.sojourn.p50_ns,
-            loopback.cluster.sojourn.p50_ns
+            end_to_end.overhead.p50_ns >= 100_000,
+            "networked cluster overhead p50 {} must carry the 100 us round trip",
+            end_to_end.overhead.p50_ns
+        );
+        assert!(
+            end_to_end.sojourn.p50_ns > end_to_end.service.p50_ns + 50_000,
+            "networked cluster p50 {} vs its own service p50 {}",
+            end_to_end.sojourn.p50_ns,
+            end_to_end.service.p50_ns
         );
     }
 

@@ -14,6 +14,7 @@
 //! instead of silently buffered.
 
 use crate::collector::RequestTags;
+use crate::error::HarnessError;
 use crate::report::QueueSummary;
 use crate::request::{Request, RequestId, RequestRecord, WorkProfile};
 use crate::sync::{lock_recover, wait_recover};
@@ -224,31 +225,40 @@ impl DepthTracker {
     /// Reclassifies one previously-admitted request as dropped: it was accepted into
     /// the queue but shed before service (deadline expiry, priority eviction).  The
     /// request was offered exactly once, so `offered` is untouched and the
-    /// `accepted + dropped == offered` invariant is preserved.
+    /// `accepted + dropped == offered` invariant is preserved.  Shedding before any
+    /// push leaves `accepted` at zero and breaks the invariant, which
+    /// [`DepthTracker::check`] reports.
     pub(crate) fn on_shed_admitted(&mut self) {
-        debug_assert!(
-            self.accepted > 0,
-            "shed an admitted request before any push"
-        );
         self.accepted = self.accepted.saturating_sub(1);
         self.dropped += 1;
+    }
+
+    /// Checks the admission identity: every offered request ended up accepted or
+    /// dropped, never both, never neither.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HarnessError::Internal`] naming the three counts if the accounting
+    /// leaked.
+    pub(crate) fn check(&self) -> Result<(), HarnessError> {
+        if self.accepted + self.dropped == self.offered {
+            return Ok(());
+        }
+        Err(HarnessError::Internal(format!(
+            "queue accounting leaked: accepted {} + dropped {} != offered {}",
+            self.accepted, self.dropped, self.offered
+        )))
     }
 
     /// The summary of everything recorded so far.
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if admission accounting leaked: every offered request
-    /// must end up accepted or dropped, never both, never neither.
+    /// Panics (in debug builds) if [`DepthTracker::check`] fails; the simulator runs
+    /// the check in release builds before it summarises.
     pub(crate) fn summary(&self, policy_label: String) -> QueueSummary {
-        debug_assert_eq!(
-            self.accepted + self.dropped,
-            self.offered,
-            "queue accounting leaked: accepted {} + dropped {} != offered {}",
-            self.accepted,
-            self.dropped,
-            self.offered
-        );
+        let balanced = self.check();
+        debug_assert!(balanced.is_ok(), "{balanced:?}");
         let mean = if self.samples.is_empty() {
             0.0
         } else {

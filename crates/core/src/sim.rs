@@ -9,6 +9,10 @@
 //! request queue.  Queuing behaviour — the dominant component of tail latency at load —
 //! emerges from the same open-loop arrival process used by the real-time runners.
 //!
+//! Arrivals are drawn from [`LoadMode::arrivals`](crate::traffic::LoadMode::arrivals) as
+//! the virtual clock reaches them, and a request's state lives only while it is in
+//! flight, so a run's memory is bounded by its requests in flight, not its length.
+//!
 //! The simulated FIFO shares the real-time queue's [`DepthTracker`] accounting, so a
 //! DES run reports the same queue summary (peak depth, drops under a `Drop` admission
 //! policy, sampled depth timeline) as a wall-clock run — deterministically, on the
@@ -31,19 +35,20 @@ use crate::integrated::{build_cluster_report, build_report, check_instances};
 use crate::queue::{priority_victim, AdmissionPolicy, DepthTracker};
 use crate::report::{ClusterReport, HedgeStats, QueueSummary, RunReport};
 use crate::request::{Request, RequestRecord};
-use crate::traffic::TrafficShaper;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 use tailbench_workloads::rng::seeded_rng;
 
-/// One leg copy waiting in a station's FIFO queue (also used, with `shard` 0, by the
-/// single-server loop so both loops share the admission helpers).
+/// One copy of request `id`'s leg on `shard` waiting in a station's FIFO queue, with
+/// what the loop keeps alongside: the request itself in the single-server loop, nothing
+/// in the cluster loop (the payload stays in the request's [`Slot`]).
 #[derive(Debug)]
-struct QueuedLeg {
-    request: Request,
+struct QueuedLeg<H> {
+    id: u64,
     enqueued_ns: u64,
     shard: usize,
     is_hedge: bool,
+    held: H,
 }
 
 /// Applies a shedding admission policy to one leg arriving at a full-or-not FIFO.
@@ -52,14 +57,14 @@ struct QueuedLeg {
 /// room — expired head-of-line requests under `DropDeadline`, the evicted victim under
 /// `Priority` — are reclassified in the tracker and appended to `removed` so cluster
 /// callers can unwind per-leg hedging/tied bookkeeping.
-fn enqueue_or_shed(
-    waiting: &mut VecDeque<QueuedLeg>,
+fn enqueue_or_shed<H>(
+    waiting: &mut VecDeque<QueuedLeg<H>>,
     tracker: &mut DepthTracker,
     admission: &AdmissionPolicy,
     tags: Option<&RequestTags>,
-    leg: QueuedLeg,
+    leg: QueuedLeg<H>,
     now: u64,
-    removed: &mut Vec<QueuedLeg>,
+    removed: &mut Vec<QueuedLeg<H>>,
 ) -> bool {
     if let Some(capacity) = admission.shed_capacity() {
         if waiting.len() >= capacity {
@@ -81,10 +86,8 @@ fn enqueue_or_shed(
                 }
                 AdmissionPolicy::Priority { .. } => {
                     let class_of = |id: u64| tags.map_or(0, |t| t.class_of(id));
-                    let victim = priority_victim(
-                        waiting.iter().map(|q| class_of(q.request.id.0)),
-                        class_of(leg.request.id.0),
-                    );
+                    let victim =
+                        priority_victim(waiting.iter().map(|q| class_of(q.id)), class_of(leg.id));
                     let Some(victim) = victim else {
                         tracker.on_drop();
                         return false;
@@ -108,13 +111,13 @@ fn enqueue_or_shed(
 
 /// Pops the next serviceable leg, shedding expired head-of-line legs under a
 /// `DropDeadline` policy (each reclassified in the tracker and appended to `removed`).
-fn pop_fresh(
-    waiting: &mut VecDeque<QueuedLeg>,
+fn pop_fresh<H>(
+    waiting: &mut VecDeque<QueuedLeg<H>>,
     tracker: &mut DepthTracker,
     admission: &AdmissionPolicy,
     now: u64,
-    removed: &mut Vec<QueuedLeg>,
-) -> Option<QueuedLeg> {
+    removed: &mut Vec<QueuedLeg<H>>,
+) -> Option<QueuedLeg<H>> {
     while let Some(leg) = waiting.pop_front() {
         if admission
             .slo_ns()
@@ -129,27 +132,59 @@ fn pop_fresh(
     None
 }
 
-/// A pending service completion in the event heap (min-heap by completion time).
+/// A scheduled virtual-time event of either loop.  Min-heap by time; completions (rank
+/// 0) outrank hedge checks (rank 1) at equal times (a response landing exactly at the
+/// deadline cancels the hedge); FIFO by push order among equals.  `what` is the
+/// completed request's record in the single-server loop, an [`EventKind`] in the
+/// cluster loop.
 #[derive(Debug, PartialEq, Eq)]
-struct Completion {
+struct Event<K> {
     time_ns: u64,
+    rank: u8,
     seq: u64,
+    what: K,
 }
 
-impl Ord for Completion {
+impl<K: Eq> Ord for Event<K> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse ordering: BinaryHeap is a max-heap, we want the earliest completion.
         other
             .time_ns
             .cmp(&self.time_ns)
+            .then_with(|| other.rank.cmp(&self.rank))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
-impl PartialOrd for Completion {
+impl<K: Eq> PartialOrd for Event<K> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// The end-of-run conservation check of both loops, in release builds: every station's
+/// admission ledger balances, no request is still in flight, and the requests retired
+/// with some but not all of their legs answered are exactly the collector's unmerged
+/// fan-outs.
+fn check_end_of_run<'a>(
+    trackers: impl IntoIterator<Item = &'a DepthTracker>,
+    in_flight: usize,
+    partial: u64,
+    unmerged: u64,
+) -> Result<(), HarnessError> {
+    for tracker in trackers {
+        tracker.check()?;
+    }
+    if in_flight > 0 {
+        return Err(HarnessError::Internal(format!(
+            "{in_flight} requests still in flight after the last event"
+        )));
+    }
+    if partial != unmerged {
+        return Err(HarnessError::Internal(format!(
+            "{partial} requests retired with unanswered legs, {unmerged} unmerged fan-outs"
+        )));
+    }
+    Ok(())
 }
 
 /// Runs one measurement under discrete-event simulation and returns its report.
@@ -172,14 +207,15 @@ pub fn run_simulated(
     app.prepare();
 
     let mut rng = seeded_rng(config.seed, 1);
-    let times = config
+    let mut arrivals = config
         .load
-        .schedule(&mut rng, config.total_requests())
+        .arrivals(&mut rng, config.total_requests(), 0, || {
+            factory.next_request()
+        })
         .ok_or_else(|| {
             HarnessError::Config("the simulated runner requires an open-loop load mode".into())
         })?;
-    let shaper = TrafficShaper::from_times(times, 0, || factory.next_request());
-    let arrivals = shaper.into_requests();
+    let mut next_arrival = arrivals.next();
 
     let servers = config.worker_threads.max(1);
     let plan = config.interference.clone();
@@ -187,129 +223,106 @@ pub fn run_simulated(
         StatsCollector::new(config.warmup_requests as u64).with_tags(config.tags.clone());
     let mut tracker = DepthTracker::new();
     let tags = config.tags.clone();
-    let mut removed: Vec<QueuedLeg> = Vec::new();
-    let mut waiting: VecDeque<QueuedLeg> = VecDeque::new();
-    let mut completions: BinaryHeap<Completion> = BinaryHeap::new();
-    // Records of requests currently in service, indexed by completion seq.
-    let mut in_service: HashMap<u64, RequestRecord> = HashMap::new();
+    let mut removed: Vec<QueuedLeg<Request>> = Vec::new();
+    let mut waiting: VecDeque<QueuedLeg<Request>> = VecDeque::new();
+    // Completion events, each carrying the record of the request it completes.
+    let mut completions: BinaryHeap<Event<RequestRecord>> = BinaryHeap::new();
     let mut busy = 0usize;
     let mut seq = 0u64;
-    let mut next_arrival = 0usize;
 
     // Helper to start service for a request at virtual time `now`.
-    let start_service = |request: Request,
-                         enqueued_ns: u64,
-                         now: u64,
-                         busy: &mut usize,
-                         seq: &mut u64,
-                         completions: &mut BinaryHeap<Completion>,
-                         in_service: &mut HashMap<u64, RequestRecord>| {
-        *busy += 1;
-        let response = app.handle(&request.payload);
-        let base_ns = cost_model.service_time_ns(&response.work, *busy);
-        let service_ns = plan
-            .adjusted_service_ns(0, now, base_ns, request.id.0)
-            .max(1);
-        let record = RequestRecord {
-            id: request.id,
-            issued_ns: request.issued_ns,
-            enqueued_ns,
-            started_ns: now,
-            completed_ns: now + service_ns,
-            client_received_ns: now + service_ns,
+    let start_service =
+        |request: Request,
+         enqueued_ns: u64,
+         now: u64,
+         busy: &mut usize,
+         seq: &mut u64,
+         completions: &mut BinaryHeap<Event<RequestRecord>>| {
+            *busy += 1;
+            let response = app.handle(&request.payload);
+            let base_ns = cost_model.service_time_ns(&response.work, *busy);
+            let service_ns = plan
+                .adjusted_service_ns(0, now, base_ns, request.id.0)
+                .max(1);
+            *seq += 1;
+            completions.push(Event {
+                time_ns: now + service_ns,
+                rank: 0,
+                seq: *seq,
+                what: RequestRecord {
+                    id: request.id,
+                    issued_ns: request.issued_ns,
+                    enqueued_ns,
+                    started_ns: now,
+                    completed_ns: now + service_ns,
+                    client_received_ns: now + service_ns,
+                },
+            });
         };
-        *seq += 1;
-        in_service.insert(*seq, record);
-        completions.push(Completion {
-            time_ns: now + service_ns,
-            seq: *seq,
-        });
-    };
 
     loop {
-        let next_arrival_req = arrivals.get(next_arrival);
-        let next_arrival_time = next_arrival_req.map(|r| r.issued_ns);
-        let next_completion_time = completions.peek().map(|c| c.time_ns);
-
         // Pick the earlier of the next arrival and the next completion; arrivals win ties
         // so that a request arriving exactly when a worker frees up still observes the
         // queue state before the completion is processed (a conservative FIFO choice).
-        let take_arrival = match (next_arrival_time, next_completion_time) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(at), Some(ct)) => at <= ct,
-        };
-
-        if take_arrival {
-            // Arrival event.
-            let Some(request) = next_arrival_req.cloned() else {
-                break;
-            };
-            next_arrival += 1;
-            let now = request.issued_ns;
-            if busy < servers {
-                start_service(
-                    request,
-                    now,
-                    now,
-                    &mut busy,
-                    &mut seq,
-                    &mut completions,
-                    &mut in_service,
-                );
-                // Inclusive depth, matching the real-time queue's post-push sample: a
-                // request transits the queue (depth 1) even when a server is idle.
-                tracker.on_push(now, 1);
-            } else {
-                let _ = enqueue_or_shed(
+        let next_completion_time = completions.peek().map(|c| c.time_ns);
+        match next_arrival.take() {
+            Some(request) if next_completion_time.is_none_or(|ct| request.issued_ns <= ct) => {
+                next_arrival = arrivals.next();
+                let now = request.issued_ns;
+                if busy < servers {
+                    start_service(request, now, now, &mut busy, &mut seq, &mut completions);
+                    // Inclusive depth, matching the real-time queue's post-push sample: a
+                    // request transits the queue (depth 1) even when a server is idle.
+                    tracker.on_push(now, 1);
+                } else {
+                    let _ = enqueue_or_shed(
+                        &mut waiting,
+                        &mut tracker,
+                        &config.admission,
+                        tags.as_deref(),
+                        QueuedLeg {
+                            id: request.id.0,
+                            enqueued_ns: now,
+                            shard: 0,
+                            is_hedge: false,
+                            held: request,
+                        },
+                        now,
+                        &mut removed,
+                    );
+                    removed.clear();
+                }
+            }
+            pending => {
+                next_arrival = pending;
+                let Some(completion) = completions.pop() else {
+                    break;
+                };
+                let ct = completion.time_ns;
+                collector.record(&completion.what);
+                busy -= 1;
+                removed.clear();
+                if let Some(queued) = pop_fresh(
                     &mut waiting,
                     &mut tracker,
                     &config.admission,
-                    tags.as_deref(),
-                    QueuedLeg {
-                        request,
-                        enqueued_ns: now,
-                        shard: 0,
-                        is_hedge: false,
-                    },
-                    now,
-                    &mut removed,
-                );
-                removed.clear();
-            }
-        } else {
-            // Completion event.
-            let Some(completion) = completions.pop() else {
-                break;
-            };
-            let ct = completion.time_ns;
-            let record = in_service.remove(&completion.seq).ok_or_else(|| {
-                HarnessError::Internal("completion event for a request not in service".into())
-            })?;
-            collector.record(&record);
-            busy -= 1;
-            removed.clear();
-            if let Some(queued) = pop_fresh(
-                &mut waiting,
-                &mut tracker,
-                &config.admission,
-                ct,
-                &mut removed,
-            ) {
-                start_service(
-                    queued.request,
-                    queued.enqueued_ns,
                     ct,
-                    &mut busy,
-                    &mut seq,
-                    &mut completions,
-                    &mut in_service,
-                );
+                    &mut removed,
+                ) {
+                    start_service(
+                        queued.held,
+                        queued.enqueued_ns,
+                        ct,
+                        &mut busy,
+                        &mut seq,
+                        &mut completions,
+                    );
+                }
             }
         }
     }
 
+    check_end_of_run([&tracker], waiting.len(), 0, 0)?;
     let mut report = build_report(app.name(), "simulated", config, &collector);
     report.queue_depth = tracker.summary(config.admission.label());
     Ok(report)
@@ -320,7 +333,7 @@ pub fn run_simulated(
 #[derive(Debug, Default)]
 struct Station {
     busy: usize,
-    waiting: VecDeque<QueuedLeg>,
+    waiting: VecDeque<QueuedLeg<()>>,
     tracker: DepthTracker,
 }
 
@@ -332,43 +345,16 @@ fn station_mut(stations: &mut [Station], instance: usize) -> Result<&mut Station
         .ok_or_else(|| HarnessError::Internal(format!("station index {instance} out of range")))
 }
 
-/// A scheduled virtual-time event of the cluster loop.  Min-heap by time; completions
-/// outrank hedge checks at equal times (a response landing exactly at the deadline
-/// cancels the hedge); FIFO by push order among equals.
-#[derive(Debug, PartialEq, Eq)]
-struct Event {
-    time_ns: u64,
-    rank: u8,
-    seq: u64,
-    what: EventKind,
-}
-
 #[derive(Debug, PartialEq, Eq)]
 enum EventKind {
-    /// Service completion of the in-service entry keyed by this event's `seq`.
-    Completion,
+    /// Service completion of one copy.
+    Completion(ServiceEntry),
     /// Hedge deadline of request `id`'s leg on `shard`.
     HedgeCheck { id: u64, shard: usize },
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .time_ns
-            .cmp(&self.time_ns)
-            .then_with(|| other.rank.cmp(&self.rank))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A request copy in service, indexed by its completion event's seq.
-#[derive(Debug)]
+/// A request copy in service, carried by its completion event.
+#[derive(Debug, PartialEq, Eq)]
 struct ServiceEntry {
     instance: usize,
     shard: usize,
@@ -376,33 +362,79 @@ struct ServiceEntry {
     record: RequestRecord,
 }
 
-/// Client-side state of one leg (request × shard) under hedging or tied requests.
+/// Client-side state of one leg (request × shard).
 #[derive(Debug)]
 struct Leg {
+    shard: usize,
+    /// A response was recorded; under hedging or tied requests the first one wins.
     resolved: bool,
+    /// The leg's hedge check has fired, or none is due (unhedged and tied legs).
     hedged: bool,
     /// Copies currently admitted (queued or in service).  A leg whose copies were all
     /// shed stays unresolved and surfaces as `unmerged` in the report.
     outstanding: u8,
-    request: Request,
     /// The instance the selector picked as primary.
     primary: usize,
-    /// Where the hedge/tied copy went (equals `primary` until a copy is issued).
+    /// The replica after the primary, where a hedge or tied copy goes.
     secondary: usize,
+}
+
+/// One request in flight in the cluster loop: its payload, held once for all copies,
+/// and one [`Leg`] per shard it fans out to.
+#[derive(Debug)]
+struct Slot {
+    request: Request,
+    legs: Vec<Leg>,
+}
+
+/// The cluster loop's requests in flight, in id order: slot `i` holds request
+/// `head + i` (ids are dense from 0).  A slot retires once no copy of its request is
+/// admitted and no hedge check is due, and the head advances past retired slots.
+#[derive(Debug, Default)]
+struct Ring {
+    head: u64,
+    slots: VecDeque<Slot>,
+    /// Retired requests with some but not all legs answered.
+    partial: u64,
+}
+
+impl Ring {
+    fn slot_mut(&mut self, id: u64) -> Result<&mut Slot, HarnessError> {
+        id.checked_sub(self.head)
+            .and_then(|i| self.slots.get_mut(usize::try_from(i).ok()?))
+            .ok_or_else(|| HarnessError::Internal(format!("request {id} is not in flight")))
+    }
+
+    fn leg_mut(&mut self, id: u64, shard: usize) -> Result<&mut Leg, HarnessError> {
+        self.slot_mut(id)?
+            .legs
+            .iter_mut()
+            .find(|leg| leg.shard == shard)
+            .ok_or_else(|| HarnessError::Internal(format!("request {id} has no shard {shard}")))
+    }
+
+    /// Pops finished slots off the front, counting those with unanswered legs.
+    fn retire(&mut self) {
+        while let Some(slot) = self.slots.front() {
+            if !slot.legs.iter().all(|l| l.outstanding == 0 && l.hedged) {
+                break;
+            }
+            let answered = slot.legs.iter().filter(|l| l.resolved).count();
+            self.partial += u64::from(answered > 0 && answered < slot.legs.len());
+            self.slots.pop_front();
+            self.head += 1;
+        }
+    }
 }
 
 /// Unwinds per-leg bookkeeping for queued copies that were shed after admission
 /// (deadline purge or priority eviction pulled them back out of a station queue).
-fn unwind_removed(removed: &mut Vec<QueuedLeg>, legs: &mut HashMap<(u64, usize), Leg>) {
+fn unwind_removed(removed: &mut Vec<QueuedLeg<()>>, ring: &mut Ring) -> Result<(), HarnessError> {
     for q in removed.drain(..) {
-        let key = (q.request.id.0, q.shard);
-        if let Some(leg) = legs.get_mut(&key) {
-            leg.outstanding = leg.outstanding.saturating_sub(1);
-            if leg.outstanding == 0 && leg.resolved {
-                legs.remove(&key);
-            }
-        }
+        let leg = ring.leg_mut(q.id, q.shard)?;
+        leg.outstanding = leg.outstanding.saturating_sub(1);
     }
+    Ok(())
 }
 
 /// Runs one cluster measurement under discrete-event simulation.
@@ -439,12 +471,13 @@ pub fn run_cluster_simulated(
     }
 
     let mut rng = seeded_rng(config.seed, 1);
-    let times = config
+    let mut arrivals = config
         .load
-        .schedule(&mut rng, config.total_requests())
+        .arrivals(&mut rng, config.total_requests(), 0, || {
+            factory.next_request()
+        })
         .ok_or_else(|| HarnessError::Internal("open-loop mode produced no schedule".into()))?;
-    let shaper = TrafficShaper::from_times(times, 0, || factory.next_request());
-    let arrivals = shaper.into_requests();
+    let mut next_arrival = arrivals.next();
 
     let servers = config.worker_threads.max(1);
     let width = cluster.fanout_width();
@@ -455,328 +488,241 @@ pub fn run_cluster_simulated(
     let mut collector = ClusterCollector::new(cluster.shards, config.warmup_requests as u64)
         .with_tags(config.tags.clone());
     let mut stations: Vec<Station> = (0..apps.len()).map(|_| Station::default()).collect();
-    let mut events: BinaryHeap<Event> = BinaryHeap::new();
-    // Copies in service, by completion seq.  Only keyed lookups — never iterated — so
-    // the map cannot perturb event ordering.
-    let mut in_service: HashMap<u64, ServiceEntry> = HashMap::new();
-    // Per-leg routing state; populated only when hedging or tied requests are active.
-    let mut legs: HashMap<(u64, usize), Leg> = HashMap::new();
+    let mut events: BinaryHeap<Event<EventKind>> = BinaryHeap::new();
+    let mut ring = Ring::default();
     let mut hedge_stats = HedgeStats::default();
-    let mut removed: Vec<QueuedLeg> = Vec::new();
+    let mut removed: Vec<QueuedLeg<()>> = Vec::new();
     let mut seq = 0u64;
-    let mut next_arrival = 0usize;
 
-    // Starts service for one leg copy on `instance` at virtual time `now`.
+    // Starts service for one copy on `instance` at virtual time `now`.
     let start_service = |instance: usize,
-                         shard: usize,
-                         is_hedge: bool,
-                         request: Request,
-                         enqueued_ns: u64,
+                         copy: QueuedLeg<()>,
                          now: u64,
                          stations: &mut Vec<Station>,
                          seq: &mut u64,
-                         events: &mut BinaryHeap<Event>,
-                         in_service: &mut HashMap<u64, ServiceEntry>|
+                         events: &mut BinaryHeap<Event<EventKind>>,
+                         ring: &mut Ring|
      -> Result<(), HarnessError> {
         let app = apps
             .get(instance)
             .ok_or_else(|| HarnessError::Internal(format!("app index {instance} out of range")))?;
         let station = station_mut(stations, instance)?;
         station.busy += 1;
-        let busy = station.busy;
+        let request = &ring.slot_mut(copy.id)?.request;
         let response = app.handle(&request.payload);
-        let base_ns = cost_model.service_time_ns(&response.work, busy);
+        let base_ns = cost_model.service_time_ns(&response.work, station.busy);
         let service_ns = plan
-            .adjusted_service_ns(instance, now, base_ns, request.id.0)
+            .adjusted_service_ns(instance, now, base_ns, copy.id)
             .max(1);
         let record = RequestRecord {
             id: request.id,
             issued_ns: request.issued_ns,
-            enqueued_ns,
+            enqueued_ns: copy.enqueued_ns,
             started_ns: now,
             completed_ns: now + service_ns,
             client_received_ns: now + service_ns,
         };
         *seq += 1;
-        in_service.insert(
-            *seq,
-            ServiceEntry {
-                instance,
-                shard,
-                is_hedge,
-                record,
-            },
-        );
         events.push(Event {
             time_ns: now + service_ns,
             rank: 0,
             seq: *seq,
-            what: EventKind::Completion,
+            what: EventKind::Completion(ServiceEntry {
+                instance,
+                shard: copy.shard,
+                is_hedge: copy.is_hedge,
+                record,
+            }),
         });
         Ok(())
     };
 
-    loop {
-        let next_arrival_req = arrivals.get(next_arrival);
-        let next_arrival_time = next_arrival_req.map(|r| r.issued_ns);
-        let next_event_time = events.peek().map(|e| e.time_ns);
-        // Arrivals win ties, matching the single-server loop.
-        let take_arrival = match (next_arrival_time, next_event_time) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(at), Some(et)) => at <= et,
-        };
+    // Admits one copy on `instance` at `now`: straight into service on an idle server
+    // (an inclusive depth-1 transit, as in the single-server loop), else through the
+    // station's admission policy.  Returns whether the copy was admitted.
+    let admit = |instance: usize,
+                 copy: QueuedLeg<()>,
+                 now: u64,
+                 stations: &mut Vec<Station>,
+                 seq: &mut u64,
+                 events: &mut BinaryHeap<Event<EventKind>>,
+                 ring: &mut Ring,
+                 removed: &mut Vec<QueuedLeg<()>>|
+     -> Result<bool, HarnessError> {
+        // A missing station is a routing bug; treat it as a full station so the
+        // fallible lookup below reports it.
+        if stations.get(instance).is_some_and(|s| s.busy < servers) {
+            start_service(instance, copy, now, stations, seq, events, ring)?;
+            station_mut(stations, instance)?.tracker.on_push(now, 1);
+            return Ok(true);
+        }
+        let station = station_mut(stations, instance)?;
+        Ok(enqueue_or_shed(
+            &mut station.waiting,
+            &mut station.tracker,
+            &config.admission,
+            tags.as_deref(),
+            copy,
+            now,
+            removed,
+        ))
+    };
 
-        if take_arrival {
-            let Some(request) = next_arrival_req.cloned() else {
-                break;
-            };
-            next_arrival += 1;
-            let now = request.issued_ns;
-            let shards = match cluster.fanout.route(&request.payload, cluster.shards) {
-                Route::Shard(shard) => shard..shard + 1,
-                Route::AllShards => 0..cluster.shards,
-            };
-            for shard in shards {
-                let primary = cluster.route_replica(shard, request.id.0, config.seed, &|i| {
-                    stations.get(i).map_or(0, |s| s.busy + s.waiting.len())
-                });
-                let secondary = cluster.secondary_instance(shard, primary);
-                if let Some(policy) = hedge {
-                    legs.insert(
-                        (request.id.0, shard),
-                        Leg {
-                            resolved: false,
-                            hedged: false,
-                            outstanding: 0,
-                            request: request.clone(),
-                            primary,
-                            secondary: primary,
-                        },
-                    );
-                    seq += 1;
-                    events.push(Event {
-                        time_ns: now + policy.delay_ns,
-                        rank: 1,
-                        seq,
-                        what: EventKind::HedgeCheck {
-                            id: request.id.0,
-                            shard,
-                        },
-                    });
-                } else if tied {
-                    legs.insert(
-                        (request.id.0, shard),
-                        Leg {
-                            resolved: false,
-                            hedged: true,
-                            outstanding: 0,
-                            request: request.clone(),
-                            primary,
-                            secondary,
-                        },
-                    );
-                    hedge_stats.issued += 1;
-                }
-                let copies: &[(usize, bool)] = if tied {
-                    &[(primary, false), (secondary, true)]
-                } else {
-                    &[(primary, false)]
+    loop {
+        ring.retire();
+        // Arrivals win ties, matching the single-server loop.
+        let next_event_time = events.peek().map(|e| e.time_ns);
+        match next_arrival.take() {
+            Some(request) if next_event_time.is_none_or(|et| request.issued_ns <= et) => {
+                next_arrival = arrivals.next();
+                let (id, now) = (request.id.0, request.issued_ns);
+                let shards = match cluster.fanout.route(&request.payload, cluster.shards) {
+                    Route::Shard(shard) => shard..shard + 1,
+                    Route::AllShards => 0..cluster.shards,
                 };
-                let mut admitted = 0u8;
-                for &(instance, is_hedge) in copies {
-                    // A missing station is a routing bug; treat it as a full station
-                    // so the fallible lookup below reports it.
-                    let idle = stations.get(instance).is_some_and(|s| s.busy < servers);
-                    if idle {
-                        start_service(
-                            instance,
+                let legs = Vec::with_capacity(shards.len());
+                ring.slots.push_back(Slot { request, legs });
+                for shard in shards {
+                    let primary = cluster.route_replica(shard, id, config.seed, &|i| {
+                        stations.get(i).map_or(0, |s| s.busy + s.waiting.len())
+                    });
+                    let secondary = cluster.secondary_instance(shard, primary);
+                    if let Some(policy) = hedge {
+                        seq += 1;
+                        events.push(Event {
+                            time_ns: now + policy.delay_ns,
+                            rank: 1,
+                            seq,
+                            what: EventKind::HedgeCheck { id, shard },
+                        });
+                    } else if tied {
+                        hedge_stats.issued += 1;
+                    }
+                    ring.slot_mut(id)?.legs.push(Leg {
+                        shard,
+                        resolved: false,
+                        hedged: hedge.is_none(),
+                        outstanding: 0,
+                        primary,
+                        secondary,
+                    });
+                    let copies: &[(usize, bool)] = if tied {
+                        &[(primary, false), (secondary, true)]
+                    } else {
+                        &[(primary, false)]
+                    };
+                    let mut admitted = 0u8;
+                    for &(instance, is_hedge) in copies {
+                        let copy = QueuedLeg {
+                            id,
+                            enqueued_ns: now,
                             shard,
                             is_hedge,
-                            request.clone(),
-                            now,
+                            held: (),
+                        };
+                        let queued = admit(
+                            instance,
+                            copy,
                             now,
                             &mut stations,
                             &mut seq,
                             &mut events,
-                            &mut in_service,
-                        )?;
-                        station_mut(&mut stations, instance)?
-                            .tracker
-                            .on_push(now, 1);
-                        admitted += 1;
-                    } else {
-                        let station = station_mut(&mut stations, instance)?;
-                        if enqueue_or_shed(
-                            &mut station.waiting,
-                            &mut station.tracker,
-                            &config.admission,
-                            tags.as_deref(),
-                            QueuedLeg {
-                                request: request.clone(),
-                                enqueued_ns: now,
-                                shard,
-                                is_hedge,
-                            },
-                            now,
+                            &mut ring,
                             &mut removed,
-                        ) {
-                            admitted += 1;
-                        }
+                        )?;
+                        admitted += u8::from(queued);
+                        unwind_removed(&mut removed, &mut ring)?;
                     }
-                    unwind_removed(&mut removed, &mut legs);
-                }
-                if let Some(leg) = legs.get_mut(&(request.id.0, shard)) {
-                    leg.outstanding += admitted;
-                    if tied && leg.outstanding == 0 {
-                        // Both tied copies were shed at admission: the leg can never
-                        // resolve; it surfaces as unmerged in the report.
-                        legs.remove(&(request.id.0, shard));
-                    }
+                    ring.leg_mut(id, shard)?.outstanding += admitted;
                 }
             }
-        } else {
-            let Some(event) = events.pop() else {
-                break;
-            };
-            let t = event.time_ns;
-            match event.what {
-                EventKind::Completion => {
-                    let entry = in_service.remove(&event.seq).ok_or_else(|| {
-                        HarnessError::Internal(
-                            "completion event for a request not in service".into(),
-                        )
-                    })?;
-                    let (instance, shard, is_hedge) = (entry.instance, entry.shard, entry.is_hedge);
-                    {
+            pending => {
+                next_arrival = pending;
+                let Some(event) = events.pop() else {
+                    break;
+                };
+                let t = event.time_ns;
+                match event.what {
+                    EventKind::Completion(ServiceEntry {
+                        instance,
+                        shard,
+                        is_hedge,
+                        record,
+                    }) => {
                         let station = station_mut(&mut stations, instance)?;
                         station.busy = station.busy.saturating_sub(1);
-                    }
-                    if hedge.is_some() || tied {
-                        let key = (entry.record.id.0, shard);
-                        let leg = legs.get_mut(&key).ok_or_else(|| {
-                            HarnessError::Internal("completion for an untracked leg".into())
-                        })?;
+                        let leg = ring.leg_mut(record.id.0, shard)?;
                         leg.outstanding = leg.outstanding.saturating_sub(1);
-                        let first_response = !leg.resolved;
-                        let mut sibling = None;
-                        if first_response {
+                        if !leg.resolved {
                             leg.resolved = true;
-                            if is_hedge {
-                                hedge_stats.wins += 1;
-                            }
+                            hedge_stats.wins += u64::from(is_hedge);
+                            let _ = collector.record_leg(shard, record, width);
+                            // Tied-request cancellation: the loser is retracted if it is
+                            // still waiting in the sibling's queue (an in-service loser
+                            // runs to completion, exactly like a hedge loser).
                             if tied {
-                                sibling = Some(if instance == leg.primary {
+                                let sibling = if instance == leg.primary {
                                     leg.secondary
                                 } else {
                                     leg.primary
-                                });
-                            }
-                        }
-                        if first_response {
-                            let _ = collector.record_leg(shard, entry.record, width);
-                        }
-                        // Tied-request cancellation: the loser is retracted if it is
-                        // still waiting in the sibling's queue (an in-service loser
-                        // runs to completion, exactly like a hedge loser).
-                        if let Some(sibling) = sibling {
-                            let sib = station_mut(&mut stations, sibling)?;
-                            if let Some(pos) = sib
-                                .waiting
-                                .iter()
-                                .position(|q| q.request.id.0 == key.0 && q.shard == key.1)
-                            {
-                                sib.waiting.remove(pos);
-                                if let Some(leg) = legs.get_mut(&key) {
+                                };
+                                let sib = station_mut(&mut stations, sibling)?;
+                                if let Some(pos) = sib
+                                    .waiting
+                                    .iter()
+                                    .position(|q| q.id == record.id.0 && q.shard == shard)
+                                {
+                                    sib.waiting.remove(pos);
                                     leg.outstanding = leg.outstanding.saturating_sub(1);
                                 }
                             }
                         }
-                        if legs
-                            .get(&key)
-                            .is_some_and(|l| l.outstanding == 0 && l.resolved)
-                        {
-                            legs.remove(&key);
-                        }
-                    } else {
-                        let _ = collector.record_leg(shard, entry.record, width);
-                    }
-                    let popped = {
                         let station = station_mut(&mut stations, instance)?;
-                        pop_fresh(
+                        if let Some(queued) = pop_fresh(
                             &mut station.waiting,
                             &mut station.tracker,
                             &config.admission,
                             t,
                             &mut removed,
-                        )
-                    };
-                    if let Some(queued) = popped {
-                        start_service(
-                            instance,
-                            queued.shard,
-                            queued.is_hedge,
-                            queued.request,
-                            queued.enqueued_ns,
-                            t,
-                            &mut stations,
-                            &mut seq,
-                            &mut events,
-                            &mut in_service,
-                        )?;
-                    }
-                    unwind_removed(&mut removed, &mut legs);
-                }
-                EventKind::HedgeCheck { id, shard } => {
-                    let issue = match legs.get_mut(&(id, shard)) {
-                        Some(leg) if !leg.resolved && !leg.hedged => {
-                            leg.hedged = true;
-                            let alt = cluster.secondary_instance(shard, leg.primary);
-                            leg.secondary = alt;
-                            Some((leg.request.clone(), alt))
-                        }
-                        _ => None,
-                    };
-                    if let Some((copy, alt)) = issue {
-                        let idle = stations.get(alt).is_some_and(|s| s.busy < servers);
-                        let admitted = if idle {
+                        ) {
                             start_service(
-                                alt,
-                                shard,
-                                true,
-                                copy,
-                                t,
+                                instance,
+                                queued,
                                 t,
                                 &mut stations,
                                 &mut seq,
                                 &mut events,
-                                &mut in_service,
+                                &mut ring,
                             )?;
-                            station_mut(&mut stations, alt)?.tracker.on_push(t, 1);
-                            true
-                        } else {
-                            let station = station_mut(&mut stations, alt)?;
-                            enqueue_or_shed(
-                                &mut station.waiting,
-                                &mut station.tracker,
-                                &config.admission,
-                                tags.as_deref(),
-                                QueuedLeg {
-                                    request: copy,
-                                    enqueued_ns: t,
-                                    shard,
-                                    is_hedge: true,
-                                },
+                        }
+                        unwind_removed(&mut removed, &mut ring)?;
+                    }
+                    EventKind::HedgeCheck { id, shard } => {
+                        let leg = ring.leg_mut(id, shard)?;
+                        leg.hedged = true;
+                        if !leg.resolved {
+                            let alt = leg.secondary;
+                            let copy = QueuedLeg {
+                                id,
+                                enqueued_ns: t,
+                                shard,
+                                is_hedge: true,
+                                held: (),
+                            };
+                            let admitted = admit(
+                                alt,
+                                copy,
                                 t,
+                                &mut stations,
+                                &mut seq,
+                                &mut events,
+                                &mut ring,
                                 &mut removed,
-                            )
-                        };
-                        unwind_removed(&mut removed, &mut legs);
-                        if admitted {
-                            hedge_stats.issued += 1;
-                            if let Some(leg) = legs.get_mut(&(id, shard)) {
-                                leg.outstanding += 1;
+                            )?;
+                            unwind_removed(&mut removed, &mut ring)?;
+                            if admitted {
+                                hedge_stats.issued += 1;
+                                ring.leg_mut(id, shard)?.outstanding += 1;
                             }
                         }
                     }
@@ -785,6 +731,14 @@ pub fn run_cluster_simulated(
         }
     }
 
+    ring.retire();
+    let unmerged = collector.unmerged() as u64;
+    check_end_of_run(
+        stations.iter().map(|s| &s.tracker),
+        ring.slots.len(),
+        ring.partial,
+        unmerged,
+    )?;
     let queue_summaries: Vec<QueueSummary> = stations
         .iter()
         .map(|s| s.tracker.summary(config.admission.label()))
@@ -1363,5 +1317,63 @@ mod tests {
                 .unwrap();
         assert_eq!(again.cluster.sojourn.p99_ns, hedged.cluster.sojourn.p99_ns);
         assert_eq!(again.hedge, hedged.hedge);
+    }
+
+    #[test]
+    fn end_of_run_check_fails_on_each_broken_invariant() {
+        let balanced = {
+            let mut t = DepthTracker::new();
+            t.on_push(0, 1);
+            t.on_drop();
+            t.on_shed_admitted();
+            t
+        };
+        assert!(check_end_of_run([&balanced, &balanced], 0, 3, 3).is_ok());
+
+        // A shed with nothing admitted leaves accepted + dropped != offered.
+        let mut leaked = DepthTracker::new();
+        leaked.on_shed_admitted();
+        let err = check_end_of_run([&balanced, &leaked], 0, 0, 0).unwrap_err();
+        assert!(err.to_string().contains("queue accounting leaked"), "{err}");
+
+        let err = check_end_of_run([&balanced], 2, 0, 0).unwrap_err();
+        assert!(
+            err.to_string().contains("2 requests still in flight"),
+            "{err}"
+        );
+
+        let err = check_end_of_run([&balanced], 0, 1, 2).unwrap_err();
+        assert!(err.to_string().contains("unmerged"), "{err}");
+        assert!(matches!(err, HarnessError::Internal(_)));
+    }
+
+    #[test]
+    fn cluster_ring_retires_every_request_and_counts_partial_fanouts() {
+        use crate::config::{ClusterConfig, FanoutPolicy};
+        // Overloaded broadcast into deadline-shedding queues: some legs are shed, so
+        // some fan-outs never merge.  The run returning Ok means the release-mode
+        // end-of-run check held: the ring drained and its count of partially answered
+        // requests equals the report's unmerged.
+        let model = InstructionRateModel {
+            ns_per_instruction: 1_000.0,
+        };
+        // Unequal shards shed different legs of the same requests.
+        let apps: Vec<Arc<dyn ServerApp>> = [90, 60]
+            .map(|spin_iters| Arc::new(EchoApp { spin_iters }) as Arc<dyn ServerApp>)
+            .to_vec();
+        let config = BenchmarkConfig::new(15_000.0, 1_000)
+            .with_warmup(0)
+            .with_seed(3)
+            .with_admission(AdmissionPolicy::DropDeadline {
+                capacity: 2,
+                slo_ns: 150_000,
+            });
+        let cluster = ClusterConfig::new(2, FanoutPolicy::Broadcast);
+        let mut factory = || b"r".to_vec();
+        let report = run_cluster_simulated(&apps, &mut factory, &config, &cluster, &model)
+            .expect("the end-of-run check holds");
+        assert!(report.cluster.queue_depth.dropped > 0, "overload must shed");
+        assert!(report.unmerged > 0, "some fan-outs must lose a leg");
+        assert!(report.cluster.requests + report.unmerged <= 1_000);
     }
 }

@@ -137,11 +137,144 @@ impl LoadMode {
     /// length (the scenario engine sizes the run from the trace, so the paths agree).
     #[must_use]
     pub fn schedule(&self, rng: &mut SuiteRng, count: usize) -> Option<Vec<u64>> {
+        self.arrival_times(rng, count).map(Iterator::collect)
+    }
+
+    /// The schedule of [`LoadMode::schedule`], drawn lazily: each timestamp is computed
+    /// when the iterator reaches it.  Returns `None` for closed-loop modes.
+    fn arrival_times<'a>(
+        &'a self,
+        rng: &'a mut SuiteRng,
+        count: usize,
+    ) -> Option<ArrivalTimes<'a>> {
         match self {
-            LoadMode::Open(process) => Some(process.schedule(rng, count)),
-            LoadMode::Trace(trace) => Some(trace.times_ns.iter().copied().take(count).collect()),
+            LoadMode::Open(process) => Some(ArrivalTimes::gaps(process, rng, count)),
+            LoadMode::Trace(trace) => Some(ArrivalTimes {
+                left: count.min(trace.len()),
+                source: TimeSource::Trace(trace.times_ns.iter()),
+            }),
             LoadMode::Closed { .. } => None,
         }
+    }
+
+    /// The open-loop request stream, drawn lazily: request `i` carries id
+    /// `first_id + i`, the `i`-th timestamp of [`LoadMode::schedule`] and the `i`-th
+    /// payload of `next_payload`.  The discrete-event simulator consumes it as its
+    /// virtual clock advances, so only requests in flight are held in memory.  Returns
+    /// `None` for closed-loop modes.
+    pub fn arrivals<'a, F>(
+        &'a self,
+        rng: &'a mut SuiteRng,
+        count: usize,
+        first_id: u64,
+        next_payload: F,
+    ) -> Option<Arrivals<ArrivalTimes<'a>, F>>
+    where
+        F: FnMut() -> Vec<u8>,
+    {
+        let times = self.arrival_times(rng, count)?;
+        Some(Arrivals::new(times, first_id, next_payload))
+    }
+}
+
+/// The issue timestamps of an open-loop schedule, drawn one at a time: Poisson or
+/// deterministic gaps from the seeded rng, or a compiled trace cut to the run's length.
+#[derive(Debug)]
+pub struct ArrivalTimes<'a> {
+    source: TimeSource<'a>,
+    /// Timestamps still to yield.
+    left: usize,
+}
+
+#[derive(Debug)]
+enum TimeSource<'a> {
+    /// Interarrival gaps drawn from `process`, accumulated from the epoch at `t`.
+    Gaps {
+        process: &'a InterarrivalProcess,
+        rng: &'a mut SuiteRng,
+        t: u64,
+    },
+    /// A precompiled trace's timestamps.
+    Trace(std::slice::Iter<'a, u64>),
+}
+
+impl<'a> ArrivalTimes<'a> {
+    /// `count` arrivals of `process`, gaps drawn from `rng` — the same values as
+    /// [`InterarrivalProcess::schedule`].
+    fn gaps(process: &'a InterarrivalProcess, rng: &'a mut SuiteRng, count: usize) -> Self {
+        ArrivalTimes {
+            source: TimeSource::Gaps { process, rng, t: 0 },
+            left: count,
+        }
+    }
+}
+
+impl Iterator for ArrivalTimes<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        self.left = self.left.checked_sub(1)?;
+        match &mut self.source {
+            TimeSource::Gaps { process, rng, t } => {
+                *t = t.saturating_add(process.next_gap_ns(rng));
+                Some(*t)
+            }
+            TimeSource::Trace(times) => times.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+/// An open-loop request stream: timestamps from `T` paired with ids counting up from
+/// `first_id` and payloads from `F`, produced one request per [`Iterator::next`].
+/// The timestamps and the payloads come from independent sources, so drawing them
+/// interleaved yields exactly the values of drawing all timestamps first.
+#[derive(Debug)]
+pub struct Arrivals<T, F> {
+    times: T,
+    next_id: u64,
+    next_payload: F,
+}
+
+impl<T, F> Arrivals<T, F>
+where
+    T: Iterator<Item = u64>,
+    F: FnMut() -> Vec<u8>,
+{
+    /// Pairs `times` with ids from `first_id` and payloads from `next_payload`, which
+    /// is called once per request, in id order.
+    fn new(times: T, first_id: u64, next_payload: F) -> Self {
+        Arrivals {
+            times,
+            next_id: first_id,
+            next_payload,
+        }
+    }
+}
+
+impl<T, F> Iterator for Arrivals<T, F>
+where
+    T: Iterator<Item = u64>,
+    F: FnMut() -> Vec<u8>,
+{
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        let issued_ns = self.times.next()?;
+        let id = RequestId(self.next_id);
+        self.next_id += 1;
+        Some(Request {
+            id,
+            payload: (self.next_payload)(),
+            issued_ns,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.times.size_hint()
     }
 }
 
@@ -153,7 +286,9 @@ impl LoadMode {
 ///
 /// The traffic shaper pre-draws both the interarrival gaps and the request payloads so
 /// that the issuing thread does no generation work on the critical path — generation cost
-/// must not perturb the measured arrival process.
+/// must not perturb the measured arrival process.  It collects the same [`Arrivals`]
+/// stream the discrete-event simulator draws lazily, where no wall clock runs and
+/// generation cost cannot perturb anything.
 #[derive(Debug)]
 pub struct TrafficShaper {
     schedule: Vec<Request>,
@@ -172,27 +307,23 @@ impl TrafficShaper {
     where
         F: FnMut() -> Vec<u8>,
     {
-        Self::from_times(process.schedule(rng, count), first_id, next_payload)
+        let times = ArrivalTimes::gaps(process, rng, count);
+        TrafficShaper {
+            schedule: Arrivals::new(times, first_id, next_payload).collect(),
+        }
     }
 
     /// Builds a schedule from explicit arrival timestamps (the trace path): request `i`
     /// is issued at `times[i]` with id `first_id + i`.  The payload closure is invoked
     /// once per request in arrival order, so sequenced factories (e.g. the scenario
     /// engine's class multiplexer) see requests in id order.
-    pub fn from_times<F>(times: Vec<u64>, first_id: u64, mut next_payload: F) -> Self
+    pub fn from_times<F>(times: Vec<u64>, first_id: u64, next_payload: F) -> Self
     where
         F: FnMut() -> Vec<u8>,
     {
-        let schedule = times
-            .into_iter()
-            .enumerate()
-            .map(|(i, issued_ns)| Request {
-                id: RequestId(first_id + i as u64),
-                payload: next_payload(),
-                issued_ns,
-            })
-            .collect();
-        TrafficShaper { schedule }
+        TrafficShaper {
+            schedule: Arrivals::new(times.into_iter(), first_id, next_payload).collect(),
+        }
     }
 
     /// The scheduled requests, ordered by issue time.
@@ -391,5 +522,60 @@ mod tests {
             Vec::new,
         );
         assert!(slow.span_ns() > fast.span_ns() * 10);
+    }
+
+    proptest::proptest! {
+        /// The streamed source yields exactly the pre-drawn schedule for Poisson,
+        /// deterministic and trace loads — including traces shorter than `count` and
+        /// tied timestamps — with the factory called once per request, in id order.
+        #[test]
+        fn streamed_arrivals_equal_the_pre_drawn_schedule(
+            kind in 0u8..3,
+            qps in 1u32..2_000_000,
+            gaps in proptest::collection::vec(0u64..3, 1..40),
+            count in 0usize..60,
+            seed in proptest::arbitrary::any::<u64>(),
+            first_id in 0u64..1_000,
+        ) {
+            let load = match kind {
+                0 => LoadMode::open_poisson(f64::from(qps)),
+                1 => LoadMode::Open(InterarrivalProcess::uniform(f64::from(qps))),
+                // Zero gaps make ties.
+                _ => LoadMode::trace(LoadTrace::from_times(
+                    gaps.iter()
+                        .scan(0, |t, gap| {
+                            *t += gap * 1_000;
+                            Some(*t)
+                        })
+                        .collect(),
+                )),
+            };
+            let reference: Vec<u64> = match &load {
+                LoadMode::Open(process) => process.schedule(&mut seeded_rng(seed, 1), count),
+                LoadMode::Trace(trace) => trace.times_ns.iter().copied().take(count).collect(),
+                LoadMode::Closed { .. } => Vec::new(),
+            };
+            let counting = || {
+                let mut calls = 0u64;
+                move || {
+                    calls += 1;
+                    calls.to_le_bytes().to_vec()
+                }
+            };
+            let times = load.schedule(&mut seeded_rng(seed, 1), count).unwrap();
+            proptest::prop_assert_eq!(&times, &reference);
+            let shaped = TrafficShaper::from_times(times, first_id, counting()).into_requests();
+
+            let mut rng = seeded_rng(seed, 1);
+            let arrivals = load.arrivals(&mut rng, count, first_id, counting()).unwrap();
+            proptest::prop_assert_eq!(arrivals.size_hint(), (reference.len(), Some(reference.len())));
+            let streamed: Vec<Request> = arrivals.collect();
+            proptest::prop_assert_eq!(&streamed, &shaped);
+            for (i, request) in (0u64..).zip(&streamed) {
+                proptest::prop_assert_eq!(request.id, RequestId(first_id + i));
+                proptest::prop_assert_eq!(&request.payload, &(i + 1).to_le_bytes().to_vec());
+                proptest::prop_assert_eq!(request.issued_ns, reference[i as usize]);
+            }
+        }
     }
 }
