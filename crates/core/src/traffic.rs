@@ -148,7 +148,10 @@ impl LoadMode {
         count: usize,
     ) -> Option<ArrivalTimes<'a>> {
         match self {
-            LoadMode::Open(process) => Some(ArrivalTimes::gaps(process, rng, count)),
+            LoadMode::Open(process) => Some(ArrivalTimes {
+                left: count,
+                source: TimeSource::Gaps { process, rng, t: 0 },
+            }),
             LoadMode::Trace(trace) => Some(ArrivalTimes {
                 left: count.min(trace.len()),
                 source: TimeSource::Trace(trace.times_ns.iter()),
@@ -196,17 +199,6 @@ enum TimeSource<'a> {
     },
     /// A precompiled trace's timestamps.
     Trace(std::slice::Iter<'a, u64>),
-}
-
-impl<'a> ArrivalTimes<'a> {
-    /// `count` arrivals of `process`, gaps drawn from `rng` — the same values as
-    /// [`InterarrivalProcess::schedule`].
-    fn gaps(process: &'a InterarrivalProcess, rng: &'a mut SuiteRng, count: usize) -> Self {
-        ArrivalTimes {
-            source: TimeSource::Gaps { process, rng, t: 0 },
-            left: count,
-        }
-    }
 }
 
 impl Iterator for ArrivalTimes<'_> {
@@ -307,9 +299,11 @@ impl TrafficShaper {
     where
         F: FnMut() -> Vec<u8>,
     {
-        let times = ArrivalTimes::gaps(process, rng, count);
+        // An open-loop mode always yields arrivals.
+        let load = LoadMode::Open(process.clone());
+        let arrivals = load.arrivals(rng, count, first_id, next_payload);
         TrafficShaper {
-            schedule: Arrivals::new(times, first_id, next_payload).collect(),
+            schedule: arrivals.map_or_else(Vec::new, Iterator::collect),
         }
     }
 
