@@ -99,6 +99,10 @@ pub fn run_integrated(
             let mut pacing = PacingRecorder::new();
             for mut request in shaper.into_requests() {
                 let scheduled_ns = request.issued_ns;
+                // Checked before the wait too, so an arrival past the cap is not waited for.
+                if scheduled_ns > max_ns {
+                    break;
+                }
                 let now = clock.sleep_until_ns(scheduled_ns);
                 if now > max_ns {
                     break;
@@ -324,6 +328,9 @@ pub fn run_cluster_integrated(
     let mut pacing = PacingRecorder::new();
     'pacing: for mut request in shaper.into_requests() {
         let scheduled_ns = request.issued_ns;
+        if scheduled_ns > max_ns {
+            break;
+        }
         let now = clock.sleep_until_ns(scheduled_ns);
         if now > max_ns {
             break;
@@ -545,6 +552,30 @@ mod tests {
         assert!(report.queue_depth.accepted >= report.requests);
         assert!(report.queue_depth.peak_depth >= 1);
         assert!(report.pacing.count >= report.requests);
+    }
+
+    #[test]
+    fn max_duration_stops_before_an_arrival_past_the_cap() {
+        use crate::traffic::LoadTrace;
+        let app = echo_app();
+        let mut factory = || b"cap".to_vec();
+        let config = BenchmarkConfig::new(1_000.0, 3)
+            .with_warmup(0)
+            .with_load(LoadMode::trace(LoadTrace::from_times(vec![
+                0,
+                1_000_000,
+                30_000_000_000,
+            ])))
+            .with_max_duration(Duration::from_millis(100));
+        let started = std::time::Instant::now();
+        let report = run_integrated(&app, &mut factory, &config).expect("integrated run");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "the run waited {:?} for an arrival past the cap",
+            started.elapsed()
+        );
+        assert_eq!(report.requests, 2);
+        assert_eq!(report.pacing.count, 2);
     }
 
     #[test]

@@ -109,6 +109,9 @@ fn spawn_client(
             let mut error = None;
             for mut request in requests {
                 let scheduled_ns = request.issued_ns;
+                if scheduled_ns > max_ns {
+                    break;
+                }
                 let now = clock.sleep_until_ns(scheduled_ns);
                 if now > max_ns {
                     break;
@@ -466,6 +469,9 @@ pub fn run_cluster_tcp(
     let mut pacing = PacingRecorder::new();
     'pacing: for mut request in shaper.into_requests() {
         let scheduled_ns = request.issued_ns;
+        if scheduled_ns > max_ns {
+            break;
+        }
         let now = clock.sleep_until_ns(scheduled_ns);
         if now > max_ns {
             break;

@@ -351,6 +351,12 @@ struct QueueState {
     items: VecDeque<QueuedRequest>,
     producers: usize,
     consumers: usize,
+    /// Producers waiting on `not_full` and consumers waiting on `not_empty`.  A
+    /// condvar notify is a syscall whether or not anyone waits, and the consumer's
+    /// one runs before `started_ns` (charged to queue wait), so each side notifies
+    /// only when the other has a thread parked.
+    parked_producers: usize,
+    parked_consumers: usize,
     tracker: DepthTracker,
 }
 
@@ -425,6 +431,8 @@ impl RequestQueue {
                     items: VecDeque::new(),
                     producers: 1,
                     consumers: 0,
+                    parked_producers: 0,
+                    parked_consumers: 0,
                     tracker: DepthTracker::new(),
                 }),
                 not_empty: Condvar::new(),
@@ -490,7 +498,9 @@ impl RequestQueue {
                         if state.consumers == 0 {
                             return PushOutcome::Closed;
                         }
+                        state.parked_producers += 1;
                         state = wait_recover(&shared.not_full, state);
+                        state.parked_producers -= 1;
                     }
                 }
             }
@@ -502,8 +512,11 @@ impl RequestQueue {
         });
         let depth = state.items.len() as u64;
         state.tracker.on_push(enqueued_ns, depth);
+        let wake = state.parked_consumers > 0;
         drop(state);
-        shared.not_empty.notify_one();
+        if wake {
+            shared.not_empty.notify_one();
+        }
         PushOutcome::Accepted
     }
 
@@ -549,8 +562,11 @@ impl RequestQueue {
             return false;
         };
         state.items.remove(index);
+        let wake = state.parked_producers > 0;
         drop(state);
-        self.shared.not_full.notify_one();
+        if wake {
+            self.shared.not_full.notify_one();
+        }
         true
     }
 
@@ -611,18 +627,25 @@ impl QueueReceiver {
                 if let AdmissionPolicy::DropDeadline { slo_ns, .. } = shared.policy {
                     if now_ns().saturating_sub(item.enqueued_ns) > slo_ns {
                         state.tracker.on_shed_admitted();
-                        shared.not_full.notify_one();
+                        if state.parked_producers > 0 {
+                            shared.not_full.notify_one();
+                        }
                         continue;
                     }
                 }
+                let wake = state.parked_producers > 0;
                 drop(state);
-                shared.not_full.notify_one();
+                if wake {
+                    shared.not_full.notify_one();
+                }
                 return Ok(item);
             }
             if state.producers == 0 {
                 return Err(QueueClosed);
             }
+            state.parked_consumers += 1;
             state = wait_recover(&shared.not_empty, state);
+            state.parked_consumers -= 1;
         }
     }
 }
@@ -760,6 +783,22 @@ mod tests {
         assert!(!handle.is_finished(), "push must block at capacity");
         let first = rx.recv().unwrap();
         assert_eq!(first.request.id, RequestId(0));
+        assert_eq!(handle.join().unwrap(), PushOutcome::Accepted);
+        assert_eq!(rx.recv().unwrap().request.id, RequestId(1));
+    }
+
+    #[test]
+    fn cancel_wakes_a_producer_blocked_at_capacity() {
+        let q = RequestQueue::with_policy(AdmissionPolicy::Block { capacity: 1 });
+        let rx = q.receiver();
+        let _ = q.push(request(0), 0, Completion::Inline);
+        let producer = q.clone();
+        let handle = std::thread::spawn(move || producer.push(request(1), 5, Completion::Inline));
+        // Cancel only once the producer is parked, so the slot it frees is the wake-up.
+        while lock_recover(&q.shared.state).parked_producers == 0 {
+            std::thread::yield_now();
+        }
+        assert!(q.cancel(RequestId(0)));
         assert_eq!(handle.join().unwrap(), PushOutcome::Accepted);
         assert_eq!(rx.recv().unwrap().request.id, RequestId(1));
     }

@@ -3,7 +3,10 @@
 //! All timestamps in a run are nanoseconds since a run-local epoch, so that real-time and
 //! simulated runs share the same record format.  The open-loop traffic shaper needs to
 //! release requests at microsecond-precise instants even when the OS sleep granularity is
-//! coarser, so [`sleep_until_ns`] combines coarse sleeping with a short spin phase.
+//! coarser, so [`RunClock::sleep_until_ns`] sleeps coarsely and then yields the CPU until
+//! the deadline: the pacer may share a core with the server it measures, and a pacer
+//! that held the CPU while waiting would keep the worker it just woke from running and
+//! inflate the very latencies it reports.
 
 use crate::report::LatencyStats;
 use std::time::{Duration, Instant};
@@ -42,23 +45,26 @@ impl RunClock {
         self.epoch
     }
 
-    /// Sleeps (coarsely, then spinning) until `target_ns` nanoseconds past the epoch.
-    /// Returns the actual time reached, which is never before `target_ns`.
+    /// Waits until `target_ns` nanoseconds past the epoch: sleeps coarsely while the
+    /// deadline is far, then yields the CPU on every check of the final approach, so any
+    /// thread that is runnable meanwhile (a worker the caller just woke, a server thread
+    /// it shares a core with) runs before the deadline instead of after it.  Returns the
+    /// actual time reached, which is never before `target_ns`.
     pub fn sleep_until_ns(&self, target_ns: u64) -> u64 {
-        // Sleep in the coarse regime while we are far from the deadline, then spin for
-        // the final stretch.  100 µs of spin keeps pacing error well under typical
-        // service times without burning a whole core at low request rates.
-        const SPIN_THRESHOLD_NS: u64 = 100_000;
+        // `thread::sleep` oversleeps by tens of microseconds, so it only covers the wait
+        // up to 100 µs before the deadline; yielding covers the rest.  A yield costs one
+        // syscall per check, small next to the hand-offs it lets through.
+        const APPROACH_NS: u64 = 100_000;
         loop {
             let now = self.now_ns();
             if now >= target_ns {
                 return now;
             }
             let remaining = target_ns - now;
-            if remaining > SPIN_THRESHOLD_NS {
-                std::thread::sleep(Duration::from_nanos(remaining - SPIN_THRESHOLD_NS));
+            if remaining > APPROACH_NS {
+                std::thread::sleep(Duration::from_nanos(remaining - APPROACH_NS));
             } else {
-                std::hint::spin_loop();
+                std::thread::yield_now();
             }
         }
     }
@@ -151,6 +157,40 @@ mod tests {
         std::thread::sleep(Duration::from_millis(1));
         let reached = clock.sleep_until_ns(0);
         assert!(reached > 0);
+    }
+
+    #[test]
+    fn final_approach_lets_a_woken_thread_run_before_the_deadline() {
+        // The pacer wakes a helper and then waits out a deadline that lies entirely
+        // inside the final approach.  On a core shared with the helper (`taskset -c 0
+        // chrt -b 0`), a pacer that holds the CPU for the whole wait lets the helper
+        // run only afterwards, on every round.
+        const ROUNDS: usize = 20;
+        let clock = RunClock::new();
+        let (wake_tx, wake_rx) = std::sync::mpsc::channel::<()>();
+        let (reply_tx, reply_rx) = std::sync::mpsc::channel::<u64>();
+        let helper = std::thread::spawn(move || {
+            while wake_rx.recv().is_ok() {
+                if reply_tx.send(clock.now_ns()).is_err() {
+                    break;
+                }
+            }
+        });
+        let mut ran_first = 0;
+        for _ in 0..ROUNDS {
+            wake_tx.send(()).unwrap();
+            let reached = clock.sleep_until_ns(clock.now_ns() + 80_000);
+            let helper_ran_ns = reply_rx.recv().unwrap();
+            if helper_ran_ns < reached {
+                ran_first += 1;
+            }
+        }
+        drop(wake_tx);
+        helper.join().unwrap();
+        assert!(
+            ran_first > 0,
+            "the woken helper never ran during the wait in {ROUNDS} rounds"
+        );
     }
 
     #[test]
