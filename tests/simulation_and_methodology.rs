@@ -49,13 +49,30 @@ fn simulated_latency_grows_with_load_like_the_real_system() {
         sim_high.sojourn.p95_ns
     );
 
-    // The real high point is a share of the measured capacity too: a fixed rate such as
-    // 100k QPS leaves a ~1 µs service mostly idle, and then the worker's wake-up cost,
-    // not queueing, sets both tails.
-    let real_capacity_qps = runner::measure_capacity(&app, make_factory(1).as_mut(), 1, 2_000);
+    // The real system: 100k QPS is the sub-saturation point and, like the simulated probe,
+    // gives the capacity through its mean service time; the high point is 85 % of that.
+    // The harness must carry 100k QPS without saturating, so the checks cannot pass on
+    // overload alone.  The 100k tail is not compared with the 2k one: at 2k QPS the worker
+    // parks between requests and its wake-up, not queueing, sets the tail, so a point a
+    // few percent loaded can read a lower p95 when nothing holds the worker's core.
     let real_low = run(HarnessMode::Integrated, 2_000.0);
+    let real_mid = run(HarnessMode::Integrated, 100_000.0);
+    let real_capacity_qps = 1e9 / real_mid.service.mean_ns.max(1.0);
     let real_high = run(HarnessMode::Integrated, real_capacity_qps * 0.85);
-    assert!(real_high.sojourn.p95_ns >= real_low.sojourn.p95_ns);
+    assert!(
+        !real_mid.is_saturated(0.1),
+        "the harness must carry 100k QPS ({:.0} QPS delivered)",
+        real_mid.achieved_qps
+    );
+    assert!(
+        real_high.sojourn.p95_ns > real_mid.sojourn.p95_ns
+            && real_high.sojourn.p95_ns >= real_low.sojourn.p95_ns,
+        "real p95 must grow with load (2k: {}, 100k: {}, {:.0}: {})",
+        real_low.sojourn.p95_ns,
+        real_mid.sojourn.p95_ns,
+        real_capacity_qps * 0.85,
+        real_high.sojourn.p95_ns
+    );
 }
 
 #[test]
