@@ -13,7 +13,9 @@
 //! The same constants are additionally pinned **through the unified experiment
 //! layer**: an `ExperimentSpec` with no sweep and one repeat must reproduce the direct
 //! `runner::execute`/`execute_cluster` call bit for bit — including when the spec
-//! first round-trips through its JSON form (the path the `tailbench` CLI takes).
+//! first round-trips through its JSON form (the path the `tailbench` CLI takes).  The
+//! registry's xapian and masstree apps are pinned the same way at smoke scale, down to
+//! the exact achieved rate and admission counters.
 //!
 //! If you change the event ordering *on purpose*, re-derive the constants by printing
 //! the asserted fields from a release run and update them together with a DESIGN.md
@@ -255,6 +257,109 @@ fn experiment_json_round_trip_reproduces_the_golden_percentiles() {
     );
     let report = from_json.points[0].report.cluster().unwrap();
     assert_eq!(report.cluster.sojourn.p99_ns, 1_150_870);
+}
+
+// ---------------------------------------------------------------------------
+// The registry's real applications through Experiment::run().
+// ---------------------------------------------------------------------------
+
+/// What a registry-app golden pins: the headline percentiles, the exact achieved rate
+/// and the admission counters.
+#[derive(Debug, PartialEq)]
+struct AppGolden {
+    requests: u64,
+    p50_ns: u64,
+    p95_ns: u64,
+    p99_ns: u64,
+    achieved_qps: f64,
+    accepted: u64,
+    dropped: u64,
+    peak_depth: u64,
+}
+
+/// Pins real application cost models (not the echo app) through the built-in registry
+/// at smoke scale: xapian and masstree on one server, and xapian behind a 4-shard
+/// broadcast.  These catch changes to the smoke-scale inputs, the apps' instruction
+/// counts and the registry's cost models, which the echo goldens above cannot see.
+#[test]
+fn registry_apps_simulated_results_are_exact() {
+    let run = |spec: ExperimentSpec| {
+        let spec = spec
+            .with_scale(Scale::Smoke)
+            .with_mode(ModeSpec::Simulated)
+            .with_seed(0x601D);
+        let output = Experiment::new(spec)
+            .with_registry(Registry::builtin())
+            .run()
+            .unwrap();
+        assert_eq!(output.points.len(), 1);
+        let report = output.points[0].report.headline();
+        AppGolden {
+            requests: report.requests,
+            p50_ns: report.sojourn.p50_ns,
+            p95_ns: report.sojourn.p95_ns,
+            p99_ns: report.sojourn.p99_ns,
+            achieved_qps: report.achieved_qps,
+            accepted: report.queue_depth.accepted,
+            dropped: report.queue_depth.dropped,
+            peak_depth: report.queue_depth.peak_depth,
+        }
+    };
+
+    let xapian = ExperimentSpec::new("xapian-single", "xapian")
+        .with_load(LoadSpec::Qps(2_000.0))
+        .with_requests(600)
+        .with_warmup(60);
+    assert_eq!(
+        run(xapian),
+        AppGolden {
+            requests: 600,
+            p50_ns: 41_405,
+            p95_ns: 123_602,
+            p99_ns: 172_255,
+            achieved_qps: 2_083.079_053_030_596_2,
+            accepted: 660,
+            dropped: 0,
+            peak_depth: 3,
+        }
+    );
+
+    let masstree = ExperimentSpec::new("masstree-single", "masstree")
+        .with_load(LoadSpec::Qps(10_000.0))
+        .with_requests(800)
+        .with_warmup(80);
+    assert_eq!(
+        run(masstree),
+        AppGolden {
+            requests: 800,
+            p50_ns: 397,
+            p95_ns: 397,
+            p99_ns: 397,
+            achieved_qps: 10_109.960_735_187_246,
+            accepted: 880,
+            dropped: 0,
+            peak_depth: 1,
+        }
+    );
+
+    let broadcast = ExperimentSpec::new("xapian-broadcast4", "xapian")
+        .with_topology(TopologySpec::sharded(4).with_fanout(FanoutSpec::Broadcast))
+        .with_load(LoadSpec::Qps(1_500.0))
+        .with_requests(600)
+        .with_warmup(60);
+    assert_eq!(
+        run(broadcast),
+        AppGolden {
+            requests: 600,
+            p50_ns: 9_467,
+            p95_ns: 26_639,
+            p99_ns: 36_606,
+            achieved_qps: 1_562.313_454_077_648_7,
+            accepted: 2_640,
+            dropped: 0,
+            peak_depth: 1,
+        }
+    );
 }
 
 // ---------------------------------------------------------------------------
