@@ -65,7 +65,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod capacity;
 pub mod json;
 pub mod output;
@@ -73,10 +72,6 @@ pub mod presets;
 pub mod registry;
 pub mod spec;
 
-pub use bench::{
-    evaluate as evaluate_bench_gates, latest_baseline, next_bench_path, run_suite, suite,
-    BenchPreset, BenchRecord, EnvMeta, GateCheck, GateReport, PresetResult, SloGate, SuiteFilter,
-};
 pub use capacity::{capacity_qps, cluster_capacity_qps};
 pub use output::{
     format_latency, verify_output_text, ExperimentOutput, ExperimentPoint, PointCoords, PointReport,

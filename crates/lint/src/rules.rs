@@ -46,7 +46,7 @@ pub enum Rule {
     /// directly or through a one-level call.
     GuardAcrossBlocking,
     /// A truncating or precision-losing `as` cast in a stats path (histogram,
-    /// collector, report, bench): percentile math must keep its full width.
+    /// collector, report): percentile math must keep its full width.
     NoLossyCastInStats,
     /// Unchecked `+`/`*` over proven-integer operands in the histogram crate:
     /// bucket math must use saturating/checked forms.
@@ -104,7 +104,7 @@ impl Rule {
             Rule::NoUnseededRng => "everywhere outside `stubs/`",
             Rule::NoUnorderedIterationInReports => "report/JSON-emitting modules",
             Rule::LockOrderCycle | Rule::GuardAcrossBlocking => "workspace-wide (outside `stubs/`)",
-            Rule::NoLossyCastInStats => "histogram + collector/report/bench paths",
+            Rule::NoLossyCastInStats => "histogram + collector/report paths",
             Rule::NoUncheckedArithInHistogram => "`crates/histogram`",
             Rule::UnjustifiedAllow | Rule::UnknownAllowRule => "pragma hygiene, every file",
         }
@@ -150,8 +150,8 @@ impl Rule {
             Rule::NoWallclockInSim => {
                 "Fires on `Instant::now()`, `SystemTime::now()` and `unix_time` inside \
                  DES/simulation modules.\n\nWhy: virtual-time code that consults the wall clock \
-                 silently breaks bit-exact replay — the DES goldens and the BENCH_<n>.json gate \
-                 both depend on runs being a pure function of the seed.\n\nFix: thread the \
+                 silently breaks bit-exact replay — the DES golden tests depend on runs being \
+                 a pure function of the seed.\n\nFix: thread the \
                  virtual clock (`RunClock`/sim time) through instead of sampling the host clock."
             }
             Rule::NoPanicHotpath => {
@@ -207,7 +207,7 @@ impl Rule {
             }
             Rule::NoLossyCastInStats => {
                 "Fires on `as u8/u16/u32/i8/i16/i32/f32` casts in stats paths (the histogram \
-                 crate and collector/report/bench modules).  Wide targets (`u64`, `u128`, \
+                 crate and collector/report modules).  Wide targets (`u64`, `u128`, \
                  `usize`, `f64`) are allowed — the documented assumption is a 64-bit \
                  `usize`.\n\nWhy: a truncating cast in the histogram index or counter path \
                  silently corrupts every percentile above the truncation point.\n\nFix: use \
@@ -284,12 +284,11 @@ const HOT_FILES: [&str; 9] = [
 
 /// Report/golden/JSON-emitting modules: unordered iteration here would leak host
 /// hash-seed nondeterminism into emitted artifacts.
-const REPORT_FILES: [&str; 5] = [
+const REPORT_FILES: [&str; 4] = [
     "crates/core/src/collector.rs",
     "crates/core/src/report.rs",
     "crates/experiment/src/lib.rs",
     "crates/experiment/src/output.rs",
-    "crates/experiment/src/bench.rs",
 ];
 
 /// Classifies a workspace-relative path (forward slashes) into its rule sets.

@@ -7,8 +7,6 @@
 //! tailbench presets                                       list preset names
 //! tailbench validate <spec.json>                          check a spec without running
 //! tailbench verify-output <out.json>                      check emitted JSON output
-//! tailbench bench [--suite des|wall|all] [--baseline <f>] [--write <f|auto>]
-//!                 [--check] [--strict]                    perf-trajectory suite
 //! tailbench lint  [--root <dir>] [--check] [--json <out|->]
 //!                 [--pragmas] [--explain <rule|all>]        static analysis
 //! ```
@@ -20,9 +18,7 @@
 
 use std::path::Path;
 use std::process::ExitCode;
-use tailbench_experiment::{
-    bench, presets, verify_output_text, BenchRecord, Experiment, ExperimentSpec, Scale, SuiteFilter,
-};
+use tailbench_experiment::{presets, verify_output_text, Experiment, ExperimentSpec, Scale};
 
 const USAGE: &str = "\
 tailbench — unified TailBench-RS experiment runner
@@ -34,20 +30,12 @@ USAGE:
     tailbench presets
     tailbench validate <spec.json>
     tailbench verify-output <out.json>
-    tailbench bench [--suite des|wall|all] [--baseline <file>] [--write <path|auto>]
-                    [--check] [--strict]
     tailbench lint  [--root <dir>] [--check] [--json <path|->] [--pragmas]
                     [--explain <rule|all>]
 
 A spec file is the JSON form of an ExperimentSpec (see `tailbench export fig9`
 for a template).  Presets reproduce the paper figures: fig3, fig6, fig9, fig11,
 fig12.
-
-`bench` runs the pinned perf-trajectory suite (default `--suite des`, the
-DES-deterministic subset).  `--write <path>` (or `auto` for the next free
-BENCH_<n>.json) records the run; `--check` gates it against `--baseline <file>`
-(default: the highest-numbered committed BENCH_<n>.json) and exits 1 on a hard
-regression.  `--strict` promotes advisory wall-clock warnings to failures.
 
 `lint` runs the in-tree static analysis (wall-clock use in DES modules, panics
 on hot paths, unseeded RNG, unordered iteration in report paths, lock-order
@@ -64,11 +52,7 @@ struct Options {
     json_out: Option<String>,
     quiet: bool,
     help: bool,
-    suite: SuiteFilter,
-    baseline: Option<String>,
-    write: Option<String>,
     check: bool,
-    strict: bool,
     root: Option<String>,
     pragmas: bool,
     explain: Option<String>,
@@ -81,11 +65,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         json_out: None,
         quiet: false,
         help: false,
-        suite: SuiteFilter::Des,
-        baseline: None,
-        write: None,
         check: false,
-        strict: false,
         root: None,
         pragmas: false,
         explain: None,
@@ -106,19 +86,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--quiet" => options.quiet = true,
             "--help" | "-h" => options.help = true,
-            "--suite" => {
-                let value = iter.next().ok_or("--suite needs a value")?;
-                options.suite = SuiteFilter::parse(value)
-                    .ok_or_else(|| format!("unknown suite '{value}' (des, wall, all)"))?;
-            }
-            "--baseline" => {
-                options.baseline = Some(iter.next().ok_or("--baseline needs a path")?.clone());
-            }
-            "--write" => {
-                options.write = Some(iter.next().ok_or("--write needs a path or 'auto'")?.clone());
-            }
             "--check" => options.check = true,
-            "--strict" => options.strict = true,
             "--root" => {
                 options.root = Some(iter.next().ok_or("--root needs a directory")?.clone());
             }
@@ -203,75 +171,6 @@ fn resolve_preset(name: &str, scale: Scale) -> Result<ExperimentSpec, CliError> 
             presets::PRESET_NAMES.join(", ")
         ))
     })
-}
-
-/// `tailbench bench`: run the pinned suite, optionally record and/or gate it.
-fn cmd_bench(options: &Options) -> Result<(), CliError> {
-    if !options.quiet {
-        eprintln!("running bench suite '{}'...", options.suite.name());
-    }
-    let results = bench::run_suite(options.suite)
-        .map_err(|e| CliError::runtime(format!("bench suite failed: {e}")))?;
-    let record = BenchRecord::capture(results);
-    record
-        .validate()
-        .map_err(|e| CliError::runtime(format!("bench record failed validation: {e}")))?;
-
-    if let Some(target) = &options.write {
-        let path = if target == "auto" {
-            bench::next_bench_path(Path::new("."))
-        } else {
-            Path::new(target).to_path_buf()
-        };
-        std::fs::write(&path, record.to_json_string())
-            .map_err(|e| CliError::runtime(format!("cannot write {}: {e}", path.display())))?;
-        if !options.quiet {
-            eprintln!("wrote bench record to {}", path.display());
-        }
-    }
-
-    if options.check {
-        let baseline_path = match &options.baseline {
-            Some(path) => Some(Path::new(path).to_path_buf()),
-            None => bench::latest_baseline(Path::new(".")),
-        };
-        let baseline = match &baseline_path {
-            Some(path) => {
-                let text = std::fs::read_to_string(path).map_err(|e| {
-                    CliError::runtime(format!("cannot read baseline {}: {e}", path.display()))
-                })?;
-                let baseline = BenchRecord::from_json_str(&text).map_err(|e| {
-                    CliError::runtime(format!("invalid baseline {}: {e}", path.display()))
-                })?;
-                baseline.validate().map_err(|e| {
-                    CliError::runtime(format!("baseline {} is invalid: {e}", path.display()))
-                })?;
-                Some(baseline)
-            }
-            None => {
-                eprintln!(
-                    "warning: no BENCH_<n>.json baseline found; \
-                     checking absolute thresholds only"
-                );
-                None
-            }
-        };
-        let report = bench::evaluate(&record, baseline.as_ref());
-        print!("{}", report.render_text());
-        let failed = !report.passed() || (options.strict && report.warnings() > 0);
-        if failed {
-            return Err(CliError::runtime(format!(
-                "bench gate failed: {} hard failure(s), {} warning(s){}",
-                report.hard_failures(),
-                report.warnings(),
-                if options.strict { " (strict)" } else { "" }
-            )));
-        }
-    } else if !options.check && options.write.is_none() {
-        // Neither recording nor gating: print the record so the run is not silent.
-        print!("{}", record.to_json_string());
-    }
-    Ok(())
 }
 
 /// One rule's `--explain` entry: the header line plus the full rationale.
@@ -384,7 +283,6 @@ fn dispatch(command: &str, options: &Options) -> Result<(), CliError> {
             println!("{path}: ok — {points} point(s), p99 present");
             Ok(())
         }
-        "bench" => cmd_bench(options),
         "lint" => cmd_lint(options),
         unknown => Err(CliError::usage(format!("unknown command '{unknown}'"))),
     }
