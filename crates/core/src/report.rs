@@ -36,14 +36,16 @@ impl LatencyStats {
     /// Extracts summary statistics from a latency summary.
     #[must_use]
     pub fn from_summary(summary: &LatencySummary) -> Self {
+        let [p50_ns, p90_ns, p95_ns, p99_ns, p999_ns] =
+            summary.values_at_quantiles([0.50, 0.90, 0.95, 0.99, 0.999]);
         LatencyStats {
             count: summary.len(),
             mean_ns: summary.mean(),
-            p50_ns: summary.value_at_quantile(0.50),
-            p90_ns: summary.value_at_quantile(0.90),
-            p95_ns: summary.value_at_quantile(0.95),
-            p99_ns: summary.value_at_quantile(0.99),
-            p999_ns: summary.value_at_quantile(0.999),
+            p50_ns,
+            p90_ns,
+            p95_ns,
+            p99_ns,
+            p999_ns,
             min_ns: summary.min(),
             max_ns: summary.max(),
         }

@@ -139,17 +139,27 @@ impl LatencySummary {
     /// precision bound in degraded mode. Returns 0 if empty.
     #[must_use]
     pub fn value_at_quantile(&self, q: f64) -> u64 {
+        let [value] = self.values_at_quantiles([q]);
+        value
+    }
+
+    /// [`value_at_quantile`](Self::value_at_quantile) for several quantiles at once: an
+    /// exact-mode summary sorts one copy of its samples and reads every rank from it.
+    #[must_use]
+    pub fn values_at_quantiles<const N: usize>(&self, quantiles: [f64; N]) -> [u64; N] {
         match &self.histogram {
-            Some(h) => h.value_at_quantile(q),
+            Some(h) => quantiles.map(|q| h.value_at_quantile(q)),
             None => {
                 if self.samples.is_empty() {
-                    return 0;
+                    return [0; N];
                 }
                 let mut sorted = self.samples.clone();
                 sorted.sort_unstable();
-                let q = q.clamp(0.0, 1.0);
-                let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-                sorted[rank - 1]
+                quantiles.map(|q| {
+                    let q = q.clamp(0.0, 1.0);
+                    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+                    sorted[rank - 1]
+                })
             }
         }
     }
@@ -224,6 +234,44 @@ mod tests {
         assert_eq!(s.min(), 10);
         assert_eq!(s.max(), 1000);
         assert!((s.mean() - 505.0).abs() < 1e-9);
+    }
+
+    /// One query answered from its own sorted copy of the samples: the reference the
+    /// batched ranks must reproduce.
+    fn one_query(samples: &[u64], q: f64) -> u64 {
+        if samples.is_empty() {
+            return 0;
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let q = q.clamp(0.0, 1.0);
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
+    }
+
+    #[test]
+    fn batched_quantiles_equal_one_query_at_a_time() {
+        const QS: [f64; 9] = [-0.5, 0.0, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0, 1.5];
+        let ties = [7u64, 3, 7, 7, 1, 3, 7, 9, 9, 3, 7, 1];
+        // (samples, exact capacity): empty, one sample, ties, and ties past the
+        // capacity, which degrades to the histogram.
+        let cases: [(&[u64], usize); 4] = [(&[], 100), (&[42], 100), (&ties, 100), (&ties, 5)];
+        for (samples, cap) in cases {
+            let mut s = LatencySummary::with_capacity(cap);
+            for &v in samples {
+                s.record(v);
+            }
+            let batched = s.values_at_quantiles(QS);
+            for (&q, got) in QS.iter().zip(batched) {
+                let want = if s.is_degraded() {
+                    s.clone().into_histogram().value_at_quantile(q)
+                } else {
+                    one_query(samples, q)
+                };
+                assert_eq!(got, want, "q={q} over {samples:?} (cap {cap})");
+                assert_eq!(s.value_at_quantile(q), want);
+            }
+        }
     }
 
     #[test]

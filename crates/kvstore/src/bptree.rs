@@ -161,10 +161,12 @@ impl<K: Ord + Clone, V> Node<K, V> {
         }
     }
 
-    fn depth(&self) -> usize {
+    /// Height found by walking the leftmost path: the oracle for the cached height.
+    #[cfg(test)]
+    fn walked_depth(&self) -> usize {
         match self {
             Node::Leaf { .. } => 1,
-            Node::Internal { children, .. } => 1 + children[0].depth(),
+            Node::Internal { children, .. } => 1 + children[0].walked_depth(),
         }
     }
 }
@@ -188,6 +190,9 @@ impl<K: Ord + Clone, V> Node<K, V> {
 pub struct BPlusTree<K, V> {
     root: Node<K, V>,
     len: usize,
+    /// Height of `root`: grows by one when the root splits and never shrinks, since
+    /// deletions are lazy (DESIGN.md, "The B+-tree no-shrink invariant").
+    depth: usize,
 }
 
 impl<K: Ord + Clone, V> Default for BPlusTree<K, V> {
@@ -203,6 +208,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         BPlusTree {
             root: Node::new_leaf(),
             len: 0,
+            depth: 1,
         }
     }
 
@@ -218,10 +224,16 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         self.len == 0
     }
 
-    /// Height of the tree (1 for a single leaf).
+    /// Height of the tree (1 for a single leaf), in O(1).
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.root.depth()
+        self.depth
+    }
+
+    /// Height found by walking the tree, to check [`depth`](Self::depth) against.
+    #[cfg(test)]
+    pub(crate) fn walked_depth(&self) -> usize {
+        self.root.walked_depth()
     }
 
     /// Inserts a key/value pair, returning the previous value for the key if any.
@@ -236,6 +248,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
                 keys: vec![sep],
                 children: vec![old_root, right],
             };
+            self.depth += 1;
         }
         old
     }
@@ -313,6 +326,24 @@ mod tests {
         // With 31-key nodes, 100k entries needs only a handful of levels.
         assert!(t.depth() <= 5, "depth = {}", t.depth());
         assert_eq!(t.get(&99_999), Some(&199_998));
+    }
+
+    #[test]
+    fn cached_depth_equals_walked_depth_across_root_splits() {
+        let mut t = BPlusTree::new();
+        assert_eq!((t.depth(), t.walked_depth()), (1, 1));
+        let mut root_splits = 0;
+        for i in 0..20_000u64 {
+            let before = t.depth();
+            t.insert(i * 7 % 20_000, i);
+            assert_eq!(t.depth(), t.walked_depth(), "after insert {i}");
+            root_splits += t.depth() - before;
+        }
+        assert!(root_splits >= 2, "only {root_splits} root splits");
+        for i in 0..20_000u64 {
+            t.remove(&i);
+        }
+        assert_eq!(t.depth(), t.walked_depth());
     }
 
     #[test]

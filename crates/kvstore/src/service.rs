@@ -10,7 +10,7 @@ use crate::store::KvStore;
 use tailbench_core::app::{RequestFactory, ServerApp};
 use tailbench_core::request::{Response, WorkProfile};
 use tailbench_workloads::rng::{seeded_rng, SuiteRng};
-use tailbench_workloads::ycsb::{KvOp, YcsbConfig, YcsbGenerator};
+use tailbench_workloads::ycsb::{KvDraw, KvOp, YcsbConfig, YcsbGenerator};
 
 /// Wire encoding of key-value operations.
 pub mod codec {
@@ -21,31 +21,44 @@ pub mod codec {
     const OP_PUT: u8 = 1;
     const OP_SCAN: u8 = 2;
 
+    /// The tag and key of a frame, with room for `body` more bytes.
+    fn header(tag: u8, key: u64, body: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(9 + body);
+        out.push(tag);
+        out.extend_from_slice(&key.to_le_bytes());
+        out
+    }
+
+    /// A GET frame.
+    pub(crate) fn get_frame(key: u64) -> Vec<u8> {
+        header(OP_GET, key, 0)
+    }
+
+    /// A PUT frame up to its value; the caller appends exactly `value_len` bytes.
+    pub(crate) fn put_frame_header(key: u64, value_len: usize) -> Vec<u8> {
+        let mut out = header(OP_PUT, key, 4 + value_len);
+        out.extend_from_slice(&(value_len as u32).to_le_bytes());
+        out
+    }
+
+    /// A SCAN frame.
+    pub(crate) fn scan_frame(key: u64, count: usize) -> Vec<u8> {
+        let mut out = header(OP_SCAN, key, 4);
+        out.extend_from_slice(&(count as u32).to_le_bytes());
+        out
+    }
+
     /// Encodes an operation into a request payload.
     #[must_use]
     pub fn encode(op: &KvOp) -> Vec<u8> {
         match op {
-            KvOp::Get { key } => {
-                let mut out = Vec::with_capacity(9);
-                out.push(OP_GET);
-                out.extend_from_slice(&key.to_le_bytes());
-                out
-            }
+            KvOp::Get { key } => get_frame(*key),
             KvOp::Put { key, value } => {
-                let mut out = Vec::with_capacity(13 + value.len());
-                out.push(OP_PUT);
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+                let mut out = put_frame_header(*key, value.len());
                 out.extend_from_slice(value);
                 out
             }
-            KvOp::Scan { key, count } => {
-                let mut out = Vec::with_capacity(13);
-                out.push(OP_SCAN);
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&(*count as u32).to_le_bytes());
-                out
-            }
+            KvOp::Scan { key, count } => scan_frame(*key, *count),
         }
     }
 
@@ -80,6 +93,14 @@ pub mod codec {
     }
 }
 
+/// What the cost model distinguishes about an operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpKind {
+    Get,
+    Put,
+    Scan,
+}
+
 /// The masstree-substitute server application.
 #[derive(Debug)]
 pub struct MasstreeApp {
@@ -108,14 +129,14 @@ impl MasstreeApp {
         &self.store
     }
 
-    fn work_profile(&self, op: &KvOp, touched: usize) -> WorkProfile {
+    fn work_profile(&self, kind: OpKind, touched: usize) -> WorkProfile {
         let depth = self.store.max_depth() as u64;
         // Each tree level costs a node search (~32 key comparisons) plus a couple of
         // cache lines; values add copy work.
-        let (instructions, bytes) = match op {
-            KvOp::Get { .. } => (800 + 120 * depth, 64 * depth + self.value_size as u64),
-            KvOp::Put { .. } => (1_100 + 140 * depth, 128 * depth + self.value_size as u64),
-            KvOp::Scan { .. } => (
+        let (instructions, bytes) = match kind {
+            OpKind::Get => (800 + 120 * depth, 64 * depth + self.value_size as u64),
+            OpKind::Put => (1_100 + 140 * depth, 128 * depth + self.value_size as u64),
+            OpKind::Scan => (
                 800 + 300 * touched as u64,
                 64 * depth + (touched * self.value_size) as u64,
             ),
@@ -123,7 +144,7 @@ impl MasstreeApp {
         WorkProfile {
             instructions,
             mem_reads: bytes / 16,
-            mem_writes: if matches!(op, KvOp::Put { .. }) {
+            mem_writes: if kind == OpKind::Put {
                 bytes / 32
             } else {
                 bytes / 128
@@ -132,11 +153,7 @@ impl MasstreeApp {
             locality: 0.75,
             // masstree scales near-linearly: only the brief per-shard write lock is a
             // critical section.
-            critical_fraction: if matches!(op, KvOp::Put { .. }) {
-                0.04
-            } else {
-                0.01
-            },
+            critical_fraction: if kind == OpKind::Put { 0.04 } else { 0.01 },
         }
     }
 }
@@ -150,31 +167,30 @@ impl ServerApp for MasstreeApp {
         let Some(op) = codec::decode(payload) else {
             return Response::new(vec![0xFF]);
         };
-        let (result, touched) = match &op {
-            KvOp::Get { key } => match self.store.get(*key) {
+        let (result, kind, touched) = match op {
+            KvOp::Get { key } => match self.store.get(key) {
                 Some(value) => {
                     let mut out = vec![1u8];
                     out.extend_from_slice(&value);
-                    (out, 1)
+                    (out, OpKind::Get, 1)
                 }
-                None => (vec![0u8], 1),
+                None => (vec![0u8], OpKind::Get, 1),
             },
             KvOp::Put { key, value } => {
-                let existed = self.store.put(*key, value.clone());
-                (vec![u8::from(existed)], 1)
+                let existed = self.store.put(key, value);
+                (vec![u8::from(existed)], OpKind::Put, 1)
             }
             KvOp::Scan { key, count } => {
-                let entries = self.store.scan(*key, *count);
+                let entries = self.store.scan(key, count);
                 let mut out = Vec::with_capacity(4 + entries.len() * 8);
                 out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
                 for (k, _) in &entries {
                     out.extend_from_slice(&k.to_le_bytes());
                 }
-                let n = entries.len().max(1);
-                (out, n)
+                (out, OpKind::Scan, entries.len().max(1))
             }
         };
-        let work = self.work_profile(&op, touched);
+        let work = self.work_profile(kind, touched);
         Response::with_work(result, work)
     }
 }
@@ -198,14 +214,25 @@ impl YcsbRequestFactory {
 }
 
 impl RequestFactory for YcsbRequestFactory {
+    /// Writes each frame, a PUT's value included, into one right-sized allocation.
     fn next_request(&mut self) -> Vec<u8> {
-        codec::encode(&self.generator.next_op(&mut self.rng))
+        match self.generator.draw(&mut self.rng) {
+            KvDraw::Get { key } => codec::get_frame(key),
+            KvDraw::Put { key } => {
+                let value_size = self.generator.config().value_size;
+                let mut out = codec::put_frame_header(key, value_size);
+                self.generator.write_value(key, &mut out);
+                out
+            }
+            KvDraw::Scan { key, count } => codec::scan_frame(key, count),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tailbench_workloads::ycsb::OpMix;
 
     fn small_app() -> MasstreeApp {
         MasstreeApp::new(&YcsbConfig::small())
@@ -278,6 +305,40 @@ mod tests {
         for _ in 0..200 {
             let payload = f.next_request();
             assert!(codec::decode(&payload).is_some());
+        }
+    }
+
+    #[test]
+    fn factory_frames_equal_encoded_ops_for_every_mix() {
+        // FNV-1a over the first 20k frames of seed 29, recorded from a build whose
+        // factory returned `codec::encode(&generator.next_op(..))`.
+        let pinned = [
+            (OpMix::MYCSB_A, 0xeb70_4577_2447_736e_u64),
+            (OpMix::YCSB_B, 0xc88f_8e08_fb4a_f6c3),
+            (OpMix::YCSB_E, 0xdfac_7b5d_43c4_4d2c),
+        ];
+        for (mix, digest) in pinned {
+            let config = YcsbConfig {
+                mix,
+                ..YcsbConfig::small()
+            };
+            let mut factory = YcsbRequestFactory::new(&config, 29);
+            let generator = YcsbGenerator::new(config);
+            let mut rng = seeded_rng(29, 100);
+            let mut hash = 0xCBF2_9CE4_8422_2325_u64;
+            for i in 0..20_000 {
+                let frame = factory.next_request();
+                assert_eq!(
+                    frame,
+                    codec::encode(&generator.next_op(&mut rng)),
+                    "draw {i}"
+                );
+                assert_eq!(frame.capacity(), frame.len(), "draw {i} is not right-sized");
+                for &b in &frame {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
+            assert_eq!(hash, digest, "{mix:?}");
         }
     }
 

@@ -8,6 +8,7 @@
 
 use crate::bptree::BPlusTree;
 use parking_lot::RwLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A sharded, ordered, concurrent key-value store mapping `u64` keys to byte values.
 #[derive(Debug)]
@@ -15,6 +16,10 @@ pub struct KvStore {
     shards: Vec<RwLock<BPlusTree<u64, Vec<u8>>>>,
     /// Size of each contiguous key range assigned to one shard.
     range_per_shard: u64,
+    /// Height of the deepest shard.  Trees never shrink (DESIGN.md, "The B+-tree
+    /// no-shrink invariant"), so only `put` raises it and nothing lowers it.  It
+    /// publishes no other data, hence `Relaxed`.
+    max_depth: AtomicUsize,
 }
 
 impl KvStore {
@@ -31,6 +36,7 @@ impl KvStore {
         KvStore {
             shards: (0..shards).map(|_| RwLock::new(BPlusTree::new())).collect(),
             range_per_shard,
+            max_depth: AtomicUsize::new(1),
         }
     }
 
@@ -46,10 +52,13 @@ impl KvStore {
 
     /// Inserts or overwrites a key. Returns `true` if the key already existed.
     pub fn put(&self, key: u64, value: Vec<u8>) -> bool {
-        self.shards[self.shard_for(key)]
-            .write()
-            .insert(key, value)
-            .is_some()
+        let mut shard = self.shards[self.shard_for(key)].write();
+        let existed = shard.insert(key, value).is_some();
+        let depth = shard.depth();
+        if depth > self.max_depth.load(Ordering::Relaxed) {
+            self.max_depth.fetch_max(depth, Ordering::Relaxed);
+        }
+        existed
     }
 
     /// Reads a key.
@@ -91,14 +100,11 @@ impl KvStore {
         self.len() == 0
     }
 
-    /// Maximum B+-tree depth across shards (a proxy for per-request pointer chases).
+    /// Maximum B+-tree depth across shards (a proxy for per-request pointer chases),
+    /// in O(1) and without taking a lock.
     #[must_use]
     pub fn max_depth(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().depth())
-            .max()
-            .unwrap_or(1)
+        self.max_depth.load(Ordering::Relaxed)
     }
 }
 
@@ -170,5 +176,63 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
         let _ = KvStore::new(0, 100);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Put(u16),
+        Remove(u16),
+        /// Puts the run `start..start + len`, so a case reaches several root splits.
+        Fill(u16, u16),
+    }
+
+    fn walked_max_depth(store: &KvStore) -> usize {
+        store
+            .shards
+            .iter()
+            .map(|s| s.read().walked_depth())
+            .max()
+            .expect("a store has at least one shard")
+    }
+
+    proptest! {
+        /// The cached height is the deepest shard's walked height after every operation:
+        /// `put` raises it exactly when a root splits, and `remove` never needs to lower it.
+        #[test]
+        fn max_depth_equals_the_deepest_walked_shard(
+            shards in 1usize..6,
+            ops in prop::collection::vec(
+                prop_oneof![
+                    any::<u16>().prop_map(Op::Put),
+                    any::<u16>().prop_map(Op::Remove),
+                    (any::<u16>(), 0u16..1_200).prop_map(|(start, len)| Op::Fill(start, len)),
+                ],
+                1..40,
+            )
+        ) {
+            let store = KvStore::new(shards, u64::from(u16::MAX) + 1);
+            for op in ops {
+                match op {
+                    Op::Put(k) => {
+                        store.put(u64::from(k), vec![1]);
+                    }
+                    Op::Remove(k) => {
+                        store.remove(u64::from(k));
+                    }
+                    Op::Fill(start, len) => {
+                        for k in u64::from(start)..u64::from(start) + u64::from(len) {
+                            store.put(k, vec![2]);
+                        }
+                    }
+                }
+                prop_assert_eq!(store.max_depth(), walked_max_depth(&store));
+            }
+        }
     }
 }

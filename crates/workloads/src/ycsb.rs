@@ -33,6 +33,29 @@ pub enum KvOp {
     },
 }
 
+/// A drawn operation whose PUT value is not built yet: it is
+/// [`YcsbGenerator::value_for`] of the key, and the caller writes it where it needs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KvDraw {
+    /// Read the value of a key.
+    Get {
+        /// Key to read.
+        key: u64,
+    },
+    /// Insert or overwrite a key with its deterministic value.
+    Put {
+        /// Key to write.
+        key: u64,
+    },
+    /// Range scan starting at `key` for `count` entries.
+    Scan {
+        /// First key of the range.
+        key: u64,
+        /// Maximum number of entries to return.
+        count: usize,
+    },
+}
+
 impl KvOp {
     /// The key this operation addresses.
     #[must_use]
@@ -162,29 +185,45 @@ impl YcsbGenerator {
     /// Deterministic value payload for a key (used by loading and by PUTs).
     #[must_use]
     pub fn value_for(&self, key: u64) -> Vec<u8> {
-        let mut v = vec![0u8; self.config.value_size];
-        for (i, b) in v.iter_mut().enumerate() {
-            *b = ((key as usize).wrapping_mul(31).wrapping_add(i * 7) & 0xFF) as u8;
-        }
+        let mut v = Vec::with_capacity(self.config.value_size);
+        self.write_value(key, &mut v);
         v
+    }
+
+    /// Appends [`value_for`](Self::value_for)`(key)` to `out`, so a request frame can
+    /// hold the value without a separate allocation.
+    pub fn write_value(&self, key: u64, out: &mut Vec<u8>) {
+        out.extend(
+            (0..self.config.value_size)
+                .map(|i| ((key as usize).wrapping_mul(31).wrapping_add(i * 7) & 0xFF) as u8),
+        );
+    }
+
+    /// Draws the next operation without building a PUT's value.
+    pub fn draw(&self, rng: &mut SuiteRng) -> KvDraw {
+        let key = self.key_dist.sample(rng);
+        let r: f64 = rng.gen();
+        if r < self.config.mix.get {
+            KvDraw::Get { key }
+        } else if r < self.config.mix.get + self.config.mix.put {
+            KvDraw::Put { key }
+        } else {
+            KvDraw::Scan {
+                key,
+                count: rng.gen_range(1..=self.config.max_scan),
+            }
+        }
     }
 
     /// Draws the next operation.
     pub fn next_op(&self, rng: &mut SuiteRng) -> KvOp {
-        let key = self.key_dist.sample(rng);
-        let r: f64 = rng.gen();
-        if r < self.config.mix.get {
-            KvOp::Get { key }
-        } else if r < self.config.mix.get + self.config.mix.put {
-            KvOp::Put {
+        match self.draw(rng) {
+            KvDraw::Get { key } => KvOp::Get { key },
+            KvDraw::Put { key } => KvOp::Put {
                 key,
                 value: self.value_for(key),
-            }
-        } else {
-            KvOp::Scan {
-                key,
-                count: rng.gen_range(1..=self.config.max_scan),
-            }
+            },
+            KvDraw::Scan { key, count } => KvOp::Scan { key, count },
         }
     }
 }

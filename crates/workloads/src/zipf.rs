@@ -32,6 +32,9 @@ pub struct Zipfian {
     zetan: f64,
     eta: f64,
     zeta2theta: f64,
+    /// `1 + 0.5^theta`: below it `sample` draws rank 1.  Not `zeta2theta`, which sums
+    /// `1 / 2^theta` and may differ from this in the last bit.
+    rank1_bound: f64,
 }
 
 impl Zipfian {
@@ -59,6 +62,7 @@ impl Zipfian {
             zetan,
             eta,
             zeta2theta,
+            rank1_bound: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -93,7 +97,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_bound {
             return 1;
         }
         let v = ((self.eta * u) - self.eta + 1.0).powf(self.alpha);
@@ -235,6 +239,23 @@ mod tests {
         let (max_idx, &max_cnt) = counts.iter().enumerate().max_by_key(|&(_, c)| *c).unwrap();
         assert!(max_cnt > 5_000, "max count = {max_cnt}");
         assert_eq!(max_idx, (fnv_hash64(0) % 1000) as usize);
+    }
+
+    #[test]
+    fn scrambled_draws_are_pinned() {
+        // Recorded from a build that evaluated `1.0 + 0.5f64.powf(theta)` on every
+        // draw: hoisting it into `new` must not move a single key.
+        let z = ScrambledZipfian::new(100_000, 0.99);
+        let mut rng = seeded_rng(25, 0);
+        let keys: Vec<u64> = (0..32).map(|_| z.sample(&mut rng)).collect();
+        assert_eq!(
+            keys,
+            [
+                48515, 44544, 95587, 97146, 67698, 53223, 20217, 63814, 12308, 74405, 76282, 44081,
+                47093, 63814, 73097, 16769, 67534, 16879, 66486, 1319, 54203, 24317, 30636, 45966,
+                51903, 91562, 74405, 64549, 26264, 1717, 6178, 63814
+            ]
+        );
     }
 
     #[test]
