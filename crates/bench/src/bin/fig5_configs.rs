@@ -9,7 +9,8 @@
 //! as the paper's load normalization requires).
 
 use tailbench_bench::{format_latency, print_table, AppId, Scale};
-use tailbench_experiment::{Experiment, ExperimentSpec, LoadSpec, ModeSpec, SweepAxis};
+use tailbench_core::config::HarnessMode;
+use tailbench_experiment::{Experiment, ExperimentSpec, LoadSpec, SweepAxis};
 
 fn main() {
     let scale = Scale::from_env();
@@ -21,10 +22,10 @@ fn main() {
             .with_requests(requests)
             .with_load(LoadSpec::FractionOfCapacity(0.5))
             .with_axis(SweepAxis::Mode(vec![
-                ModeSpec::networked(),
-                ModeSpec::loopback(),
-                ModeSpec::Integrated,
-                ModeSpec::Simulated,
+                HarnessMode::networked(),
+                HarnessMode::loopback(),
+                HarnessMode::Integrated,
+                HarnessMode::Simulated,
             ]))
             .with_axis(SweepAxis::LoadFraction(vec![0.2, 0.5, 0.8]));
         let output = Experiment::new(spec).run().expect("fig5 experiment failed");

@@ -5,7 +5,8 @@
 //! threads through the unified experiment layer.
 
 use tailbench_bench::{format_latency, print_table, AppId, Scale};
-use tailbench_experiment::{Experiment, ExperimentSpec, LoadSpec, ModeSpec, SweepAxis};
+use tailbench_core::config::HarnessMode;
+use tailbench_experiment::{Experiment, ExperimentSpec, LoadSpec, SweepAxis};
 
 fn main() {
     let scale = Scale::from_env();
@@ -25,10 +26,10 @@ fn main() {
             .with_threads(threads)
             .with_load(LoadSpec::FractionOfCapacity(0.5))
             .with_axis(SweepAxis::Mode(vec![
-                ModeSpec::networked(),
-                ModeSpec::loopback(),
-                ModeSpec::Integrated,
-                ModeSpec::Simulated,
+                HarnessMode::networked(),
+                HarnessMode::loopback(),
+                HarnessMode::Integrated,
+                HarnessMode::Simulated,
             ]))
             .with_axis(SweepAxis::LoadFraction(vec![0.3, 0.6, 0.85]));
         let output = Experiment::new(spec).run().expect("fig7 experiment failed");

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 /// The measurement setup, mirroring the three harness configurations of the paper plus
 /// the simulated runner.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HarnessMode {
     /// Client, harness and application in a single process communicating through shared
     /// memory (the configuration that can be run under a simulator).
@@ -84,7 +84,7 @@ pub enum Route {
 /// TailBench payloads are opaque bytes, so the sharding policies address key material by
 /// byte range instead of by decoding application types — the same payload bytes flow
 /// unchanged through every harness configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FanoutPolicy {
     /// Hash `len` payload bytes starting at `offset` (FNV-1a) and route to
     /// `hash % shards`.  The policy for single-key workloads with unstructured key
@@ -563,8 +563,8 @@ impl BenchmarkConfig {
     /// deep inside a runner with an unhelpful message) and returns an actionable
     /// [`HarnessError::Config`] for each.
     ///
-    /// The runners call this on entry, so every entrypoint — `runner::execute`, the
-    /// deprecated `run*` wrappers and `Experiment::run` — rejects the same footguns.
+    /// The runners call this on entry, so every entrypoint — `runner::execute`,
+    /// `runner::execute_cluster` and `Experiment::run` — rejects the same footguns.
     ///
     /// # Errors
     ///

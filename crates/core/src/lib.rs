@@ -86,7 +86,5 @@ pub use report::{
 };
 pub use request::{Request, RequestRecord, Response, WorkProfile};
 pub use runner::{execute, execute_cluster, measure_capacity, run_repeated, RepeatPolicy};
-#[allow(deprecated)]
-pub use runner::{run, run_cluster, run_with_cost_model};
 pub use time::{PacingRecorder, RunClock};
 pub use traffic::{LoadMode, LoadTrace};

@@ -5,12 +5,11 @@
 //! queuing time distributions.  [`MultiRunReport`] aggregates repeated runs and carries
 //! the confidence intervals mandated by the methodology (§IV-C).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tailbench_histogram::{ConfidenceInterval, LatencySummary, RunSeries};
 
 /// Summary statistics of one latency distribution, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyStats {
     /// Number of samples.
     pub count: u64,
@@ -77,7 +76,7 @@ impl LatencyStats {
 /// queue actually behaved — what was admitted, what a `Drop` policy rejected, how deep
 /// the queue got, and a sampled depth timeline — so saturation is a first-class result
 /// instead of an inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueueSummary {
     /// Admission-policy label (`unbounded`, `block(N)`, `drop(N)`).
     pub policy: String,
@@ -139,7 +138,7 @@ impl QueueSummary {
 
 /// One labelled latency distribution inside a report — a client class, a load phase, or
 /// any other slice of the run's requests.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LabeledLatency {
     /// Slice label (class name or phase name).
     pub name: String,
@@ -203,7 +202,7 @@ pub fn percentile_table(label_header: &str, rows: &[(String, LatencyStats)]) -> 
 }
 
 /// The result of one measurement run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Application name.
     pub app: String,
@@ -317,7 +316,7 @@ impl fmt::Display for RunReport {
 }
 
 /// Bookkeeping of the hedged-request policy over one cluster run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HedgeStats {
     /// Hedge copies issued (legs whose primary had not responded within the trigger
     /// delay).
@@ -329,7 +328,7 @@ pub struct HedgeStats {
 /// The result of one cluster measurement run: the end-to-end (client-observed)
 /// distribution plus each shard's own distribution, so the fan-out tail amplification
 /// is directly readable.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterReport {
     /// End-to-end report: a request completes when its last leg completes.
     pub cluster: RunReport,
@@ -421,7 +420,7 @@ impl fmt::Display for ClusterReport {
 
 /// Aggregate of several repeated runs of the same configuration, with the
 /// confidence-interval bookkeeping from the paper's methodology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MultiRunReport {
     /// The individual runs.
     pub runs: Vec<RunReport>,

@@ -6,10 +6,8 @@
 //! client↔server transport overheads).  The types in this module carry those timestamps
 //! through the harness.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a request within one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
 
 /// A work-characterization record emitted by an application for one request.
@@ -18,7 +16,7 @@ pub struct RequestId(pub u64);
 /// [`CostModel`](crate::app::CostModel) implementations in `tailbench-simarch` translate
 /// it into simulated service time.  All fields are best-effort estimates — the point is
 /// to capture relative differences between applications and requests, not exact counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WorkProfile {
     /// Approximate dynamic instruction count.
     pub instructions: u64,
@@ -68,7 +66,7 @@ impl WorkProfile {
 }
 
 /// A request travelling through the harness.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Unique identifier within the run.
     pub id: RequestId,
@@ -79,7 +77,7 @@ pub struct Request {
 }
 
 /// The application's answer to a request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// Application-specific payload.
     pub payload: Vec<u8>,
@@ -106,7 +104,7 @@ impl Response {
 }
 
 /// Complete latency record of one finished request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestRecord {
     /// Which request this record describes.
     pub id: RequestId,

@@ -2,10 +2,8 @@
 //!
 //! [`execute`] runs a single measurement in whichever harness configuration the
 //! [`BenchmarkConfig`] selects, and [`execute_cluster`] does the same for a cluster
-//! layout; both validate the configuration on entry.  The historical `run` /
-//! `run_with_cost_model` / `run_cluster` entrypoints remain as deprecated wrappers —
-//! new code should go through these dispatchers or, one level up, the declarative
-//! `tailbench_experiment::Experiment` API.  [`run_repeated`] implements the paper's repeated-run
+//! layout; both validate the configuration on entry.  One level up, the declarative
+//! `tailbench_experiment::Experiment` API drives them.  [`run_repeated`] implements the paper's repeated-run
 //! methodology: it re-runs the measurement with fresh seeds (re-randomizing both request
 //! payloads and interarrival times) until the 95% confidence intervals of the reported
 //! latency metrics are within the target fraction of their means, or a run budget is
@@ -153,68 +151,6 @@ pub fn execute_cluster(
     }
 }
 
-/// Runs one measurement with the configured harness mode.
-///
-/// Simulated mode requires a cost model; use [`run_with_cost_model`] for that.
-///
-/// # Errors
-///
-/// Returns [`HarnessError::Config`] if the configuration selects simulated mode (no cost
-/// model is available here) or is otherwise inconsistent, and [`HarnessError::Io`] if a
-/// TCP configuration fails to set up its sockets.
-#[deprecated(
-    since = "0.2.0",
-    note = "use runner::execute(app, factory, config, None), or the unified \
-            tailbench_experiment::Experiment API"
-)]
-pub fn run(
-    app: &Arc<dyn ServerApp>,
-    factory: &mut dyn RequestFactory,
-    config: &BenchmarkConfig,
-) -> Result<RunReport, HarnessError> {
-    execute(app, factory, config, None)
-}
-
-/// Runs one measurement, supplying the cost model needed by simulated mode.  Real-time
-/// modes ignore the cost model.
-///
-/// # Errors
-///
-/// Same as [`execute`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use runner::execute(app, factory, config, Some(cost_model)), or the unified \
-            tailbench_experiment::Experiment API"
-)]
-pub fn run_with_cost_model(
-    app: &Arc<dyn ServerApp>,
-    factory: &mut dyn RequestFactory,
-    config: &BenchmarkConfig,
-    cost_model: &dyn CostModel,
-) -> Result<RunReport, HarnessError> {
-    execute(app, factory, config, Some(cost_model))
-}
-
-/// Runs one cluster measurement with the configured harness mode.
-///
-/// # Errors
-///
-/// Same as [`execute_cluster`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use runner::execute_cluster, or the unified tailbench_experiment::Experiment \
-            API with an ExperimentSpec topology"
-)]
-pub fn run_cluster(
-    apps: &[Arc<dyn ServerApp>],
-    factory: &mut dyn RequestFactory,
-    config: &BenchmarkConfig,
-    cluster: &ClusterConfig,
-    cost_model: Option<&dyn CostModel>,
-) -> Result<ClusterReport, HarnessError> {
-    execute_cluster(apps, factory, config, cluster, cost_model)
-}
-
 /// Runs the measurement repeatedly with fresh seeds until the latency metrics converge
 /// (95% CI within `policy.target_fraction` of the mean) or `policy.max_runs` is reached.
 ///
@@ -351,19 +287,6 @@ mod tests {
         config.worker_threads = 0;
         let err = execute(&app, &mut factory, &config, None).unwrap_err();
         assert!(err.to_string().contains("worker_threads"), "{err}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_dispatch() {
-        let app = echo();
-        let mut factory = || vec![1u8];
-        let report = run(&app, &mut factory, &BenchmarkConfig::new(1_000.0, 100)).unwrap();
-        assert_eq!(report.configuration, "integrated");
-        let config = BenchmarkConfig::new(1_000.0, 50).with_mode(HarnessMode::Simulated);
-        let model = InstructionRateModel::default();
-        let report = run_with_cost_model(&app, &mut factory, &config, &model).unwrap();
-        assert_eq!(report.configuration, "simulated");
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub fn cluster_capacity_qps(
 ) -> Result<f64, HarnessError> {
     let samples = samples.clamp(50, 300);
     let config = BenchmarkConfig::new(200.0, samples)
-        .with_mode(mode.clone())
+        .with_mode(mode)
         .with_threads(threads)
         .with_warmup((samples / 10).max(5))
         .with_seed(PROBE_SEED);

@@ -9,19 +9,18 @@
 //!   registry name), harness mode, optional cluster topology (shards × replication ×
 //!   fan-out × hedging), load model (absolute QPS, fraction of measured capacity,
 //!   closed-loop, or a full phased [`ScenarioSpec`]), sweep axes, interference windows
-//!   and the repeat/seed policy.  Specs round-trip exactly through JSON
+//!   and the repeat/seed policy.  It holds the core configuration types
+//!   (`HarnessMode`, `FanoutPolicy`, `AdmissionPolicy`, …) directly, so there is one
+//!   vocabulary from spec file to harness.  Specs round-trip exactly through JSON
 //!   ([`ExperimentSpec::to_json_string`] / [`ExperimentSpec::from_json_str`]), which is
 //!   what the `tailbench` CLI reads from disk.
 //! * [`Registry`] — the app table: registry name → [`AppBuilder`] trait object bundling
 //!   the `ServerApp`, `RequestFactory` and `CostModel` constructors plus cluster layout
 //!   and default fan-out.  New workloads plug in with [`Registry::register`]; nothing
 //!   else changes.
-//! * [`Experiment::run`] — the single dispatcher.  It subsumes the old
-//!   `runner::run` / `run_with_cost_model` / `run_cluster` /
-//!   `scenario::run_scenario` / `run_cluster_scenario` entrypoints (which remain as
-//!   deprecated wrappers): single server or cluster, all four harness modes, steady or
-//!   scenario load, with capacity probing, hedge-trigger resolution and sweep-grid
-//!   expansion handled internally.
+//! * [`Experiment::run`] — the single dispatcher: single server or cluster, all four
+//!   harness modes, steady or scenario load, with capacity probing, hedge-trigger
+//!   resolution and sweep-grid expansion handled internally.
 //! * [`ExperimentOutput`] — structured results with Markdown and JSON renderers.
 //!
 //! # Quick start
@@ -29,9 +28,10 @@
 //! ```
 //! use std::sync::Arc;
 //! use tailbench_experiment::{
-//!     AppBuilder, BenchApp, Experiment, ExperimentSpec, LoadSpec, ModeSpec, Registry, Scale,
+//!     AppBuilder, BenchApp, Experiment, ExperimentSpec, LoadSpec, Registry, Scale,
 //! };
 //! use tailbench_core::app::{CostModel, EchoApp, InstructionRateModel};
+//! use tailbench_core::config::HarnessMode;
 //!
 //! // Plug a custom workload into the registry…
 //! struct Echo;
@@ -50,7 +50,7 @@
 //!
 //! // …describe the experiment declaratively…
 //! let spec = ExperimentSpec::new("echo-demo", "echo")
-//!     .with_mode(ModeSpec::Simulated)
+//!     .with_mode(HarnessMode::Simulated)
 //!     .with_load(LoadSpec::Qps(5_000.0))
 //!     .with_requests(300)
 //!     .with_warmup(30);
@@ -66,6 +66,7 @@
 #![warn(missing_docs)]
 
 pub mod capacity;
+mod codec;
 pub mod json;
 pub mod output;
 pub mod presets;
@@ -81,21 +82,23 @@ pub use registry::{
     ClusterApp, Registry, SearchCluster,
 };
 pub use spec::{
-    ClassSpec, ExperimentSpec, FanoutSpec, FaultKindSpec, FaultSpec, FaultTargetSpec, HedgeSpec,
-    LoadSpec, MitigationSpec, ModeSpec, PhaseSpec, QueuePolicySpec, Scale, ScenarioSpec,
-    SeedPolicy, SelectorSpec, ShapeSpec, SweepAxis, TopologySpec,
+    ExperimentSpec, FaultSpec, HedgeSpec, LoadSpec, MitigationSpec, Scale, ScenarioSpec,
+    SeedPolicy, SweepAxis, TopologySpec,
 };
 
 use spec::SUPPORTED_HEDGE_PERCENTILES;
 use std::collections::BTreeMap;
 use tailbench_core::app::CostModel;
-use tailbench_core::config::{BenchmarkConfig, ClusterConfig, HedgePolicy};
+use tailbench_core::config::{
+    BenchmarkConfig, ClusterConfig, HarnessMode, HedgePolicy, ReplicaSelector,
+};
 use tailbench_core::error::HarnessError;
-use tailbench_core::interference::{FaultEvent, FaultKind, FaultTarget, InterferencePlan};
+use tailbench_core::interference::{FaultEvent, InterferencePlan};
+use tailbench_core::queue::AdmissionPolicy;
 use tailbench_core::report::{ClusterReport, LatencyStats, MultiRunReport, RunReport};
 use tailbench_core::runner;
 use tailbench_core::traffic::LoadMode;
-use tailbench_scenario::{ClientClass, LoadPhase, PhaseShape, Scenario};
+use tailbench_scenario::Scenario;
 use tailbench_workloads::rng::derive_seed;
 
 impl BenchApp {
@@ -134,15 +137,15 @@ impl ClusterApp {
 #[derive(Debug, Clone)]
 struct GridPoint {
     app: String,
-    mode: ModeSpec,
+    mode: HarnessMode,
     threads: usize,
     shards: Option<usize>,
     fraction: Option<f64>,
     qps: Option<f64>,
     hedge: Option<Option<HedgeSpec>>,
-    selector: SelectorSpec,
+    selector: ReplicaSelector,
     tied: bool,
-    queue: Option<QueuePolicySpec>,
+    queue: Option<AdmissionPolicy>,
     mitigation: Option<String>,
 }
 
@@ -360,7 +363,7 @@ impl Experiment {
                             // reset baseline, so rows compare single policies.
                             let mut p = point.clone();
                             p.hedge = Some(None);
-                            p.selector = SelectorSpec::RoundRobin;
+                            p.selector = ReplicaSelector::RoundRobin;
                             p.tied = false;
                             p.queue = self.spec.queue;
                             match policy {
@@ -406,17 +409,10 @@ impl Experiment {
             .interference
             .iter()
             .map(|fault| FaultEvent {
-                target: match fault.target {
-                    FaultTargetSpec::All => FaultTarget::All,
-                    FaultTargetSpec::Instance(i) => FaultTarget::Instance(i),
-                },
+                target: fault.target,
                 start_ns: (fault.start_frac * nominal_span_ns) as u64,
                 end_ns: (fault.end_frac * nominal_span_ns) as u64,
-                kind: match fault.kind {
-                    FaultKindSpec::SlowDown { factor } => FaultKind::SlowDown { factor },
-                    FaultKindSpec::Pause => FaultKind::Pause,
-                    FaultKindSpec::Jitter { amplitude_ns } => FaultKind::Jitter { amplitude_ns },
-                },
+                kind: fault.kind,
             })
             .collect();
         InterferencePlan { events }
@@ -424,53 +420,16 @@ impl Experiment {
 
     /// The core `Scenario` for a scenario-load point (with the point's admission
     /// policy, which a mitigation axis may have overridden).
-    fn build_scenario(&self, scenario: &ScenarioSpec, queue: Option<QueuePolicySpec>) -> Scenario {
-        let phases: Vec<LoadPhase> = scenario
-            .phases
-            .iter()
-            .map(|p| LoadPhase {
-                duration_ns: p.duration_ns,
-                shape: match p.shape {
-                    ShapeSpec::Constant { qps } => PhaseShape::Constant { qps },
-                    ShapeSpec::Ramp { from_qps, to_qps } => PhaseShape::Ramp { from_qps, to_qps },
-                    ShapeSpec::Burst {
-                        base_qps,
-                        burst_qps,
-                        period_ns,
-                        duty,
-                    } => PhaseShape::Burst {
-                        base_qps,
-                        burst_qps,
-                        period_ns,
-                        duty,
-                    },
-                    ShapeSpec::Diurnal {
-                        base_qps,
-                        amplitude,
-                        period_ns,
-                    } => PhaseShape::Diurnal {
-                        base_qps,
-                        amplitude,
-                        period_ns,
-                    },
-                },
-            })
-            .collect();
-        let span_ns: u64 = phases.iter().map(|p| p.duration_ns).sum();
-        let mut built = Scenario::new(self.spec.name.clone(), phases)
+    fn build_scenario(&self, scenario: &ScenarioSpec, queue: Option<AdmissionPolicy>) -> Scenario {
+        let span_ns: u64 = scenario.phases.iter().map(|p| p.duration_ns).sum();
+        let mut built = Scenario::new(self.spec.name.clone(), scenario.phases.clone())
             .with_warmup_fraction(scenario.warmup_fraction)
             .with_interference(self.interference_plan(span_ns as f64));
         if let Some(queue) = queue {
-            built = built.with_admission(queue.to_admission());
+            built = built.with_admission(queue);
         }
         if !scenario.classes.is_empty() {
-            built = built.with_classes(
-                scenario
-                    .classes
-                    .iter()
-                    .map(|c| ClientClass::new(c.name.clone(), c.weight))
-                    .collect(),
-            );
+            built = built.with_classes(scenario.classes.clone());
         }
         built
     }
@@ -499,7 +458,7 @@ impl Experiment {
     ) -> BenchmarkConfig {
         let requests = self.spec.requests;
         let mut config = BenchmarkConfig::new(offered_qps.unwrap_or(1.0).max(1.0), requests)
-            .with_mode(point.mode.to_harness())
+            .with_mode(point.mode)
             .with_threads(point.threads)
             .with_warmup(self.spec.warmup_requests())
             .with_seed(seed);
@@ -507,7 +466,7 @@ impl Experiment {
             config = config.with_load(LoadMode::Closed { think_ns });
         }
         if let Some(queue) = point.queue {
-            config = config.with_admission(queue.to_admission());
+            config = config.with_admission(queue);
         }
         if !self.spec.interference.is_empty() {
             let total = config.total_requests() as f64;
@@ -565,7 +524,7 @@ impl Experiment {
                         &built.app,
                         factories,
                         &scenario,
-                        point.mode.to_harness(),
+                        point.mode,
                         point.threads,
                         *seed,
                         model,
@@ -624,10 +583,10 @@ impl Experiment {
             );
         }
         let built = &clusters[&cluster_key];
-        let fanout = topology.fanout.resolve(builder.default_fanout());
+        let fanout = topology.fanout.unwrap_or(builder.default_fanout());
         let base_cluster = ClusterConfig::new(shards, fanout)
             .with_replication(replication)
-            .with_selector(point.selector.to_core())
+            .with_selector(point.selector)
             .with_tied(point.tied);
 
         let mut capacity = None;
@@ -649,7 +608,7 @@ impl Experiment {
                         let cap = cluster_capacity_qps(
                             built,
                             &base_cluster,
-                            point.mode.to_harness(),
+                            point.mode,
                             point.threads,
                             self.spec.requests.min(300),
                             model,
@@ -754,7 +713,7 @@ impl Experiment {
                     factories,
                     &scenario,
                     cluster,
-                    point.mode.to_harness(),
+                    point.mode,
                     point.threads,
                     seed,
                     model,
@@ -814,6 +773,9 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use tailbench_core::app::{EchoApp, InstructionRateModel};
+    use tailbench_core::config::FanoutPolicy;
+    use tailbench_core::interference::{FaultKind, FaultTarget};
+    use tailbench_scenario::{ClientClass, LoadPhase, PhaseShape};
 
     /// A fixed-cost echo workload with a deterministic cost model: service time is
     /// exactly `spin_iters + 10` ns at 1 ns/instruction, so DES results are pinned.
@@ -853,7 +815,7 @@ mod tests {
 
     fn echo_spec() -> ExperimentSpec {
         ExperimentSpec::new("unit", "echo")
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_load(LoadSpec::Qps(5_000.0))
             .with_requests(500)
             .with_warmup(50)
@@ -957,7 +919,7 @@ mod tests {
             spin_iters: 100_000,
         }));
         let spec = echo_spec()
-            .with_topology(TopologySpec::sharded(4).with_fanout(FanoutSpec::Broadcast))
+            .with_topology(TopologySpec::sharded(4).with_fanout(FanoutPolicy::Broadcast))
             .with_axis(SweepAxis::Shards(vec![1, 4]));
         let output = Experiment::new(spec).with_registry(registry).run().unwrap();
         assert_eq!(output.points.len(), 2);
@@ -983,7 +945,7 @@ mod tests {
     #[test]
     fn mitigation_axis_applies_one_policy_per_point() {
         let spec = ExperimentSpec::new("mitigation", "echo")
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_load(LoadSpec::Qps(4_000.0))
             .with_requests(400)
             .with_warmup(40)
@@ -991,13 +953,13 @@ mod tests {
             .with_topology(
                 TopologySpec::sharded(2)
                     .with_replication(2)
-                    .with_fanout(FanoutSpec::Broadcast),
+                    .with_fanout(FanoutPolicy::Broadcast),
             )
             .with_axis(SweepAxis::Mitigation(vec![
                 MitigationSpec::Baseline,
                 MitigationSpec::Tied,
-                MitigationSpec::Selector(SelectorSpec::LeastLoaded),
-                MitigationSpec::Queue(QueuePolicySpec::DropDeadline {
+                MitigationSpec::Selector(ReplicaSelector::LeastLoaded),
+                MitigationSpec::Queue(AdmissionPolicy::DropDeadline {
                     capacity: 256,
                     slo_ns: 50_000_000,
                 }),
@@ -1063,13 +1025,13 @@ mod tests {
         // trigger was resolved against the wrong leg distribution.
         let point = GridPoint {
             app: "echo".into(),
-            mode: ModeSpec::Simulated,
+            mode: HarnessMode::Simulated,
             threads: 1,
             shards: Some(4),
             fraction: Some(0.7),
             qps: None,
             hedge: None,
-            selector: SelectorSpec::RoundRobin,
+            selector: ReplicaSelector::RoundRobin,
             tied: false,
             queue: None,
             mitigation: None,
@@ -1077,13 +1039,13 @@ mod tests {
         let base = baseline_key(&point, 4, 2, "broadcast");
         assert_ne!(base, baseline_key(&point, 4, 2, "partition"), "fan-out");
         let mut selector = point.clone();
-        selector.selector = SelectorSpec::LeastLoaded;
+        selector.selector = ReplicaSelector::LeastLoaded;
         assert_ne!(base, baseline_key(&selector, 4, 2, "broadcast"), "selector");
         let mut tied = point.clone();
         tied.tied = true;
         assert_ne!(base, baseline_key(&tied, 4, 2, "broadcast"), "tied");
         let mut queued = point.clone();
-        queued.queue = Some(QueuePolicySpec::Drop { capacity: 64 });
+        queued.queue = Some(AdmissionPolicy::Drop { capacity: 64 });
         assert_ne!(base, baseline_key(&queued, 4, 2, "broadcast"), "queue");
         // Identical coordinates still share the cache entry.
         assert_eq!(base, baseline_key(&point.clone(), 4, 2, "broadcast"));
@@ -1092,7 +1054,7 @@ mod tests {
     #[test]
     fn percentile_hedge_resolves_against_an_unhedged_baseline() {
         let spec = ExperimentSpec::new("hedge", "echo")
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_load(LoadSpec::Qps(4_000.0))
             .with_requests(400)
             .with_warmup(40)
@@ -1100,7 +1062,7 @@ mod tests {
             .with_topology(
                 TopologySpec::sharded(2)
                     .with_replication(2)
-                    .with_fanout(FanoutSpec::Broadcast),
+                    .with_fanout(FanoutPolicy::Broadcast),
             )
             .with_axis(SweepAxis::Hedge(vec![
                 None,
@@ -1129,16 +1091,16 @@ mod tests {
     #[test]
     fn interference_windows_scale_with_the_nominal_span() {
         let slow = ExperimentSpec::new("slow", "echo")
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_load(LoadSpec::Qps(3_000.0))
             .with_requests(600)
             .with_warmup(60)
             .with_seed(7)
             .with_fault(FaultSpec {
-                target: FaultTargetSpec::All,
+                target: FaultTarget::All,
                 start_frac: 0.0,
                 end_frac: 1.0,
-                kind: FaultKindSpec::SlowDown { factor: 8.0 },
+                kind: FaultKind::SlowDown { factor: 8.0 },
             });
         let mut clean = slow.clone();
         clean.interference.clear();
@@ -1163,17 +1125,17 @@ mod tests {
     #[test]
     fn scenario_load_reports_phases_and_classes() {
         let spec = ExperimentSpec::new("scenario", "echo")
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_seed(42)
             .with_load(LoadSpec::Scenario(ScenarioSpec {
                 phases: vec![
-                    PhaseSpec {
+                    LoadPhase {
                         duration_ns: 100_000_000,
-                        shape: ShapeSpec::Constant { qps: 2_000.0 },
+                        shape: PhaseShape::Constant { qps: 2_000.0 },
                     },
-                    PhaseSpec {
+                    LoadPhase {
                         duration_ns: 100_000_000,
-                        shape: ShapeSpec::Burst {
+                        shape: PhaseShape::Burst {
                             base_qps: 2_000.0,
                             burst_qps: 12_000.0,
                             period_ns: 50_000_000,
@@ -1182,11 +1144,11 @@ mod tests {
                     },
                 ],
                 classes: vec![
-                    ClassSpec {
+                    ClientClass {
                         name: "interactive".into(),
                         weight: 0.8,
                     },
-                    ClassSpec {
+                    ClientClass {
                         name: "batch".into(),
                         weight: 0.2,
                     },

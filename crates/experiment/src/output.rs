@@ -8,8 +8,10 @@
 //! [`ExperimentOutput::to_json`] emits the machine-readable form the CI smoke gate and
 //! downstream tooling consume.
 
+use crate::codec::Codec;
 use crate::json::Json;
-use crate::spec::{ExperimentSpec, HedgeSpec, ModeSpec};
+use crate::spec::{ExperimentSpec, HedgeSpec};
+use tailbench_core::config::HarnessMode;
 use tailbench_core::report::{
     markdown_table, ClusterReport, HedgeStats, LabeledLatency, LatencyStats, MultiRunReport,
     QueueSummary, RunReport,
@@ -34,7 +36,7 @@ pub struct PointCoords {
     /// Registry name of the workload measured at this point.
     pub app: String,
     /// Harness mode of this point.
-    pub mode: ModeSpec,
+    pub mode: HarnessMode,
     /// Worker threads per server instance.
     pub threads: usize,
     /// Shard count (`None` for single-server points).
@@ -56,10 +58,7 @@ impl PointCoords {
         self.hedge.as_ref().map(|hedge| match hedge {
             None => "none".to_string(),
             Some(HedgeSpec::DelayNs(delay_ns)) => format_latency(*delay_ns as f64).to_string(),
-            Some(HedgeSpec::Percentile(p)) => format!("p{:.4}", p * 100.0)
-                .trim_end_matches('0')
-                .trim_end_matches('.')
-                .to_string(),
+            Some(HedgeSpec::Percentile(p)) => HedgeSpec::percentile_label(*p),
         })
     }
 }
@@ -270,7 +269,7 @@ fn point_to_json(point: &ExperimentPoint) -> Json {
     let coords = &point.coords;
     let mut coord_pairs = vec![
         ("app", Json::str(coords.app.clone())),
-        ("mode", coords.mode.to_json()),
+        ("mode", coords.mode.encode()),
         ("threads", Json::U64(coords.threads as u64)),
     ];
     if let Some(shards) = coords.shards {
@@ -577,7 +576,7 @@ mod tests {
             points: vec![ExperimentPoint {
                 coords: PointCoords {
                     app: "echo".into(),
-                    mode: ModeSpec::Simulated,
+                    mode: HarnessMode::Simulated,
                     threads: 1,
                     shards: None,
                     replication: None,
@@ -668,7 +667,7 @@ mod tests {
             points: vec![ExperimentPoint {
                 coords: PointCoords {
                     app: "echo".into(),
-                    mode: ModeSpec::Simulated,
+                    mode: HarnessMode::Simulated,
                     threads: 1,
                     shards: Some(2),
                     replication: Some(2),

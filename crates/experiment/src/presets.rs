@@ -7,11 +7,14 @@
 //! figure logic lives in one place.
 
 use crate::spec::{
-    ClassSpec, ExperimentSpec, FanoutSpec, FaultKindSpec, FaultSpec, FaultTargetSpec, HedgeSpec,
-    LoadSpec, MitigationSpec, ModeSpec, PhaseSpec, QueuePolicySpec, Scale, ScenarioSpec,
-    SelectorSpec, ShapeSpec, SweepAxis, TopologySpec,
+    ExperimentSpec, FaultSpec, HedgeSpec, LoadSpec, MitigationSpec, Scale, ScenarioSpec, SweepAxis,
+    TopologySpec,
 };
 use crate::AppId;
+use tailbench_core::config::{FanoutPolicy, HarnessMode, ReplicaSelector};
+use tailbench_core::interference::{FaultKind, FaultTarget};
+use tailbench_core::queue::AdmissionPolicy;
+use tailbench_scenario::{ClientClass, LoadPhase, PhaseShape};
 
 /// The names [`preset`] resolves.
 pub const PRESET_NAMES: [&str; 5] = ["fig3", "fig6", "fig9", "fig11", "fig12"];
@@ -55,8 +58,8 @@ pub fn fig6(scale: Scale) -> ExperimentSpec {
         .with_load(LoadSpec::FractionOfCapacity(0.5))
         .with_axis(SweepAxis::App(vec!["shore".into(), "img-dnn".into()]))
         .with_axis(SweepAxis::Mode(vec![
-            ModeSpec::Integrated,
-            ModeSpec::Simulated,
+            HarnessMode::Integrated,
+            HarnessMode::Simulated,
         ]))
         .with_axis(SweepAxis::LoadFraction(vec![0.2, 0.4, 0.6, 0.8]))
 }
@@ -71,11 +74,11 @@ pub fn fig9(scale: Scale) -> ExperimentSpec {
         .with_scale(scale)
         .with_requests(scale.requests(1_500, 10_000))
         .with_seed(0x5EED)
-        .with_topology(TopologySpec::sharded(1).with_fanout(FanoutSpec::Broadcast))
+        .with_topology(TopologySpec::sharded(1).with_fanout(FanoutPolicy::Broadcast))
         .with_load(LoadSpec::FractionOfCapacity(0.7))
         .with_axis(SweepAxis::Mode(vec![
-            ModeSpec::Integrated,
-            ModeSpec::Simulated,
+            HarnessMode::Integrated,
+            HarnessMode::Simulated,
         ]))
         .with_axis(SweepAxis::Shards(vec![1, 2, 4, 8, 16]))
 }
@@ -89,20 +92,20 @@ pub fn fig9(scale: Scale) -> ExperimentSpec {
 pub fn fig11(scale: Scale) -> ExperimentSpec {
     ExperimentSpec::new("fig11_hedging", "xapian")
         .with_scale(scale)
-        .with_mode(ModeSpec::Simulated)
+        .with_mode(HarnessMode::Simulated)
         .with_requests(scale.requests(2_000, 12_000))
         .with_seed(0x5EED)
         .with_topology(
             TopologySpec::sharded(4)
                 .with_replication(2)
-                .with_fanout(FanoutSpec::Broadcast),
+                .with_fanout(FanoutPolicy::Broadcast),
         )
         .with_load(LoadSpec::FractionOfCapacity(0.7))
         .with_fault(FaultSpec {
-            target: FaultTargetSpec::Instance(1),
+            target: FaultTarget::Instance(1),
             start_frac: 1.0 / 3.0,
             end_frac: 2.0 / 3.0,
-            kind: FaultKindSpec::SlowDown { factor: 4.0 },
+            kind: FaultKind::SlowDown { factor: 4.0 },
         })
         .with_axis(SweepAxis::Hedge(vec![
             None,
@@ -137,39 +140,39 @@ pub fn fig12(scale: Scale) -> ExperimentSpec {
     let period_ns = (span_ns / 20).max(1); // 8 bursts across the middle phase
     ExperimentSpec::new("fig12_mitigation", "xapian")
         .with_scale(scale)
-        .with_mode(ModeSpec::Simulated)
+        .with_mode(HarnessMode::Simulated)
         .with_seed(0x5EED)
         .with_topology(
             TopologySpec::sharded(2)
                 .with_replication(2)
-                .with_fanout(FanoutSpec::Broadcast),
+                .with_fanout(FanoutPolicy::Broadcast),
         )
         .with_load(LoadSpec::Scenario(ScenarioSpec {
             phases: vec![
-                PhaseSpec {
+                LoadPhase {
                     duration_ns: steady_len,
-                    shape: ShapeSpec::Constant { qps: steady_qps },
+                    shape: PhaseShape::Constant { qps: steady_qps },
                 },
-                PhaseSpec {
+                LoadPhase {
                     duration_ns: burst_len,
-                    shape: ShapeSpec::Burst {
+                    shape: PhaseShape::Burst {
                         base_qps: steady_qps,
                         burst_qps: steady_qps * 2.5,
                         period_ns,
                         duty: 0.5,
                     },
                 },
-                PhaseSpec {
+                LoadPhase {
                     duration_ns: steady_len,
-                    shape: ShapeSpec::Constant { qps: steady_qps },
+                    shape: PhaseShape::Constant { qps: steady_qps },
                 },
             ],
             classes: vec![
-                ClassSpec {
+                ClientClass {
                     name: "interactive".into(),
                     weight: 0.8,
                 },
-                ClassSpec {
+                ClientClass {
                     name: "batch".into(),
                     weight: 0.2,
                 },
@@ -177,18 +180,18 @@ pub fn fig12(scale: Scale) -> ExperimentSpec {
             warmup_fraction: 0.1,
         }))
         .with_fault(FaultSpec {
-            target: FaultTargetSpec::Instance(1),
+            target: FaultTarget::Instance(1),
             start_frac: 1.0 / 3.0,
             end_frac: 2.0 / 3.0,
-            kind: FaultKindSpec::SlowDown { factor: 4.0 },
+            kind: FaultKind::SlowDown { factor: 4.0 },
         })
         .with_axis(SweepAxis::Mitigation(vec![
             MitigationSpec::Baseline,
             MitigationSpec::Hedge(HedgeSpec::Percentile(0.5)),
             MitigationSpec::Tied,
-            MitigationSpec::Selector(SelectorSpec::LeastLoaded),
-            MitigationSpec::Selector(SelectorSpec::PowerOfTwo),
-            MitigationSpec::Queue(QueuePolicySpec::DropDeadline {
+            MitigationSpec::Selector(ReplicaSelector::LeastLoaded),
+            MitigationSpec::Selector(ReplicaSelector::PowerOfTwo),
+            MitigationSpec::Queue(AdmissionPolicy::DropDeadline {
                 capacity: 64,
                 slo_ns: 500_000,
             }),

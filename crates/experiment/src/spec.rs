@@ -7,18 +7,25 @@
 //! spec into one structured output — the "one configuration, many measured variants"
 //! methodology of the paper, with TailBench++-style multi-server flexibility.
 //!
-//! Specs are plain data: every type here derives the (shim) serde markers and
-//! round-trips **exactly** through the JSON codec in [`crate::json`] — integers and
-//! floats are bit-preserving, and optional fields are omitted when they hold their
-//! defaults, so `from_json(to_json(spec)) == spec` structurally.
+//! A spec holds the core configuration types directly — [`HarnessMode`],
+//! [`FanoutPolicy`], [`ReplicaSelector`], [`AdmissionPolicy`], [`LoadPhase`],
+//! [`ClientClass`], [`FaultTarget`], [`FaultKind`] — and adds a type only where it
+//! means more than the core one: a hedge trigger may be a percentile, a load a
+//! fraction of capacity, a fault window fractions of the run span.  Specs round-trip
+//! **exactly** through the codec in `crate::codec` — integers and floats are
+//! bit-preserving, and optional fields are omitted when they hold their defaults, so
+//! `from_json(to_json(spec)) == spec` structurally.
 
+use crate::codec::Codec;
 use crate::json::Json;
-use serde::{Deserialize, Serialize};
-use tailbench_core::config::{FanoutPolicy, HarnessMode};
+use tailbench_core::config::{FanoutPolicy, HarnessMode, ReplicaSelector};
 use tailbench_core::error::HarnessError;
+use tailbench_core::interference::{FaultKind, FaultTarget};
+use tailbench_core::queue::AdmissionPolicy;
+use tailbench_scenario::{ClientClass, LoadPhase, PhaseShape};
 
 /// Workload scale used by experiments and the figure binaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Tiny request budgets for CI smoke runs: just enough to prove a reproduction
     /// still executes end to end.
@@ -34,11 +41,10 @@ impl Scale {
     /// default, `full` selects the larger inputs, `smoke` the CI smoke budget).
     #[must_use]
     pub fn from_env() -> Scale {
-        match std::env::var("TAILBENCH_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            Ok("smoke") => Scale::Smoke,
-            _ => Scale::Quick,
-        }
+        std::env::var("TAILBENCH_SCALE")
+            .ok()
+            .and_then(|name| Scale::parse(&name))
+            .unwrap_or(Scale::Quick)
     }
 
     /// Number of measured requests per run appropriate for this scale, given a per-app
@@ -52,135 +58,15 @@ impl Scale {
         }
     }
 
-    /// The scale's name (`smoke` / `quick` / `full`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Scale::Smoke => "smoke",
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    }
-
-    /// Parses a name as printed by [`Scale::name`].
+    /// Parses a scale name as spec files write it (`smoke` / `quick` / `full`).
     #[must_use]
     pub fn parse(name: &str) -> Option<Scale> {
-        match name {
-            "smoke" => Some(Scale::Smoke),
-            "quick" => Some(Scale::Quick),
-            "full" => Some(Scale::Full),
-            _ => None,
-        }
-    }
-}
-
-/// The serializable mirror of [`HarnessMode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ModeSpec {
-    /// Client, harness and application in one process (shared memory).
-    Integrated,
-    /// TCP over the loopback interface.
-    Loopback {
-        /// Number of client connections (single-server runs only; cluster runs open
-        /// one connection per instance).
-        connections: usize,
-    },
-    /// Loopback transport plus an analytic constant propagation delay per direction.
-    Networked {
-        /// Number of client connections (single-server runs only).
-        connections: usize,
-        /// One-way propagation delay added per direction, ns.
-        one_way_delay_ns: u64,
-    },
-    /// Discrete-event simulation driven by the registry's cost model.
-    Simulated,
-}
-
-impl ModeSpec {
-    /// Converts to the harness-level mode.
-    #[must_use]
-    pub fn to_harness(self) -> HarnessMode {
-        match self {
-            ModeSpec::Integrated => HarnessMode::Integrated,
-            ModeSpec::Loopback { connections } => HarnessMode::Loopback { connections },
-            ModeSpec::Networked {
-                connections,
-                one_way_delay_ns,
-            } => HarnessMode::Networked {
-                connections,
-                one_way_delay_ns,
-            },
-            ModeSpec::Simulated => HarnessMode::Simulated,
-        }
-    }
-
-    /// Default loopback configuration (8 connections, as [`HarnessMode::loopback`]).
-    #[must_use]
-    pub fn loopback() -> ModeSpec {
-        ModeSpec::Loopback { connections: 8 }
-    }
-
-    /// Default networked configuration (as [`HarnessMode::networked`]).
-    #[must_use]
-    pub fn networked() -> ModeSpec {
-        ModeSpec::Networked {
-            connections: 16,
-            one_way_delay_ns: 25_000,
-        }
-    }
-
-    /// A short name used in reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ModeSpec::Integrated => "integrated",
-            ModeSpec::Loopback { .. } => "loopback",
-            ModeSpec::Networked { .. } => "networked",
-            ModeSpec::Simulated => "simulated",
-        }
-    }
-}
-
-/// The serializable mirror of [`FanoutPolicy`], plus `Auto` (ask the registry for the
-/// workload's natural policy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FanoutSpec {
-    /// Use the workload's registry default (hash for YCSB, partition for TPC-C,
-    /// broadcast for search).
-    Auto,
-    /// FNV-hash `len` payload bytes at `offset`, route to `hash % shards`.
-    HashKey {
-        /// Byte offset of the key within the payload.
-        offset: usize,
-        /// Key length in bytes.
-        len: usize,
-    },
-    /// Little-endian partition id at `offset`, route to `id % shards`.
-    Partition {
-        /// Byte offset of the partition id within the payload.
-        offset: usize,
-        /// Partition-id length in bytes (at most 8).
-        len: usize,
-    },
-    /// Fan every request out to all shards (partition-aggregate).
-    Broadcast,
-}
-
-impl FanoutSpec {
-    /// Resolves to a concrete policy, with `default` standing in for `Auto`.
-    #[must_use]
-    pub fn resolve(self, default: FanoutPolicy) -> FanoutPolicy {
-        match self {
-            FanoutSpec::Auto => default,
-            FanoutSpec::HashKey { offset, len } => FanoutPolicy::HashKey { offset, len },
-            FanoutSpec::Partition { offset, len } => FanoutPolicy::Partition { offset, len },
-            FanoutSpec::Broadcast => FanoutPolicy::Broadcast,
-        }
+        Scale::decode(&Json::str(name), "scale").ok()
     }
 }
 
 /// How the hedged-request trigger delay is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HedgeSpec {
     /// Hedge after an absolute delay in nanoseconds.
     DelayNs(u64),
@@ -195,106 +81,12 @@ pub enum HedgeSpec {
 /// [`LatencyStats`](tailbench_core::report::LatencyStats) carries).
 pub const SUPPORTED_HEDGE_PERCENTILES: [f64; 5] = [0.5, 0.9, 0.95, 0.99, 0.999];
 
-/// The request-queue admission policy of an experiment (per server instance for
-/// cluster points).  Omitted = the classic unbounded open-loop queue; either bounded
-/// policy makes overload explicit in the output's `queue_depth` summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum QueuePolicySpec {
-    /// Bounded queue; producers block (backpressure, visible as pacing error).
-    Block {
-        /// Maximum queued requests per instance.
-        capacity: u64,
-    },
-    /// Bounded queue; excess arrivals are dropped and counted.
-    Drop {
-        /// Maximum queued requests per instance.
-        capacity: u64,
-    },
-    /// Bounded queue that also sheds any request whose queueing delay has already
-    /// blown the SLO by the time a worker would start it (deadline-aware shedding).
-    DropDeadline {
-        /// Maximum queued requests per instance.
-        capacity: u64,
-        /// Queueing-delay budget: a request that waited longer than this is shed
-        /// instead of served.
-        slo_ns: u64,
-    },
-    /// Bounded queue; when full, the lowest-class queued request is evicted in favor
-    /// of the arriving higher-class one (priority shedding).
-    Priority {
-        /// Maximum queued requests per instance.
-        capacity: u64,
-    },
-}
-
-impl QueuePolicySpec {
-    /// The equivalent core admission policy.
+impl HedgeSpec {
+    /// The report label of a percentile trigger: `0.95` is `p95`, `0.999` is `p99.9`.
     #[must_use]
-    pub fn to_admission(self) -> tailbench_core::queue::AdmissionPolicy {
-        match self {
-            QueuePolicySpec::Block { capacity } => tailbench_core::queue::AdmissionPolicy::Block {
-                capacity: capacity as usize,
-            },
-            QueuePolicySpec::Drop { capacity } => tailbench_core::queue::AdmissionPolicy::Drop {
-                capacity: capacity as usize,
-            },
-            QueuePolicySpec::DropDeadline { capacity, slo_ns } => {
-                tailbench_core::queue::AdmissionPolicy::DropDeadline {
-                    capacity: capacity as usize,
-                    slo_ns,
-                }
-            }
-            QueuePolicySpec::Priority { capacity } => {
-                tailbench_core::queue::AdmissionPolicy::Priority {
-                    capacity: capacity as usize,
-                }
-            }
-        }
-    }
-
-    /// The queue capacity bound of any variant.
-    #[must_use]
-    pub fn capacity(self) -> u64 {
-        match self {
-            QueuePolicySpec::Block { capacity }
-            | QueuePolicySpec::Drop { capacity }
-            | QueuePolicySpec::DropDeadline { capacity, .. }
-            | QueuePolicySpec::Priority { capacity } => capacity,
-        }
-    }
-}
-
-/// Which replica of a shard the cluster router sends each request to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SelectorSpec {
-    /// Deterministic `request_id % replication` striping (the classic default).
-    #[default]
-    RoundRobin,
-    /// Route to the replica with the fewest outstanding requests.
-    LeastLoaded,
-    /// Seeded power-of-two-choices: sample two replicas, pick the less loaded.
-    PowerOfTwo,
-}
-
-impl SelectorSpec {
-    /// The selector's serialized / report tag.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SelectorSpec::RoundRobin => "round-robin",
-            SelectorSpec::LeastLoaded => "least-loaded",
-            SelectorSpec::PowerOfTwo => "p2c",
-        }
-    }
-
-    /// The equivalent core replica selector.
-    #[must_use]
-    pub fn to_core(self) -> tailbench_core::config::ReplicaSelector {
-        match self {
-            SelectorSpec::RoundRobin => tailbench_core::config::ReplicaSelector::RoundRobin,
-            SelectorSpec::LeastLoaded => tailbench_core::config::ReplicaSelector::LeastLoaded,
-            SelectorSpec::PowerOfTwo => tailbench_core::config::ReplicaSelector::PowerOfTwo,
-        }
+    pub(crate) fn percentile_label(p: f64) -> String {
+        let label = format!("{:.4}", p * 100.0);
+        format!("p{}", label.trim_end_matches('0').trim_end_matches('.'))
     }
 }
 
@@ -304,18 +96,18 @@ impl SelectorSpec {
 /// A spec **with** a topology always runs through the cluster harness (even for one
 /// shard, so fan-out sweeps include the `shards = 1` baseline on the same code path);
 /// a spec without one runs the plain single-server harness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopologySpec {
     /// Number of data shards.
     pub shards: usize,
     /// Replicas per shard (1 = no replication).
     pub replication: usize,
-    /// Fan-out policy (`Auto` = registry default for the workload).
-    pub fanout: FanoutSpec,
+    /// Fan-out policy (`None` = the workload's registry default, `"auto"` in JSON).
+    pub fanout: Option<FanoutPolicy>,
     /// Hedged-request policy (`None` = no hedging; requires `replication >= 2`).
     pub hedge: Option<HedgeSpec>,
     /// How the router picks a replica within a shard (default round-robin).
-    pub selector: SelectorSpec,
+    pub selector: ReplicaSelector,
     /// Tied requests: dispatch every request to two replicas up front, first response
     /// wins, the loser is retracted.  Requires `replication >= 2`; mutually exclusive
     /// with hedging.
@@ -323,15 +115,15 @@ pub struct TopologySpec {
 }
 
 impl TopologySpec {
-    /// A topology with the given shard count, no replication, `Auto` fan-out.
+    /// A topology with the given shard count, no replication, the registry fan-out.
     #[must_use]
     pub fn sharded(shards: usize) -> TopologySpec {
         TopologySpec {
             shards: shards.max(1),
             replication: 1,
-            fanout: FanoutSpec::Auto,
+            fanout: None,
             hedge: None,
-            selector: SelectorSpec::RoundRobin,
+            selector: ReplicaSelector::RoundRobin,
             tied: false,
         }
     }
@@ -345,8 +137,8 @@ impl TopologySpec {
 
     /// Sets the fan-out policy.
     #[must_use]
-    pub fn with_fanout(mut self, fanout: FanoutSpec) -> TopologySpec {
-        self.fanout = fanout;
+    pub fn with_fanout(mut self, fanout: FanoutPolicy) -> TopologySpec {
+        self.fanout = Some(fanout);
         self
     }
 
@@ -359,7 +151,7 @@ impl TopologySpec {
 
     /// Sets the replica selector.
     #[must_use]
-    pub fn with_selector(mut self, selector: SelectorSpec) -> TopologySpec {
+    pub fn with_selector(mut self, selector: ReplicaSelector) -> TopologySpec {
         self.selector = selector;
         self
     }
@@ -373,7 +165,7 @@ impl TopologySpec {
 }
 
 /// The offered-load model of an experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LoadSpec {
     /// Open-loop Poisson arrivals at an absolute rate.
     Qps(f64),
@@ -391,112 +183,31 @@ pub enum LoadSpec {
     Scenario(ScenarioSpec),
 }
 
-/// Serializable mirror of a `tailbench_scenario::Scenario`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The load side of a `tailbench_scenario::Scenario`: phases, classes and warmup.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// The load phases, played back to back.
-    pub phases: Vec<PhaseSpec>,
+    pub phases: Vec<LoadPhase>,
     /// Client classes (empty = one implicit class); each class draws payloads from the
     /// registry factory seeded with a per-class stream.
-    pub classes: Vec<ClassSpec>,
+    pub classes: Vec<ClientClass>,
     /// Fraction of the trace treated as warmup, in `[0, 0.9]`.
     pub warmup_fraction: f64,
-}
-
-/// One load phase: a rate shape held for a duration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PhaseSpec {
-    /// Phase length in nanoseconds.
-    pub duration_ns: u64,
-    /// Rate profile over the phase.
-    pub shape: ShapeSpec,
-}
-
-/// Serializable mirror of `tailbench_scenario::PhaseShape`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ShapeSpec {
-    /// Stationary Poisson arrivals.
-    Constant {
-        /// Offered rate, QPS.
-        qps: f64,
-    },
-    /// Linear ramp between two rates.
-    Ramp {
-        /// Rate at the phase start, QPS.
-        from_qps: f64,
-        /// Rate at the phase end, QPS.
-        to_qps: f64,
-    },
-    /// Square-wave bursting.
-    Burst {
-        /// Rate outside bursts, QPS.
-        base_qps: f64,
-        /// Rate inside bursts, QPS.
-        burst_qps: f64,
-        /// Burst period, ns.
-        period_ns: u64,
-        /// Fraction of each period spent bursting, in `[0, 1]`.
-        duty: f64,
-    },
-    /// Diurnal sinusoid.
-    Diurnal {
-        /// Mean rate, QPS.
-        base_qps: f64,
-        /// Relative swing, in `[0, 1)`.
-        amplitude: f64,
-        /// Wave period, ns.
-        period_ns: u64,
-    },
-}
-
-/// One client class of a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClassSpec {
-    /// Class name, used in per-class report rows.
-    pub name: String,
-    /// Relative share of the offered rate.
-    pub weight: f64,
-}
-
-/// Which instance(s) a fault applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultTargetSpec {
-    /// Every instance.
-    All,
-    /// One instance (shard-major order; the single server is instance 0).
-    Instance(usize),
-}
-
-/// What a fault does (mirror of `tailbench_core::interference::FaultKind`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum FaultKindSpec {
-    /// Multiply service times by `factor`.
-    SlowDown {
-        /// Multiplicative service-time factor.
-        factor: f64,
-    },
-    /// Stall requests until the window ends.
-    Pause,
-    /// Add per-request pseudo-random extra service time.
-    Jitter {
-        /// Maximum added service time, ns.
-        amplitude_ns: u64,
-    },
 }
 
 /// One deterministic fault window, positioned as fractions of the run's nominal span
 /// (total requests ÷ offered rate for Poisson loads, the trace span for scenarios), so
 /// the same spec scales with the request budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Which instance(s) the fault hits.
-    pub target: FaultTargetSpec,
+    pub target: FaultTarget,
     /// Window start as a fraction of the nominal span, in `[0, 1)`.
     pub start_frac: f64,
     /// Window end as a fraction of the nominal span, in `(start_frac, 1]`.
     pub end_frac: f64,
     /// What the fault does.
-    pub kind: FaultKindSpec,
+    pub kind: FaultKind,
 }
 
 /// One tail-mitigation policy of a [`SweepAxis::Mitigation`] axis.
@@ -505,7 +216,7 @@ pub struct FaultSpec {
 /// resets hedging, the replica selector, tied dispatch and (for `Queue` values) the
 /// admission policy to their baselines, then applies exactly this one mitigation — so
 /// the rows of a mitigation sweep are directly comparable single-policy runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MitigationSpec {
     /// No mitigation: round-robin routing, no hedging, the spec's base queue.
     Baseline,
@@ -514,9 +225,9 @@ pub enum MitigationSpec {
     /// Tied requests (two replicas up front, first response wins).
     Tied,
     /// A load-aware replica selector.
-    Selector(SelectorSpec),
+    Selector(ReplicaSelector),
     /// An admission (queue) policy, replacing the spec's base queue.
-    Queue(QueuePolicySpec),
+    Queue(AdmissionPolicy),
 }
 
 impl MitigationSpec {
@@ -526,40 +237,25 @@ impl MitigationSpec {
     pub fn name(&self) -> String {
         match self {
             MitigationSpec::Baseline => "none".to_string(),
-            MitigationSpec::Hedge(HedgeSpec::DelayNs(delay_ns)) => {
-                format!("hedge({delay_ns}ns)")
-            }
+            MitigationSpec::Hedge(HedgeSpec::DelayNs(delay_ns)) => format!("hedge({delay_ns}ns)"),
             MitigationSpec::Hedge(HedgeSpec::Percentile(p)) => {
-                let label = format!("{:.4}", p * 100.0);
-                let label = label.trim_end_matches('0').trim_end_matches('.');
-                format!("hedge(p{label})")
+                format!("hedge({})", HedgeSpec::percentile_label(*p))
             }
             MitigationSpec::Tied => "tied".to_string(),
             MitigationSpec::Selector(selector) => selector.name().to_string(),
-            MitigationSpec::Queue(QueuePolicySpec::Block { capacity }) => {
-                format!("block({capacity})")
-            }
-            MitigationSpec::Queue(QueuePolicySpec::Drop { capacity }) => {
-                format!("drop({capacity})")
-            }
-            MitigationSpec::Queue(QueuePolicySpec::DropDeadline { capacity, slo_ns }) => {
-                format!("drop-deadline({capacity},{slo_ns}ns)")
-            }
-            MitigationSpec::Queue(QueuePolicySpec::Priority { capacity }) => {
-                format!("priority({capacity})")
-            }
+            MitigationSpec::Queue(queue) => queue.label(),
         }
     }
 }
 
 /// One sweep axis.  The grid of measured points is the Cartesian product of all axes,
 /// in spec order; each axis overrides the corresponding base field of the spec.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SweepAxis {
     /// Sweep the workload (registry names).
     App(Vec<String>),
     /// Sweep the harness mode.
-    Mode(Vec<ModeSpec>),
+    Mode(Vec<HarnessMode>),
     /// Sweep the load as fractions of measured capacity.
     LoadFraction(Vec<f64>),
     /// Sweep absolute offered rates.
@@ -615,7 +311,7 @@ impl SweepAxis {
 }
 
 /// How per-repeat seeds are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeedPolicy {
     /// Derive a fresh seed per repeat (`derive_seed(point_seed, k)`), re-randomizing
     /// payloads and interarrivals as the paper's methodology requires.
@@ -630,7 +326,7 @@ pub enum SeedPolicy {
 /// or load from disk with [`ExperimentSpec::from_json_str`], and run it with
 /// `Experiment::run()` — single server or cluster, any harness mode, steady or
 /// scenario load, with sweeps, repeats and capacity probing handled by the runner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Experiment name (used in output headers and file names).
     pub name: String,
@@ -639,14 +335,14 @@ pub struct ExperimentSpec {
     /// Workload scale; `None` reads `TAILBENCH_SCALE` at run time.
     pub scale: Option<Scale>,
     /// Harness mode (base value; a `Mode` axis overrides it).
-    pub mode: ModeSpec,
+    pub mode: HarnessMode,
     /// Cluster topology; `None` = plain single-server harness.
     pub topology: Option<TopologySpec>,
     /// Offered-load model.
     pub load: LoadSpec,
     /// Request-queue admission policy; `None` = unbounded (the classic open-loop
     /// queue).  Applies per server instance for cluster points.
-    pub queue: Option<QueuePolicySpec>,
+    pub queue: Option<AdmissionPolicy>,
     /// Worker threads per server instance.
     pub threads: usize,
     /// Measured requests per point (ignored for scenario loads).
@@ -679,7 +375,7 @@ impl ExperimentSpec {
             name: name.into(),
             app: app.into(),
             scale: None,
-            mode: ModeSpec::Integrated,
+            mode: HarnessMode::Integrated,
             topology: None,
             load: LoadSpec::Qps(1_000.0),
             queue: None,
@@ -703,7 +399,7 @@ impl ExperimentSpec {
 
     /// Sets the harness mode.
     #[must_use]
-    pub fn with_mode(mut self, mode: ModeSpec) -> Self {
+    pub fn with_mode(mut self, mode: HarnessMode) -> Self {
         self.mode = mode;
         self
     }
@@ -724,7 +420,7 @@ impl ExperimentSpec {
 
     /// Sets the request-queue admission policy.
     #[must_use]
-    pub fn with_queue(mut self, queue: QueuePolicySpec) -> Self {
+    pub fn with_queue(mut self, queue: AdmissionPolicy) -> Self {
         self.queue = Some(queue);
         self
     }
@@ -809,6 +505,34 @@ impl ExperimentSpec {
         if self.repeats == 0 {
             return fail("repeats is 0; a point needs at least one run".into());
         }
+        if let Some(topology) = self.topology {
+            if topology.shards == 0 || topology.replication == 0 {
+                return fail(format!(
+                    "topology has {} shard(s) x {} replica(s); both must be >= 1",
+                    topology.shards, topology.replication
+                ));
+            }
+        }
+        // Every harness mode a grid point can run under: the base mode and any Mode axis.
+        let modes: Vec<HarnessMode> = std::iter::once(self.mode)
+            .chain(self.sweep.iter().flat_map(|a| match a {
+                SweepAxis::Mode(modes) => modes.clone(),
+                _ => Vec::new(),
+            }))
+            .collect();
+        if modes.iter().any(|m| {
+            matches!(
+                m,
+                HarnessMode::Loopback { connections: 0 }
+                    | HarnessMode::Networked { connections: 0, .. }
+            )
+        }) {
+            return fail(
+                "a loopback or networked mode has 0 client connections; use connections >= 1"
+                    .into(),
+            );
+        }
+        let any_simulated = modes.contains(&HarnessMode::Simulated);
         match &self.load {
             LoadSpec::Qps(qps) => {
                 if !qps.is_finite() || *qps <= 0.0 {
@@ -830,15 +554,9 @@ impl ExperimentSpec {
                             .into(),
                     );
                 }
-                if self.mode == ModeSpec::Simulated
-                    || self
-                        .sweep
-                        .iter()
-                        .any(|a| matches!(a, SweepAxis::Mode(modes) if modes.contains(&ModeSpec::Simulated)))
-                {
+                if any_simulated {
                     return fail(
-                        "closed-loop load cannot run under the discrete-event simulator"
-                            .into(),
+                        "closed-loop load cannot run under the discrete-event simulator".into(),
                     );
                 }
                 if !self.interference.is_empty() {
@@ -858,14 +576,14 @@ impl ExperimentSpec {
                 }
                 for (i, phase) in scenario.phases.iter().enumerate() {
                     let rates: &[f64] = match phase.shape {
-                        ShapeSpec::Constant { qps } => &[qps],
-                        ShapeSpec::Ramp { from_qps, to_qps } => &[from_qps, to_qps],
-                        ShapeSpec::Burst {
+                        PhaseShape::Constant { qps } => &[qps],
+                        PhaseShape::Ramp { from_qps, to_qps } => &[from_qps, to_qps],
+                        PhaseShape::Burst {
                             base_qps,
                             burst_qps,
                             ..
                         } => &[base_qps, burst_qps],
-                        ShapeSpec::Diurnal { base_qps, .. } => &[base_qps],
+                        PhaseShape::Diurnal { base_qps, .. } => &[base_qps],
                     };
                     if rates.iter().any(|r| !r.is_finite() || *r <= 0.0) {
                         return fail(format!(
@@ -909,10 +627,6 @@ impl ExperimentSpec {
             })
             .flatten()
             .collect();
-        let any_simulated = self.mode == ModeSpec::Simulated
-            || self.sweep.iter().any(
-                |a| matches!(a, SweepAxis::Mode(modes) if modes.contains(&ModeSpec::Simulated)),
-            );
         let queues_in_play = self
             .queue
             .iter()
@@ -928,14 +642,14 @@ impl ExperimentSpec {
                         .into(),
                 );
             }
-            if matches!(queue, QueuePolicySpec::DropDeadline { slo_ns: 0, .. }) {
+            if matches!(queue, AdmissionPolicy::DropDeadline { slo_ns: 0, .. }) {
                 return fail(
                     "drop-deadline slo_ns is 0: every request would be shed the moment \
                      a worker picked it up; use a positive queueing-delay budget"
                         .into(),
                 );
             }
-            if matches!(queue, QueuePolicySpec::Block { .. }) && any_simulated {
+            if matches!(queue, AdmissionPolicy::Block { .. }) && any_simulated {
                 return fail(
                     "a block queue cannot backpressure the simulator's fixed virtual-time \
                      arrivals; use a drop queue (or no queue) for simulated points"
@@ -973,7 +687,7 @@ impl ExperimentSpec {
                     fault.start_frac, fault.end_frac
                 ));
             }
-            if let FaultTargetSpec::Instance(i) = fault.target {
+            if let FaultTarget::Instance(i) = fault.target {
                 if i >= max_instances {
                     return fail(format!(
                         "fault targets instance {i} but at most {max_instances} \
@@ -1045,25 +759,13 @@ impl ExperimentSpec {
         // Mirror the core harness rule: a hedged TCP cluster run cannot use a shedding
         // admission policy (a server-side shed is invisible to the client-side hedge
         // engine, which would wait forever for the dropped leg).
-        let any_tcp = matches!(
-            self.mode,
-            ModeSpec::Loopback { .. } | ModeSpec::Networked { .. }
-        ) || self.sweep.iter().any(|a| {
-            matches!(a, SweepAxis::Mode(modes) if modes.iter().any(|m| {
-                matches!(m, ModeSpec::Loopback { .. } | ModeSpec::Networked { .. })
-            }))
-        });
-        if any_hedge
-            && any_tcp
-            && matches!(
-                self.queue,
-                Some(
-                    QueuePolicySpec::Drop { .. }
-                        | QueuePolicySpec::DropDeadline { .. }
-                        | QueuePolicySpec::Priority { .. }
-                )
+        let any_tcp = modes.iter().any(|m| {
+            matches!(
+                m,
+                HarnessMode::Loopback { .. } | HarnessMode::Networked { .. }
             )
-        {
+        });
+        if any_hedge && any_tcp && self.queue.is_some_and(|q| q.shed_capacity().is_some()) {
             return fail(
                 "hedged TCP cluster points cannot use a shedding admission policy \
                  (a server-side shed is invisible to the client-side hedge engine); \
@@ -1132,831 +834,11 @@ impl ExperimentSpec {
     }
 }
 
-// ---------------------------------------------------------------------------
-// JSON (de)serialization.
-//
-// The in-tree serde shim derives markers only, so the concrete codec is written
-// against `crate::json`.  Canonical form: optional fields are omitted when they
-// hold their defaults, so `from_json(to_json(spec)) == spec` structurally and
-// `to_json` is deterministic (object key order is fixed).
-// ---------------------------------------------------------------------------
-
-fn decode_err(context: &str, msg: &str) -> HarnessError {
-    HarnessError::Config(format!("experiment spec: {context}: {msg}"))
-}
-
-/// Rejects unknown keys in an object, so a misspelled optional field ("sweeps",
-/// "repeat") fails loudly instead of silently dropping the feature it was meant to
-/// configure.
-fn expect_keys(value: &Json, allowed: &[&str], context: &str) -> Result<(), HarnessError> {
-    if let Json::Obj(pairs) = value {
-        for (key, _) in pairs {
-            if !allowed.contains(&key.as_str()) {
-                return Err(decode_err(
-                    context,
-                    &format!(
-                        "unknown field '{key}' (expected one of: {})",
-                        allowed.join(", ")
-                    ),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn field<'a>(value: &'a Json, key: &str, context: &str) -> Result<&'a Json, HarnessError> {
-    value
-        .get(key)
-        .ok_or_else(|| decode_err(context, &format!("missing field '{key}'")))
-}
-
-fn f64_field(value: &Json, key: &str, context: &str) -> Result<f64, HarnessError> {
-    field(value, key, context)?
-        .as_f64()
-        .ok_or_else(|| decode_err(context, &format!("field '{key}' must be a number")))
-}
-
-fn u64_field(value: &Json, key: &str, context: &str) -> Result<u64, HarnessError> {
-    field(value, key, context)?.as_u64().ok_or_else(|| {
-        decode_err(
-            context,
-            &format!("field '{key}' must be a non-negative integer"),
-        )
-    })
-}
-
-fn usize_field(value: &Json, key: &str, context: &str) -> Result<usize, HarnessError> {
-    field(value, key, context)?.as_usize().ok_or_else(|| {
-        decode_err(
-            context,
-            &format!("field '{key}' must be a non-negative integer"),
-        )
-    })
-}
-
-fn str_field<'a>(value: &'a Json, key: &str, context: &str) -> Result<&'a str, HarnessError> {
-    field(value, key, context)?
-        .as_str()
-        .ok_or_else(|| decode_err(context, &format!("field '{key}' must be a string")))
-}
-
-/// A one-key object `{"tag": payload}` or a bare string `"tag"` — the encoding used
-/// for all sum types in the spec format.
-fn variant<'a>(
-    value: &'a Json,
-    context: &str,
-) -> Result<(&'a str, Option<&'a Json>), HarnessError> {
-    match value {
-        Json::Str(s) => Ok((s.as_str(), None)),
-        Json::Obj(pairs) if pairs.len() == 1 => Ok((pairs[0].0.as_str(), Some(&pairs[0].1))),
-        _ => Err(decode_err(
-            context,
-            "expected a string tag or a single-key object",
-        )),
-    }
-}
-
-impl ModeSpec {
-    /// Encodes to JSON.
-    #[must_use]
-    pub fn to_json(self) -> Json {
-        match self {
-            ModeSpec::Integrated => Json::str("integrated"),
-            ModeSpec::Simulated => Json::str("simulated"),
-            ModeSpec::Loopback { connections } => Json::obj(vec![(
-                "loopback",
-                Json::obj(vec![("connections", Json::U64(connections as u64))]),
-            )]),
-            ModeSpec::Networked {
-                connections,
-                one_way_delay_ns,
-            } => Json::obj(vec![(
-                "networked",
-                Json::obj(vec![
-                    ("connections", Json::U64(connections as u64)),
-                    ("one_way_delay_ns", Json::U64(one_way_delay_ns)),
-                ]),
-            )]),
-        }
-    }
-
-    /// Decodes from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HarnessError::Config`] for unknown or malformed mode values.
-    pub fn from_json(value: &Json) -> Result<ModeSpec, HarnessError> {
-        let context = "mode";
-        match variant(value, context)? {
-            ("integrated", None) => Ok(ModeSpec::Integrated),
-            ("simulated", None) => Ok(ModeSpec::Simulated),
-            ("loopback", Some(body)) => {
-                expect_keys(body, &["connections"], context)?;
-                Ok(ModeSpec::Loopback {
-                    connections: usize_field(body, "connections", context)?,
-                })
-            }
-            ("networked", Some(body)) => {
-                expect_keys(body, &["connections", "one_way_delay_ns"], context)?;
-                Ok(ModeSpec::Networked {
-                    connections: usize_field(body, "connections", context)?,
-                    one_way_delay_ns: u64_field(body, "one_way_delay_ns", context)?,
-                })
-            }
-            (tag, _) => Err(decode_err(
-                context,
-                &format!("unknown mode '{tag}' (integrated, loopback, networked, simulated)"),
-            )),
-        }
-    }
-}
-
-impl FanoutSpec {
-    fn to_json(self) -> Json {
-        match self {
-            FanoutSpec::Auto => Json::str("auto"),
-            FanoutSpec::Broadcast => Json::str("broadcast"),
-            FanoutSpec::HashKey { offset, len } => Json::obj(vec![(
-                "hash_key",
-                Json::obj(vec![
-                    ("offset", Json::U64(offset as u64)),
-                    ("len", Json::U64(len as u64)),
-                ]),
-            )]),
-            FanoutSpec::Partition { offset, len } => Json::obj(vec![(
-                "partition",
-                Json::obj(vec![
-                    ("offset", Json::U64(offset as u64)),
-                    ("len", Json::U64(len as u64)),
-                ]),
-            )]),
-        }
-    }
-
-    fn from_json(value: &Json) -> Result<FanoutSpec, HarnessError> {
-        let context = "topology.fanout";
-        match variant(value, context)? {
-            ("auto", None) => Ok(FanoutSpec::Auto),
-            ("broadcast", None) => Ok(FanoutSpec::Broadcast),
-            ("hash_key", Some(body)) => {
-                expect_keys(body, &["offset", "len"], context)?;
-                Ok(FanoutSpec::HashKey {
-                    offset: usize_field(body, "offset", context)?,
-                    len: usize_field(body, "len", context)?,
-                })
-            }
-            ("partition", Some(body)) => {
-                expect_keys(body, &["offset", "len"], context)?;
-                Ok(FanoutSpec::Partition {
-                    offset: usize_field(body, "offset", context)?,
-                    len: usize_field(body, "len", context)?,
-                })
-            }
-            (tag, _) => Err(decode_err(
-                context,
-                &format!("unknown fanout '{tag}' (auto, broadcast, hash_key, partition)"),
-            )),
-        }
-    }
-}
-
-impl HedgeSpec {
-    fn to_json(self) -> Json {
-        match self {
-            HedgeSpec::DelayNs(delay_ns) => Json::obj(vec![("delay_ns", Json::U64(delay_ns))]),
-            HedgeSpec::Percentile(p) => Json::obj(vec![("percentile", Json::F64(p))]),
-        }
-    }
-
-    fn from_json(value: &Json) -> Result<HedgeSpec, HarnessError> {
-        let context = "hedge";
-        match variant(value, context)? {
-            ("delay_ns", Some(body)) => body
-                .as_u64()
-                .map(HedgeSpec::DelayNs)
-                .ok_or_else(|| decode_err(context, "delay_ns must be a non-negative integer")),
-            ("percentile", Some(body)) => body
-                .as_f64()
-                .map(HedgeSpec::Percentile)
-                .ok_or_else(|| decode_err(context, "percentile must be a number")),
-            (tag, _) => Err(decode_err(
-                context,
-                &format!("unknown hedge '{tag}' (delay_ns, percentile)"),
-            )),
-        }
-    }
-}
-
-impl QueuePolicySpec {
-    fn to_json(self) -> Json {
-        match self {
-            QueuePolicySpec::Block { capacity } => Json::obj(vec![("block", Json::U64(capacity))]),
-            QueuePolicySpec::Drop { capacity } => Json::obj(vec![("drop", Json::U64(capacity))]),
-            QueuePolicySpec::DropDeadline { capacity, slo_ns } => Json::obj(vec![(
-                "drop_deadline",
-                Json::obj(vec![
-                    ("capacity", Json::U64(capacity)),
-                    ("slo_ns", Json::U64(slo_ns)),
-                ]),
-            )]),
-            QueuePolicySpec::Priority { capacity } => {
-                Json::obj(vec![("priority", Json::U64(capacity))])
-            }
-        }
-    }
-
-    fn from_json(value: &Json) -> Result<QueuePolicySpec, HarnessError> {
-        let context = "queue";
-        match variant(value, context)? {
-            ("block", Some(body)) => body
-                .as_u64()
-                .map(|capacity| QueuePolicySpec::Block { capacity })
-                .ok_or_else(|| decode_err(context, "block capacity must be an integer")),
-            ("drop", Some(body)) => body
-                .as_u64()
-                .map(|capacity| QueuePolicySpec::Drop { capacity })
-                .ok_or_else(|| decode_err(context, "drop capacity must be an integer")),
-            ("drop_deadline", Some(body)) => {
-                expect_keys(body, &["capacity", "slo_ns"], context)?;
-                Ok(QueuePolicySpec::DropDeadline {
-                    capacity: u64_field(body, "capacity", context)?,
-                    slo_ns: u64_field(body, "slo_ns", context)?,
-                })
-            }
-            ("priority", Some(body)) => body
-                .as_u64()
-                .map(|capacity| QueuePolicySpec::Priority { capacity })
-                .ok_or_else(|| decode_err(context, "priority capacity must be an integer")),
-            (tag, _) => Err(decode_err(
-                context,
-                &format!("unknown queue policy '{tag}' (block, drop, drop_deadline, priority)"),
-            )),
-        }
-    }
-}
-
-impl SelectorSpec {
-    fn to_json(self) -> Json {
-        Json::str(self.name())
-    }
-
-    fn from_json(value: &Json) -> Result<SelectorSpec, HarnessError> {
-        let context = "topology.selector";
-        match value.as_str() {
-            Some("round-robin") => Ok(SelectorSpec::RoundRobin),
-            Some("least-loaded") => Ok(SelectorSpec::LeastLoaded),
-            Some("p2c") => Ok(SelectorSpec::PowerOfTwo),
-            _ => Err(decode_err(
-                context,
-                "unknown selector (round-robin, least-loaded, p2c)",
-            )),
-        }
-    }
-}
-
-impl TopologySpec {
-    fn to_json(self) -> Json {
-        let mut pairs = vec![
-            ("shards", Json::U64(self.shards as u64)),
-            ("replication", Json::U64(self.replication as u64)),
-            ("fanout", self.fanout.to_json()),
-        ];
-        if let Some(hedge) = self.hedge {
-            pairs.push(("hedge", hedge.to_json()));
-        }
-        if self.selector != SelectorSpec::RoundRobin {
-            pairs.push(("selector", self.selector.to_json()));
-        }
-        if self.tied {
-            pairs.push(("tied", Json::Bool(true)));
-        }
-        Json::obj(pairs)
-    }
-
-    fn from_json(value: &Json) -> Result<TopologySpec, HarnessError> {
-        let context = "topology";
-        expect_keys(
-            value,
-            &[
-                "shards",
-                "replication",
-                "fanout",
-                "hedge",
-                "selector",
-                "tied",
-            ],
-            context,
-        )?;
-        Ok(TopologySpec {
-            shards: usize_field(value, "shards", context)?,
-            replication: usize_field(value, "replication", context)?,
-            fanout: FanoutSpec::from_json(field(value, "fanout", context)?)?,
-            hedge: value.get("hedge").map(HedgeSpec::from_json).transpose()?,
-            selector: value
-                .get("selector")
-                .map(SelectorSpec::from_json)
-                .transpose()?
-                .unwrap_or(SelectorSpec::RoundRobin),
-            tied: value
-                .get("tied")
-                .map(|t| {
-                    t.as_bool()
-                        .ok_or_else(|| decode_err(context, "tied must be a boolean"))
-                })
-                .transpose()?
-                .unwrap_or(false),
-        })
-    }
-}
-
-impl ShapeSpec {
-    fn to_json(self) -> Json {
-        match self {
-            ShapeSpec::Constant { qps } => {
-                Json::obj(vec![("constant", Json::obj(vec![("qps", Json::F64(qps))]))])
-            }
-            ShapeSpec::Ramp { from_qps, to_qps } => Json::obj(vec![(
-                "ramp",
-                Json::obj(vec![
-                    ("from_qps", Json::F64(from_qps)),
-                    ("to_qps", Json::F64(to_qps)),
-                ]),
-            )]),
-            ShapeSpec::Burst {
-                base_qps,
-                burst_qps,
-                period_ns,
-                duty,
-            } => Json::obj(vec![(
-                "burst",
-                Json::obj(vec![
-                    ("base_qps", Json::F64(base_qps)),
-                    ("burst_qps", Json::F64(burst_qps)),
-                    ("period_ns", Json::U64(period_ns)),
-                    ("duty", Json::F64(duty)),
-                ]),
-            )]),
-            ShapeSpec::Diurnal {
-                base_qps,
-                amplitude,
-                period_ns,
-            } => Json::obj(vec![(
-                "diurnal",
-                Json::obj(vec![
-                    ("base_qps", Json::F64(base_qps)),
-                    ("amplitude", Json::F64(amplitude)),
-                    ("period_ns", Json::U64(period_ns)),
-                ]),
-            )]),
-        }
-    }
-
-    fn from_json(value: &Json) -> Result<ShapeSpec, HarnessError> {
-        let context = "scenario.phases.shape";
-        match variant(value, context)? {
-            ("constant", Some(body)) => {
-                expect_keys(body, &["qps"], context)?;
-                Ok(ShapeSpec::Constant {
-                    qps: f64_field(body, "qps", context)?,
-                })
-            }
-            ("ramp", Some(body)) => {
-                expect_keys(body, &["from_qps", "to_qps"], context)?;
-                Ok(ShapeSpec::Ramp {
-                    from_qps: f64_field(body, "from_qps", context)?,
-                    to_qps: f64_field(body, "to_qps", context)?,
-                })
-            }
-            ("burst", Some(body)) => {
-                expect_keys(
-                    body,
-                    &["base_qps", "burst_qps", "period_ns", "duty"],
-                    context,
-                )?;
-                Ok(ShapeSpec::Burst {
-                    base_qps: f64_field(body, "base_qps", context)?,
-                    burst_qps: f64_field(body, "burst_qps", context)?,
-                    period_ns: u64_field(body, "period_ns", context)?,
-                    duty: f64_field(body, "duty", context)?,
-                })
-            }
-            ("diurnal", Some(body)) => {
-                expect_keys(body, &["base_qps", "amplitude", "period_ns"], context)?;
-                Ok(ShapeSpec::Diurnal {
-                    base_qps: f64_field(body, "base_qps", context)?,
-                    amplitude: f64_field(body, "amplitude", context)?,
-                    period_ns: u64_field(body, "period_ns", context)?,
-                })
-            }
-            (tag, _) => Err(decode_err(
-                context,
-                &format!("unknown shape '{tag}' (constant, ramp, burst, diurnal)"),
-            )),
-        }
-    }
-}
-
-impl ScenarioSpec {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![(
-            "phases",
-            Json::Arr(
-                self.phases
-                    .iter()
-                    .map(|p| {
-                        Json::obj(vec![
-                            ("duration_ns", Json::U64(p.duration_ns)),
-                            ("shape", p.shape.to_json()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )];
-        if !self.classes.is_empty() {
-            pairs.push((
-                "classes",
-                Json::Arr(
-                    self.classes
-                        .iter()
-                        .map(|c| {
-                            Json::obj(vec![
-                                ("name", Json::str(c.name.clone())),
-                                ("weight", Json::F64(c.weight)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        pairs.push(("warmup_fraction", Json::F64(self.warmup_fraction)));
-        Json::obj(pairs)
-    }
-
-    fn from_json(value: &Json) -> Result<ScenarioSpec, HarnessError> {
-        let context = "scenario";
-        expect_keys(value, &["phases", "classes", "warmup_fraction"], context)?;
-        let phases = field(value, "phases", context)?
-            .as_array()
-            .ok_or_else(|| decode_err(context, "phases must be an array"))?
-            .iter()
-            .map(|p| {
-                expect_keys(p, &["duration_ns", "shape"], "scenario.phases")?;
-                Ok(PhaseSpec {
-                    duration_ns: u64_field(p, "duration_ns", "scenario.phases")?,
-                    shape: ShapeSpec::from_json(field(p, "shape", "scenario.phases")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, HarnessError>>()?;
-        let classes = match value.get("classes") {
-            None => Vec::new(),
-            Some(classes) => classes
-                .as_array()
-                .ok_or_else(|| decode_err(context, "classes must be an array"))?
-                .iter()
-                .map(|c| {
-                    expect_keys(c, &["name", "weight"], "scenario.classes")?;
-                    Ok(ClassSpec {
-                        name: str_field(c, "name", "scenario.classes")?.to_string(),
-                        weight: f64_field(c, "weight", "scenario.classes")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, HarnessError>>()?,
-        };
-        Ok(ScenarioSpec {
-            phases,
-            classes,
-            warmup_fraction: f64_field(value, "warmup_fraction", context)?,
-        })
-    }
-}
-
-impl LoadSpec {
-    fn to_json(&self) -> Json {
-        match self {
-            LoadSpec::Qps(qps) => Json::obj(vec![("qps", Json::F64(*qps))]),
-            LoadSpec::FractionOfCapacity(fraction) => {
-                Json::obj(vec![("fraction_of_capacity", Json::F64(*fraction))])
-            }
-            LoadSpec::Closed { think_ns } => Json::obj(vec![(
-                "closed",
-                Json::obj(vec![("think_ns", Json::U64(*think_ns))]),
-            )]),
-            LoadSpec::Scenario(scenario) => Json::obj(vec![("scenario", scenario.to_json())]),
-        }
-    }
-
-    fn from_json(value: &Json) -> Result<LoadSpec, HarnessError> {
-        let context = "load";
-        match variant(value, context)? {
-            ("qps", Some(body)) => body
-                .as_f64()
-                .map(LoadSpec::Qps)
-                .ok_or_else(|| decode_err(context, "qps must be a number")),
-            ("fraction_of_capacity", Some(body)) => body
-                .as_f64()
-                .map(LoadSpec::FractionOfCapacity)
-                .ok_or_else(|| decode_err(context, "fraction_of_capacity must be a number")),
-            ("closed", Some(body)) => {
-                expect_keys(body, &["think_ns"], context)?;
-                Ok(LoadSpec::Closed {
-                    think_ns: u64_field(body, "think_ns", context)?,
-                })
-            }
-            ("scenario", Some(body)) => Ok(LoadSpec::Scenario(ScenarioSpec::from_json(body)?)),
-            (tag, _) => Err(decode_err(
-                context,
-                &format!("unknown load '{tag}' (qps, fraction_of_capacity, closed, scenario)"),
-            )),
-        }
-    }
-}
-
-impl FaultSpec {
-    fn to_json(self) -> Json {
-        let target = match self.target {
-            FaultTargetSpec::All => Json::str("all"),
-            FaultTargetSpec::Instance(i) => Json::obj(vec![("instance", Json::U64(i as u64))]),
-        };
-        let kind = match self.kind {
-            FaultKindSpec::Pause => Json::str("pause"),
-            FaultKindSpec::SlowDown { factor } => Json::obj(vec![(
-                "slow_down",
-                Json::obj(vec![("factor", Json::F64(factor))]),
-            )]),
-            FaultKindSpec::Jitter { amplitude_ns } => Json::obj(vec![(
-                "jitter",
-                Json::obj(vec![("amplitude_ns", Json::U64(amplitude_ns))]),
-            )]),
-        };
-        Json::obj(vec![
-            ("target", target),
-            ("start_frac", Json::F64(self.start_frac)),
-            ("end_frac", Json::F64(self.end_frac)),
-            ("kind", kind),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<FaultSpec, HarnessError> {
-        let context = "interference";
-        expect_keys(
-            value,
-            &["target", "start_frac", "end_frac", "kind"],
-            context,
-        )?;
-        let target = match variant(field(value, "target", context)?, context)? {
-            ("all", None) => FaultTargetSpec::All,
-            ("instance", Some(body)) => FaultTargetSpec::Instance(
-                body.as_usize()
-                    .ok_or_else(|| decode_err(context, "instance must be an integer"))?,
-            ),
-            (tag, _) => {
-                return Err(decode_err(
-                    context,
-                    &format!("unknown fault target '{tag}' (all, instance)"),
-                ))
-            }
-        };
-        let kind = match variant(field(value, "kind", context)?, context)? {
-            ("pause", None) => FaultKindSpec::Pause,
-            ("slow_down", Some(body)) => {
-                expect_keys(body, &["factor"], context)?;
-                FaultKindSpec::SlowDown {
-                    factor: f64_field(body, "factor", context)?,
-                }
-            }
-            ("jitter", Some(body)) => {
-                expect_keys(body, &["amplitude_ns"], context)?;
-                FaultKindSpec::Jitter {
-                    amplitude_ns: u64_field(body, "amplitude_ns", context)?,
-                }
-            }
-            (tag, _) => {
-                return Err(decode_err(
-                    context,
-                    &format!("unknown fault kind '{tag}' (slow_down, pause, jitter)"),
-                ))
-            }
-        };
-        Ok(FaultSpec {
-            target,
-            start_frac: f64_field(value, "start_frac", context)?,
-            end_frac: f64_field(value, "end_frac", context)?,
-            kind,
-        })
-    }
-}
-
-impl SweepAxis {
-    fn to_json(&self) -> Json {
-        match self {
-            SweepAxis::App(apps) => Json::obj(vec![(
-                "app",
-                Json::Arr(apps.iter().map(|a| Json::str(a.clone())).collect()),
-            )]),
-            SweepAxis::Mode(modes) => Json::obj(vec![(
-                "mode",
-                Json::Arr(modes.iter().map(|m| m.to_json()).collect()),
-            )]),
-            SweepAxis::LoadFraction(values) => Json::obj(vec![(
-                "load_fraction",
-                Json::Arr(values.iter().map(|f| Json::F64(*f)).collect()),
-            )]),
-            SweepAxis::Qps(values) => Json::obj(vec![(
-                "qps",
-                Json::Arr(values.iter().map(|q| Json::F64(*q)).collect()),
-            )]),
-            SweepAxis::Threads(values) => Json::obj(vec![(
-                "threads",
-                Json::Arr(values.iter().map(|t| Json::U64(*t as u64)).collect()),
-            )]),
-            SweepAxis::Shards(values) => Json::obj(vec![(
-                "shards",
-                Json::Arr(values.iter().map(|s| Json::U64(*s as u64)).collect()),
-            )]),
-            SweepAxis::Hedge(values) => Json::obj(vec![(
-                "hedge",
-                Json::Arr(
-                    values
-                        .iter()
-                        .map(|h| match h {
-                            None => Json::str("none"),
-                            Some(hedge) => hedge.to_json(),
-                        })
-                        .collect(),
-                ),
-            )]),
-            SweepAxis::Mitigation(values) => Json::obj(vec![(
-                "mitigation",
-                Json::Arr(
-                    values
-                        .iter()
-                        .copied()
-                        .map(MitigationSpec::to_json)
-                        .collect(),
-                ),
-            )]),
-        }
-    }
-
-    fn from_json(value: &Json) -> Result<SweepAxis, HarnessError> {
-        let context = "sweep";
-        let (tag, body) = variant(value, context)?;
-        let body = body.ok_or_else(|| decode_err(context, "axis needs a value array"))?;
-        let items = body
-            .as_array()
-            .ok_or_else(|| decode_err(context, "axis values must be an array"))?;
-        match tag {
-            "app" => Ok(SweepAxis::App(
-                items
-                    .iter()
-                    .map(|v| {
-                        v.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| decode_err(context, "app values must be strings"))
-                    })
-                    .collect::<Result<_, _>>()?,
-            )),
-            "mode" => Ok(SweepAxis::Mode(
-                items
-                    .iter()
-                    .map(ModeSpec::from_json)
-                    .collect::<Result<_, _>>()?,
-            )),
-            "load_fraction" => Ok(SweepAxis::LoadFraction(
-                items
-                    .iter()
-                    .map(|v| {
-                        v.as_f64().ok_or_else(|| {
-                            decode_err(context, "load_fraction values must be numbers")
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-            )),
-            "qps" => Ok(SweepAxis::Qps(
-                items
-                    .iter()
-                    .map(|v| {
-                        v.as_f64()
-                            .ok_or_else(|| decode_err(context, "qps values must be numbers"))
-                    })
-                    .collect::<Result<_, _>>()?,
-            )),
-            "threads" => Ok(SweepAxis::Threads(
-                items
-                    .iter()
-                    .map(|v| {
-                        v.as_usize()
-                            .ok_or_else(|| decode_err(context, "threads values must be integers"))
-                    })
-                    .collect::<Result<_, _>>()?,
-            )),
-            "shards" => Ok(SweepAxis::Shards(
-                items
-                    .iter()
-                    .map(|v| {
-                        v.as_usize()
-                            .ok_or_else(|| decode_err(context, "shards values must be integers"))
-                    })
-                    .collect::<Result<_, _>>()?,
-            )),
-            "hedge" => Ok(SweepAxis::Hedge(
-                items
-                    .iter()
-                    .map(|v| match v.as_str() {
-                        Some("none") => Ok(None),
-                        _ => HedgeSpec::from_json(v).map(Some),
-                    })
-                    .collect::<Result<_, _>>()?,
-            )),
-            "mitigation" => Ok(SweepAxis::Mitigation(
-                items
-                    .iter()
-                    .map(MitigationSpec::from_json)
-                    .collect::<Result<_, _>>()?,
-            )),
-            tag => Err(decode_err(
-                context,
-                &format!(
-                    "unknown axis '{tag}' (app, mode, load_fraction, qps, threads, shards, \
-                     hedge, mitigation)"
-                ),
-            )),
-        }
-    }
-}
-
-impl MitigationSpec {
-    fn to_json(self) -> Json {
-        match self {
-            MitigationSpec::Baseline => Json::str("none"),
-            MitigationSpec::Tied => Json::str("tied"),
-            MitigationSpec::Hedge(hedge) => Json::obj(vec![("hedge", hedge.to_json())]),
-            MitigationSpec::Selector(selector) => Json::obj(vec![("selector", selector.to_json())]),
-            MitigationSpec::Queue(queue) => Json::obj(vec![("queue", queue.to_json())]),
-        }
-    }
-
-    fn from_json(value: &Json) -> Result<MitigationSpec, HarnessError> {
-        let context = "sweep.mitigation";
-        match variant(value, context)? {
-            ("none", None) => Ok(MitigationSpec::Baseline),
-            ("tied", None) => Ok(MitigationSpec::Tied),
-            ("hedge", Some(body)) => HedgeSpec::from_json(body).map(MitigationSpec::Hedge),
-            ("selector", Some(body)) => SelectorSpec::from_json(body).map(MitigationSpec::Selector),
-            ("queue", Some(body)) => QueuePolicySpec::from_json(body).map(MitigationSpec::Queue),
-            (tag, _) => Err(decode_err(
-                context,
-                &format!("unknown mitigation '{tag}' (none, tied, hedge, selector, queue)"),
-            )),
-        }
-    }
-}
-
 impl ExperimentSpec {
     /// Encodes to the canonical JSON tree.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("name", Json::str(self.name.clone())),
-            ("app", Json::str(self.app.clone())),
-        ];
-        if let Some(scale) = self.scale {
-            pairs.push(("scale", Json::str(scale.name())));
-        }
-        pairs.push(("mode", self.mode.to_json()));
-        if let Some(topology) = self.topology {
-            pairs.push(("topology", topology.to_json()));
-        }
-        pairs.push(("load", self.load.to_json()));
-        if let Some(queue) = self.queue {
-            pairs.push(("queue", queue.to_json()));
-        }
-        pairs.push(("threads", Json::U64(self.threads as u64)));
-        pairs.push(("requests", Json::U64(self.requests as u64)));
-        if let Some(warmup) = self.warmup {
-            pairs.push(("warmup", Json::U64(warmup as u64)));
-        }
-        pairs.push(("seed", Json::U64(self.seed)));
-        if self.repeats != 1 {
-            pairs.push(("repeats", Json::U64(self.repeats as u64)));
-        }
-        if self.seed_policy != SeedPolicy::Derive {
-            pairs.push(("seed_policy", Json::str("fixed")));
-        }
-        if !self.interference.is_empty() {
-            pairs.push((
-                "interference",
-                Json::Arr(self.interference.iter().map(|f| f.to_json()).collect()),
-            ));
-        }
-        if !self.sweep.is_empty() {
-            pairs.push((
-                "sweep",
-                Json::Arr(self.sweep.iter().map(SweepAxis::to_json).collect()),
-            ));
-        }
-        Json::obj(pairs)
+        self.encode()
     }
 
     /// Encodes to pretty-printed JSON text (the spec-file format the `tailbench` CLI
@@ -1972,100 +854,7 @@ impl ExperimentSpec {
     ///
     /// Returns [`HarnessError::Config`] naming the malformed field.
     pub fn from_json(value: &Json) -> Result<ExperimentSpec, HarnessError> {
-        let context = "spec";
-        expect_keys(
-            value,
-            &[
-                "name",
-                "app",
-                "scale",
-                "mode",
-                "topology",
-                "load",
-                "queue",
-                "threads",
-                "requests",
-                "warmup",
-                "seed",
-                "repeats",
-                "seed_policy",
-                "interference",
-                "sweep",
-            ],
-            context,
-        )?;
-        let seed_policy = match value.get("seed_policy") {
-            None => SeedPolicy::Derive,
-            Some(policy) => match policy.as_str() {
-                Some("derive") => SeedPolicy::Derive,
-                Some("fixed") => SeedPolicy::Fixed,
-                _ => {
-                    return Err(decode_err(
-                        context,
-                        "seed_policy must be \"derive\" or \"fixed\"",
-                    ))
-                }
-            },
-        };
-        let scale = match value.get("scale") {
-            None => None,
-            Some(scale) => Some(
-                scale
-                    .as_str()
-                    .and_then(Scale::parse)
-                    .ok_or_else(|| decode_err(context, "scale must be smoke, quick or full"))?,
-            ),
-        };
-        Ok(ExperimentSpec {
-            name: str_field(value, "name", context)?.to_string(),
-            app: str_field(value, "app", context)?.to_string(),
-            scale,
-            mode: ModeSpec::from_json(field(value, "mode", context)?)?,
-            topology: value
-                .get("topology")
-                .map(TopologySpec::from_json)
-                .transpose()?,
-            load: LoadSpec::from_json(field(value, "load", context)?)?,
-            queue: value
-                .get("queue")
-                .map(QueuePolicySpec::from_json)
-                .transpose()?,
-            threads: usize_field(value, "threads", context)?,
-            requests: usize_field(value, "requests", context)?,
-            warmup: value
-                .get("warmup")
-                .map(|w| {
-                    w.as_usize()
-                        .ok_or_else(|| decode_err(context, "warmup must be an integer"))
-                })
-                .transpose()?,
-            seed: u64_field(value, "seed", context)?,
-            repeats: match value.get("repeats") {
-                None => 1,
-                Some(r) => r
-                    .as_usize()
-                    .ok_or_else(|| decode_err(context, "repeats must be an integer"))?,
-            },
-            seed_policy,
-            interference: match value.get("interference") {
-                None => Vec::new(),
-                Some(faults) => faults
-                    .as_array()
-                    .ok_or_else(|| decode_err(context, "interference must be an array"))?
-                    .iter()
-                    .map(FaultSpec::from_json)
-                    .collect::<Result<_, _>>()?,
-            },
-            sweep: match value.get("sweep") {
-                None => Vec::new(),
-                Some(axes) => axes
-                    .as_array()
-                    .ok_or_else(|| decode_err(context, "sweep must be an array"))?
-                    .iter()
-                    .map(SweepAxis::from_json)
-                    .collect::<Result<_, _>>()?,
-            },
-        })
+        ExperimentSpec::decode(value, "spec")
     }
 
     /// Parses a spec from JSON text (e.g. a spec file).
@@ -2087,11 +876,11 @@ mod tests {
 
     fn fanout_spec() -> ExperimentSpec {
         ExperimentSpec::new("fanout-sweep", "xapian")
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_topology(
                 TopologySpec::sharded(4)
                     .with_replication(2)
-                    .with_fanout(FanoutSpec::Broadcast)
+                    .with_fanout(FanoutPolicy::Broadcast)
                     .with_hedge(HedgeSpec::Percentile(0.95)),
             )
             .with_load(LoadSpec::FractionOfCapacity(0.7))
@@ -2104,10 +893,10 @@ mod tests {
                 Some(HedgeSpec::Percentile(0.95)),
             ]))
             .with_fault(FaultSpec {
-                target: FaultTargetSpec::Instance(1),
+                target: FaultTarget::Instance(1),
                 start_frac: 1.0 / 3.0,
                 end_frac: 2.0 / 3.0,
-                kind: FaultKindSpec::SlowDown { factor: 4.0 },
+                kind: FaultKind::SlowDown { factor: 4.0 },
             })
     }
 
@@ -2124,12 +913,12 @@ mod tests {
     #[test]
     fn queue_policy_round_trips_and_validates() {
         for queue in [
-            QueuePolicySpec::Block { capacity: 256 },
-            QueuePolicySpec::Drop { capacity: 1024 },
+            AdmissionPolicy::Block { capacity: 256 },
+            AdmissionPolicy::Drop { capacity: 1024 },
         ] {
             // fanout_spec is simulated, where block is rejected — use integrated here.
             let spec = fanout_spec()
-                .with_mode(ModeSpec::Integrated)
+                .with_mode(HarnessMode::Integrated)
                 .with_queue(queue);
             assert!(spec.validate().is_ok());
             let text = spec.to_json_string();
@@ -2139,31 +928,26 @@ mod tests {
         }
         // A block queue cannot backpressure virtual-time arrivals: simulated points
         // (base mode or via a Mode axis) reject it; drop stays legal.
-        let block_sim = fanout_spec().with_queue(QueuePolicySpec::Block { capacity: 256 });
+        let block_sim = fanout_spec().with_queue(AdmissionPolicy::Block { capacity: 256 });
         let err = block_sim.validate().unwrap_err().to_string();
         assert!(err.contains("backpressure"), "{err}");
         let block_axis = fanout_spec()
-            .with_mode(ModeSpec::Integrated)
-            .with_queue(QueuePolicySpec::Block { capacity: 256 })
+            .with_mode(HarnessMode::Integrated)
+            .with_queue(AdmissionPolicy::Block { capacity: 256 })
             .with_axis(SweepAxis::Mode(vec![
-                ModeSpec::Integrated,
-                ModeSpec::Simulated,
+                HarnessMode::Integrated,
+                HarnessMode::Simulated,
             ]));
         assert!(block_axis.validate().is_err());
-        let drop_sim = fanout_spec().with_queue(QueuePolicySpec::Drop { capacity: 256 });
+        let drop_sim = fanout_spec().with_queue(AdmissionPolicy::Drop { capacity: 256 });
         assert!(drop_sim.validate().is_ok());
         // Zero capacity is a named footgun.
-        let zero = fanout_spec().with_queue(QueuePolicySpec::Drop { capacity: 0 });
+        let zero = fanout_spec().with_queue(AdmissionPolicy::Drop { capacity: 0 });
         let err = zero.validate().unwrap_err().to_string();
         assert!(err.contains("queue capacity"), "{err}");
-        // The admission mapping reaches the core policy.
-        assert_eq!(
-            QueuePolicySpec::Drop { capacity: 7 }.to_admission(),
-            tailbench_core::queue::AdmissionPolicy::Drop { capacity: 7 }
-        );
         // Unknown policy tags are rejected.
         let text = fanout_spec()
-            .with_queue(QueuePolicySpec::Block { capacity: 1 })
+            .with_queue(AdmissionPolicy::Block { capacity: 1 })
             .to_json_string()
             .replace("\"block\"", "\"backpressure\"");
         assert!(ExperimentSpec::from_json_str(&text)
@@ -2174,36 +958,21 @@ mod tests {
 
     #[test]
     fn shedding_policies_and_selectors_round_trip_and_validate() {
-        // The two new admission variants encode, decode and map to the core policy.
+        // The two shedding admission variants encode and decode.
         for queue in [
-            QueuePolicySpec::DropDeadline {
+            AdmissionPolicy::DropDeadline {
                 capacity: 64,
                 slo_ns: 2_000_000,
             },
-            QueuePolicySpec::Priority { capacity: 32 },
+            AdmissionPolicy::Priority { capacity: 32 },
         ] {
             let spec = fanout_spec().with_queue(queue);
             assert!(spec.validate().is_ok(), "{queue:?}");
             let back = ExperimentSpec::from_json_str(&spec.to_json_string()).unwrap();
             assert_eq!(back, spec);
         }
-        assert_eq!(
-            QueuePolicySpec::DropDeadline {
-                capacity: 8,
-                slo_ns: 500
-            }
-            .to_admission(),
-            tailbench_core::queue::AdmissionPolicy::DropDeadline {
-                capacity: 8,
-                slo_ns: 500
-            }
-        );
-        assert_eq!(
-            QueuePolicySpec::Priority { capacity: 9 }.to_admission(),
-            tailbench_core::queue::AdmissionPolicy::Priority { capacity: 9 }
-        );
         // A zero SLO budget sheds everything; reject it like zero capacity.
-        let zero_slo = fanout_spec().with_queue(QueuePolicySpec::DropDeadline {
+        let zero_slo = fanout_spec().with_queue(AdmissionPolicy::DropDeadline {
             capacity: 64,
             slo_ns: 0,
         });
@@ -2217,7 +986,7 @@ mod tests {
         assert!(!spec.to_json_string().contains("tied"));
         let mut topo = spec.topology.unwrap();
         topo = topo
-            .with_selector(SelectorSpec::LeastLoaded)
+            .with_selector(ReplicaSelector::LeastLoaded)
             .with_tied(false);
         let spec = spec.with_topology(topo);
         let text = spec.to_json_string();
@@ -2248,19 +1017,19 @@ mod tests {
             MitigationSpec::Baseline,
             MitigationSpec::Hedge(HedgeSpec::Percentile(0.95)),
             MitigationSpec::Tied,
-            MitigationSpec::Selector(SelectorSpec::LeastLoaded),
-            MitigationSpec::Selector(SelectorSpec::PowerOfTwo),
-            MitigationSpec::Queue(QueuePolicySpec::DropDeadline {
+            MitigationSpec::Selector(ReplicaSelector::LeastLoaded),
+            MitigationSpec::Selector(ReplicaSelector::PowerOfTwo),
+            MitigationSpec::Queue(AdmissionPolicy::DropDeadline {
                 capacity: 64,
                 slo_ns: 2_000_000,
             }),
         ];
         let spec = ExperimentSpec::new("mitigation", "xapian")
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_topology(
                 TopologySpec::sharded(2)
                     .with_replication(2)
-                    .with_fanout(FanoutSpec::Broadcast),
+                    .with_fanout(FanoutPolicy::Broadcast),
             )
             .with_load(LoadSpec::Qps(4_000.0))
             .with_axis(SweepAxis::Mitigation(policies.clone()));
@@ -2291,37 +1060,37 @@ mod tests {
 
         // Tied/hedge entries need a second replica, like the base-topology forms.
         let under_replicated = ExperimentSpec::new("x", "xapian")
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_topology(TopologySpec::sharded(2))
             .with_axis(SweepAxis::Mitigation(vec![MitigationSpec::Tied]));
         assert!(under_replicated.validate().is_err());
 
         // Queue entries go through the same capacity/backpressure checks.
         let zero_cap = ExperimentSpec::new("x", "xapian")
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_topology(TopologySpec::sharded(2).with_replication(2))
             .with_axis(SweepAxis::Mitigation(vec![MitigationSpec::Queue(
-                QueuePolicySpec::Drop { capacity: 0 },
+                AdmissionPolicy::Drop { capacity: 0 },
             )]));
         assert!(zero_cap.validate().is_err());
         let block_sim = ExperimentSpec::new("x", "xapian")
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_topology(TopologySpec::sharded(2).with_replication(2))
             .with_axis(SweepAxis::Mitigation(vec![MitigationSpec::Queue(
-                QueuePolicySpec::Block { capacity: 16 },
+                AdmissionPolicy::Block { capacity: 16 },
             )]));
         let err = block_sim.validate().unwrap_err().to_string();
         assert!(err.contains("backpressure"), "{err}");
 
         // Hedged TCP points cannot share a shedding base queue (core rule, mirrored).
         let tcp_hedge_shed = ExperimentSpec::new("x", "xapian")
-            .with_mode(ModeSpec::loopback())
+            .with_mode(HarnessMode::loopback())
             .with_topology(
                 TopologySpec::sharded(2)
                     .with_replication(2)
                     .with_hedge(HedgeSpec::DelayNs(1_000)),
             )
-            .with_queue(QueuePolicySpec::Drop { capacity: 64 });
+            .with_queue(AdmissionPolicy::Drop { capacity: 64 });
         let err = tcp_hedge_shed.validate().unwrap_err().to_string();
         assert!(
             err.contains("invisible to the client-side hedge engine"),
@@ -2332,32 +1101,32 @@ mod tests {
     #[test]
     fn scenario_spec_round_trips() {
         let spec = ExperimentSpec::new("burst", "masstree")
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_load(LoadSpec::Scenario(ScenarioSpec {
                 phases: vec![
-                    PhaseSpec {
+                    LoadPhase {
                         duration_ns: 200_000_000,
-                        shape: ShapeSpec::Constant { qps: 2_000.0 },
+                        shape: PhaseShape::Constant { qps: 2_000.0 },
                     },
-                    PhaseSpec {
+                    LoadPhase {
                         duration_ns: 100_000_000,
-                        shape: ShapeSpec::Burst {
+                        shape: PhaseShape::Burst {
                             base_qps: 2_000.0,
                             burst_qps: 8_000.0,
                             period_ns: 50_000_000,
                             duty: 0.5,
                         },
                     },
-                    PhaseSpec {
+                    LoadPhase {
                         duration_ns: 50_000_000,
-                        shape: ShapeSpec::Ramp {
+                        shape: PhaseShape::Ramp {
                             from_qps: 2_000.0,
                             to_qps: 500.0,
                         },
                     },
-                    PhaseSpec {
+                    LoadPhase {
                         duration_ns: 50_000_000,
-                        shape: ShapeSpec::Diurnal {
+                        shape: PhaseShape::Diurnal {
                             base_qps: 1_000.0,
                             amplitude: 0.5,
                             period_ns: 25_000_000,
@@ -2365,11 +1134,11 @@ mod tests {
                     },
                 ],
                 classes: vec![
-                    ClassSpec {
+                    ClientClass {
                         name: "interactive".into(),
                         weight: 0.7,
                     },
-                    ClassSpec {
+                    ClientClass {
                         name: "batch".into(),
                         weight: 0.3,
                     },
@@ -2384,14 +1153,14 @@ mod tests {
     #[test]
     fn mode_variants_round_trip() {
         for mode in [
-            ModeSpec::Integrated,
-            ModeSpec::Simulated,
-            ModeSpec::loopback(),
-            ModeSpec::networked(),
+            HarnessMode::Integrated,
+            HarnessMode::Simulated,
+            HarnessMode::loopback(),
+            HarnessMode::networked(),
         ] {
-            assert_eq!(ModeSpec::from_json(&mode.to_json()).unwrap(), mode);
+            assert_eq!(HarnessMode::decode(&mode.encode(), "mode").unwrap(), mode);
         }
-        assert!(ModeSpec::from_json(&Json::str("warp-drive")).is_err());
+        assert!(HarnessMode::decode(&Json::str("warp-drive"), "mode").is_err());
     }
 
     #[test]
@@ -2432,22 +1201,77 @@ mod tests {
 
         // Closed-loop DES.
         let closed_sim = ExperimentSpec::new("x", "xapian")
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_load(LoadSpec::Closed { think_ns: 0 });
         assert!(closed_sim.validate().is_err());
 
         // Bad fault window.
         let bad_fault = ExperimentSpec::new("x", "xapian").with_fault(FaultSpec {
-            target: FaultTargetSpec::All,
+            target: FaultTarget::All,
             start_frac: 0.5,
             end_frac: 0.5,
-            kind: FaultKindSpec::Pause,
+            kind: FaultKind::Pause,
         });
         assert!(bad_fault.validate().is_err());
 
         // Empty axis.
         let empty_axis = ExperimentSpec::new("x", "xapian").with_axis(SweepAxis::Qps(Vec::new()));
         assert!(empty_axis.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_zero_shard_topology() {
+        let mut topology = TopologySpec::sharded(2);
+        topology.shards = 0;
+        let err = ExperimentSpec::new("x", "xapian")
+            .with_topology(topology)
+            .validate()
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("0 shard(s)"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_a_zero_replica_topology() {
+        let mut topology = TopologySpec::sharded(2);
+        topology.replication = 0;
+        let err = ExperimentSpec::new("x", "xapian")
+            .with_topology(topology)
+            .validate()
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("0 replica(s)"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_zero_connections_in_the_base_mode() {
+        for mode in [
+            HarnessMode::Loopback { connections: 0 },
+            HarnessMode::Networked {
+                connections: 0,
+                one_way_delay_ns: 25_000,
+            },
+        ] {
+            let err = ExperimentSpec::new("x", "xapian")
+                .with_mode(mode)
+                .validate()
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("0 client connections"), "{err}");
+        }
+    }
+
+    #[test]
+    fn validation_rejects_zero_connections_on_a_mode_axis() {
+        let err = ExperimentSpec::new("x", "xapian")
+            .with_axis(SweepAxis::Mode(vec![
+                HarnessMode::Integrated,
+                HarnessMode::Loopback { connections: 0 },
+            ]))
+            .validate()
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("0 client connections"), "{err}");
     }
 
     #[test]

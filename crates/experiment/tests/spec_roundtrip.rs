@@ -17,24 +17,26 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tailbench_core::app::{CostModel, EchoApp, InstructionRateModel};
+use tailbench_core::config::{FanoutPolicy, HarnessMode, ReplicaSelector};
+use tailbench_core::interference::{FaultKind, FaultTarget};
+use tailbench_core::queue::AdmissionPolicy;
 use tailbench_experiment::{
-    AppBuilder, BenchApp, ClassSpec, Experiment, ExperimentSpec, FanoutSpec, FaultKindSpec,
-    FaultSpec, FaultTargetSpec, HedgeSpec, LoadSpec, MitigationSpec, ModeSpec, PhaseSpec,
-    QueuePolicySpec, Registry, Scale, ScenarioSpec, SeedPolicy, SelectorSpec, ShapeSpec, SweepAxis,
-    TopologySpec,
+    AppBuilder, BenchApp, Experiment, ExperimentSpec, FaultSpec, HedgeSpec, LoadSpec,
+    MitigationSpec, Registry, Scale, ScenarioSpec, SeedPolicy, SweepAxis, TopologySpec,
 };
+use tailbench_scenario::{ClientClass, LoadPhase, PhaseShape};
 
 // ---------------------------------------------------------------------------
 // Strategies.
 // ---------------------------------------------------------------------------
 
-fn mode_strategy() -> impl Strategy<Value = ModeSpec> {
+fn mode_strategy() -> impl Strategy<Value = HarnessMode> {
     prop_oneof![
-        (0u64..1).prop_map(|_| ModeSpec::Integrated),
-        (0u64..1).prop_map(|_| ModeSpec::Simulated),
-        (1usize..16).prop_map(|connections| ModeSpec::Loopback { connections }),
+        (0u64..1).prop_map(|_| HarnessMode::Integrated),
+        (0u64..1).prop_map(|_| HarnessMode::Simulated),
+        (1usize..16).prop_map(|connections| HarnessMode::Loopback { connections }),
         ((1usize..16), (0u64..100_000)).prop_map(|(connections, one_way_delay_ns)| {
-            ModeSpec::Networked {
+            HarnessMode::Networked {
                 connections,
                 one_way_delay_ns,
             }
@@ -42,30 +44,32 @@ fn mode_strategy() -> impl Strategy<Value = ModeSpec> {
     ]
 }
 
-fn fanout_strategy() -> impl Strategy<Value = FanoutSpec> {
+fn fanout_strategy() -> impl Strategy<Value = Option<FanoutPolicy>> {
     prop_oneof![
-        (0u64..1).prop_map(|_| FanoutSpec::Auto),
-        (0u64..1).prop_map(|_| FanoutSpec::Broadcast),
-        ((0usize..4), (1usize..9)).prop_map(|(offset, len)| FanoutSpec::HashKey { offset, len }),
-        ((0usize..4), (1usize..8)).prop_map(|(offset, len)| FanoutSpec::Partition { offset, len }),
+        (0u64..1).prop_map(|_| None),
+        (0u64..1).prop_map(|_| Some(FanoutPolicy::Broadcast)),
+        ((0usize..4), (1usize..9))
+            .prop_map(|(offset, len)| Some(FanoutPolicy::HashKey { offset, len })),
+        ((0usize..4), (1usize..8))
+            .prop_map(|(offset, len)| Some(FanoutPolicy::Partition { offset, len })),
     ]
 }
 
-fn queue_strategy() -> impl Strategy<Value = QueuePolicySpec> {
+fn queue_strategy() -> impl Strategy<Value = AdmissionPolicy> {
     prop_oneof![
-        (1u64..1_000_000).prop_map(|capacity| QueuePolicySpec::Block { capacity }),
-        (1u64..1_000_000).prop_map(|capacity| QueuePolicySpec::Drop { capacity }),
-        ((1u64..1_000_000), (1u64..1_000_000_000))
-            .prop_map(|(capacity, slo_ns)| { QueuePolicySpec::DropDeadline { capacity, slo_ns } }),
-        (1u64..1_000_000).prop_map(|capacity| QueuePolicySpec::Priority { capacity }),
+        (1usize..1_000_000).prop_map(|capacity| AdmissionPolicy::Block { capacity }),
+        (1usize..1_000_000).prop_map(|capacity| AdmissionPolicy::Drop { capacity }),
+        ((1usize..1_000_000), (1u64..1_000_000_000))
+            .prop_map(|(capacity, slo_ns)| { AdmissionPolicy::DropDeadline { capacity, slo_ns } }),
+        (1usize..1_000_000).prop_map(|capacity| AdmissionPolicy::Priority { capacity }),
     ]
 }
 
-fn selector_strategy() -> impl Strategy<Value = SelectorSpec> {
+fn selector_strategy() -> impl Strategy<Value = ReplicaSelector> {
     prop_oneof![
-        (0u64..1).prop_map(|_| SelectorSpec::RoundRobin),
-        (0u64..1).prop_map(|_| SelectorSpec::LeastLoaded),
-        (0u64..1).prop_map(|_| SelectorSpec::PowerOfTwo),
+        (0u64..1).prop_map(|_| ReplicaSelector::RoundRobin),
+        (0u64..1).prop_map(|_| ReplicaSelector::LeastLoaded),
+        (0u64..1).prop_map(|_| ReplicaSelector::PowerOfTwo),
     ]
 }
 
@@ -86,18 +90,18 @@ fn hedge_strategy() -> impl Strategy<Value = HedgeSpec> {
     ]
 }
 
-fn shape_strategy() -> impl Strategy<Value = ShapeSpec> {
+fn shape_strategy() -> impl Strategy<Value = PhaseShape> {
     prop_oneof![
-        (100.0f64..10_000.0).prop_map(|qps| ShapeSpec::Constant { qps }),
+        (100.0f64..10_000.0).prop_map(|qps| PhaseShape::Constant { qps }),
         ((100.0f64..5_000.0), (100.0f64..5_000.0))
-            .prop_map(|(from_qps, to_qps)| ShapeSpec::Ramp { from_qps, to_qps }),
+            .prop_map(|(from_qps, to_qps)| PhaseShape::Ramp { from_qps, to_qps }),
         (
             (100.0f64..2_000.0),
             (2_000.0f64..20_000.0),
             (1_000_000u64..100_000_000),
             (0.05f64..0.95),
         )
-            .prop_map(|(base_qps, burst_qps, period_ns, duty)| ShapeSpec::Burst {
+            .prop_map(|(base_qps, burst_qps, period_ns, duty)| PhaseShape::Burst {
                 base_qps,
                 burst_qps,
                 period_ns,
@@ -108,7 +112,7 @@ fn shape_strategy() -> impl Strategy<Value = ShapeSpec> {
             (0.0f64..0.99),
             (1_000_000u64..100_000_000)
         )
-            .prop_map(|(base_qps, amplitude, period_ns)| ShapeSpec::Diurnal {
+            .prop_map(|(base_qps, amplitude, period_ns)| PhaseShape::Diurnal {
                 base_qps,
                 amplitude,
                 period_ns,
@@ -120,7 +124,7 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
     (
         prop::collection::vec(
             ((1_000_000u64..500_000_000), shape_strategy())
-                .prop_map(|(duration_ns, shape)| PhaseSpec { duration_ns, shape }),
+                .prop_map(|(duration_ns, shape)| LoadPhase { duration_ns, shape }),
             1..4,
         ),
         (0usize..3),
@@ -129,7 +133,7 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
         .prop_map(|(phases, classes, warmup_fraction)| ScenarioSpec {
             phases,
             classes: (0..classes)
-                .map(|i| ClassSpec {
+                .map(|i| ClientClass {
                     name: format!("class-{i}"),
                     weight: 1.0 + i as f64,
                 })
@@ -141,15 +145,15 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
 fn fault_strategy() -> impl Strategy<Value = FaultSpec> {
     (
         prop_oneof![
-            (0u64..1).prop_map(|_| FaultTargetSpec::All),
-            (0usize..4).prop_map(FaultTargetSpec::Instance),
+            (0u64..1).prop_map(|_| FaultTarget::All),
+            (0usize..4).prop_map(FaultTarget::Instance),
         ],
         (0.0f64..0.5),
         (0.01f64..0.5),
         prop_oneof![
-            (1.5f64..8.0).prop_map(|factor| FaultKindSpec::SlowDown { factor }),
-            (0u64..1).prop_map(|_| FaultKindSpec::Pause),
-            (1_000u64..1_000_000).prop_map(|amplitude_ns| FaultKindSpec::Jitter { amplitude_ns }),
+            (1.5f64..8.0).prop_map(|factor| FaultKind::SlowDown { factor }),
+            (0u64..1).prop_map(|_| FaultKind::Pause),
+            (1_000u64..1_000_000).prop_map(|amplitude_ns| FaultKind::Jitter { amplitude_ns }),
         ],
     )
         .prop_map(|(target, start_frac, width, kind)| FaultSpec {
@@ -228,11 +232,9 @@ fn spec_strategy() -> impl Strategy<Value = ExperimentSpec> {
                     Some(Scale::Full),
                 ][scale_pick];
                 if with_topology {
-                    let mut topology = TopologySpec::sharded(shards)
-                        .with_replication(replication)
-                        .with_fanout(fanout)
-                        .with_selector(selector)
-                        .with_tied(tied);
+                    let mut topology = TopologySpec::sharded(shards).with_replication(replication);
+                    topology.fanout = fanout;
+                    topology = topology.with_selector(selector).with_tied(tied);
                     if with_hedge {
                         topology = topology.with_hedge(hedge);
                     }
@@ -247,7 +249,7 @@ fn spec_strategy() -> impl Strategy<Value = ExperimentSpec> {
                 spec.interference = faults;
                 let axes = [
                     SweepAxis::App(vec!["echo".into(), "xapian".into()]),
-                    SweepAxis::Mode(vec![ModeSpec::Integrated, ModeSpec::Simulated]),
+                    SweepAxis::Mode(vec![HarnessMode::Integrated, HarnessMode::Simulated]),
                     SweepAxis::LoadFraction(vec![0.25, 0.5, 0.75]),
                     SweepAxis::Threads(vec![1, 2]),
                 ];
@@ -309,7 +311,7 @@ fn runnable_spec_strategy() -> impl Strategy<Value = ExperimentSpec> {
         .prop_map(
             |((qps, requests, seed), (threads, shards_pick, sweep_qps))| {
                 let mut spec = ExperimentSpec::new("prop-run", "echo")
-                    .with_mode(ModeSpec::Simulated)
+                    .with_mode(HarnessMode::Simulated)
                     .with_load(LoadSpec::Qps(qps))
                     .with_requests(requests)
                     .with_warmup(requests / 10)
@@ -317,7 +319,7 @@ fn runnable_spec_strategy() -> impl Strategy<Value = ExperimentSpec> {
                     .with_seed(seed);
                 if shards_pick > 0 {
                     spec = spec.with_topology(
-                        TopologySpec::sharded(shards_pick + 1).with_fanout(FanoutSpec::Broadcast),
+                        TopologySpec::sharded(shards_pick + 1).with_fanout(FanoutPolicy::Broadcast),
                     );
                 }
                 if sweep_qps {
@@ -353,7 +355,7 @@ proptest! {
 #[test]
 fn golden_fixed_seed_json_output_is_pinned() {
     let spec = ExperimentSpec::new("golden-json", "echo")
-        .with_mode(ModeSpec::Simulated)
+        .with_mode(HarnessMode::Simulated)
         .with_load(LoadSpec::Qps(5_000.0))
         .with_requests(1_000)
         .with_warmup(100)
@@ -373,7 +375,7 @@ fn golden_fixed_seed_json_output_is_pinned() {
     // …and re-running produces byte-identical text (full pipeline determinism).
     let again = Experiment::new(
         ExperimentSpec::new("golden-json", "echo")
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_load(LoadSpec::Qps(5_000.0))
             .with_requests(1_000)
             .with_warmup(100)

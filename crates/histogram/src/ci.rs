@@ -5,8 +5,6 @@
 //! of its mean.  [`RunSeries`] implements that stopping rule; [`ConfidenceInterval`] is
 //! the underlying Student-t interval.
 
-use serde::{Deserialize, Serialize};
-
 /// Two-sided Student-t critical values at 95% confidence for small sample sizes
 /// (degrees of freedom 1..=30). Larger samples fall back to the normal value 1.96.
 const T_95: [f64; 30] = [
@@ -28,7 +26,7 @@ pub fn t_critical_95(dof: usize) -> f64 {
 }
 
 /// A summary of a set of per-run observations of one metric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Number of observations.
     pub n: usize,
@@ -114,7 +112,7 @@ impl ConfidenceInterval {
 /// let ci = series.interval();
 /// assert!(ci.mean > 999.0 && ci.mean < 1002.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunSeries {
     name: String,
     target_fraction: f64,

@@ -7,7 +7,6 @@
 //! logarithmically with the tracked range: covering 1 µs to 1000 s at three significant
 //! digits takes a few thousand `u64` counters.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors returned when constructing or merging histograms.
@@ -62,7 +61,7 @@ impl std::error::Error for HistogramError {}
 /// assert_eq!(h.len(), 11);
 /// assert!(h.max() >= 3_000_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HdrHistogram {
     lowest_discernible: u64,
     highest_trackable: u64,

@@ -5,7 +5,6 @@
 //! implements exactly that policy behind a single interface.
 
 use crate::hdr::HdrHistogram;
-use serde::{Deserialize, Serialize};
 
 /// Default number of exact samples kept before degrading to an HDR histogram.
 pub const DEFAULT_EXACT_CAP: usize = 262_144;
@@ -29,7 +28,7 @@ pub const DEFAULT_EXACT_CAP: usize = 262_144;
 /// assert!(s.is_degraded());
 /// assert!(s.value_at_quantile(0.5) >= 30);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencySummary {
     exact_cap: usize,
     samples: Vec<u64>,

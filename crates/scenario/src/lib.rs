@@ -73,7 +73,7 @@ use tailbench_workloads::rng::seeded_rng;
 /// The request payloads of a class come from the per-class [`RequestFactory`] passed to
 /// the run functions, so an interactive tenant can issue point reads while a batch
 /// tenant issues scans against the same server.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientClass {
     /// Class name, used in per-class report rows.
     pub name: String,
@@ -394,69 +394,6 @@ pub fn execute_cluster_scenario(
     let report = runner::execute_cluster(apps, &mut mux, &config, &cluster, cost_model)?;
     warn_on_pacing_skew(&scenario.name, &report.cluster);
     Ok(report)
-}
-
-/// Runs a scenario against a single server in any harness mode.
-///
-/// # Errors
-///
-/// Same as [`execute_scenario`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use execute_scenario, or the unified tailbench_experiment::Experiment API \
-            with a scenario load"
-)]
-pub fn run_scenario(
-    app: &Arc<dyn ServerApp>,
-    class_factories: Vec<Box<dyn RequestFactory>>,
-    scenario: &Scenario,
-    mode: HarnessMode,
-    threads: usize,
-    seed: u64,
-    cost_model: Option<&dyn CostModel>,
-) -> Result<RunReport, HarnessError> {
-    execute_scenario(
-        app,
-        class_factories,
-        scenario,
-        mode,
-        threads,
-        seed,
-        cost_model,
-    )
-}
-
-/// Runs a scenario against a cluster in any harness mode.
-///
-/// # Errors
-///
-/// Same as [`execute_cluster_scenario`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use execute_cluster_scenario, or the unified tailbench_experiment::Experiment \
-            API with a scenario load and a topology"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_cluster_scenario(
-    apps: &[Arc<dyn ServerApp>],
-    class_factories: Vec<Box<dyn RequestFactory>>,
-    scenario: &Scenario,
-    cluster: &ClusterConfig,
-    mode: HarnessMode,
-    threads: usize,
-    seed: u64,
-    cost_model: Option<&dyn CostModel>,
-) -> Result<ClusterReport, HarnessError> {
-    execute_cluster_scenario(
-        apps,
-        class_factories,
-        scenario,
-        cluster,
-        mode,
-        threads,
-        seed,
-        cost_model,
-    )
 }
 
 #[cfg(test)]

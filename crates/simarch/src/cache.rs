@@ -7,11 +7,10 @@
 //! is calibrated so that the per-application MPKI ordering matches the paper's Table I
 //! (e.g. img-dnn has by far the highest L1D MPKI, silo the lowest L3 MPKI).
 
-use serde::{Deserialize, Serialize};
 use tailbench_core::request::WorkProfile;
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheLevelConfig {
     /// Capacity in bytes.
     pub capacity_bytes: u64,
@@ -20,7 +19,7 @@ pub struct CacheLevelConfig {
 }
 
 /// Per-level miss counts per kilo-instruction (the Table I metrics).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MissRates {
     /// L1 instruction-cache MPKI.
     pub l1i_mpki: f64,
@@ -33,7 +32,7 @@ pub struct MissRates {
 }
 
 /// The three-level cache hierarchy of the modeled machine (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheHierarchy {
     /// Private L1 data cache.
     pub l1d: CacheLevelConfig,

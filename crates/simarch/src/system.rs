@@ -7,12 +7,11 @@
 //! 256 KB L2 and a 20 MB shared L3.
 
 use crate::cache::CacheHierarchy;
-use serde::{Deserialize, Serialize};
 use tailbench_core::app::CostModel;
 use tailbench_core::request::WorkProfile;
 
 /// Machine parameters (paper Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
     /// Number of cores.
     pub cores: usize,

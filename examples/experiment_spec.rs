@@ -3,23 +3,23 @@
 //! The same experiment can be expressed three ways, and all three are the *same
 //! object*:
 //!
-//! 1. **builder** — fluent `ExperimentSpec` construction in Rust (this example);
+//! 1. **builder** — fluent `ExperimentSpec` construction in Rust over the harness's
+//!    own configuration types (`HarnessMode`, `FanoutPolicy`; this example);
 //! 2. **spec file** — `spec.to_json_string()` written to disk (round-trips exactly);
 //! 3. **CLI** — `tailbench run <file>` / `tailbench preset fig9`.
 //!
 //! Run with `cargo run --release --example experiment_spec`.
 
-use tailbench::experiment::{
-    Experiment, ExperimentSpec, FanoutSpec, LoadSpec, ModeSpec, Scale, SweepAxis, TopologySpec,
-};
+use tailbench::core::config::{FanoutPolicy, HarnessMode};
+use tailbench::experiment::{Experiment, ExperimentSpec, LoadSpec, Scale, SweepAxis, TopologySpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Builder: a broadcast xapian cluster swept over shard counts — the fig9
     //    experiment, scaled down to run in seconds.
     let spec = ExperimentSpec::new("fanout-sweep", "xapian")
         .with_scale(Scale::Smoke)
-        .with_mode(ModeSpec::Simulated)
-        .with_topology(TopologySpec::sharded(1).with_fanout(FanoutSpec::Broadcast))
+        .with_mode(HarnessMode::Simulated)
+        .with_topology(TopologySpec::sharded(1).with_fanout(FanoutPolicy::Broadcast))
         .with_load(LoadSpec::FractionOfCapacity(0.7))
         .with_requests(150)
         .with_axis(SweepAxis::Shards(vec![1, 2, 4]));

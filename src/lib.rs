@@ -38,8 +38,10 @@
 //! # Ok::<(), tailbench::core::HarnessError>(())
 //! ```
 //!
-//! The same spec serializes to JSON (`spec.to_json_string()`) and runs from disk with
-//! the `tailbench` CLI: `cargo run --release --bin tailbench -- run spec.json`.
+//! The spec's fields are the harness's own configuration types (`core::config::HarnessMode`,
+//! `core::queue::AdmissionPolicy`, …), so nothing converts between a spec vocabulary and
+//! a harness one.  The same spec serializes to JSON (`spec.to_json_string()`) and runs
+//! from disk with the `tailbench` CLI: `cargo run --release --bin tailbench -- run spec.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

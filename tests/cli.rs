@@ -194,6 +194,31 @@ fn validate_rejects_an_unknown_spec_key_with_exit_2() {
 }
 
 #[test]
+fn validate_rejects_specs_run_would_reject_or_rewrite_with_exit_2() {
+    let base = r#"{"name": "zero", "app": "xapian", "mode": MODE, "load": {"qps": 100.0},
+                   "threads": 1, "requests": 10, "seed": 1 TOPOLOGY}"#;
+    for (mode, topology, expected) in [
+        (
+            r#""integrated""#,
+            r#", "topology": {"shards": 0, "replication": 0, "fanout": "auto"}"#,
+            "0 shard(s) x 0 replica(s)",
+        ),
+        (
+            r#"{"loopback": {"connections": 0}}"#,
+            "",
+            "0 client connections",
+        ),
+    ] {
+        let text = base.replace("MODE", mode).replace("TOPOLOGY", topology);
+        let path = temp_file("zero.json", &text);
+        let output = tailbench(&["validate", path.to_str().unwrap()]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(output.status.code(), Some(2), "{text}");
+        assert!(stderr(&output).contains(expected), "{}", stderr(&output));
+    }
+}
+
+#[test]
 fn run_writes_json_output_that_verifies() {
     let out = std::env::temp_dir().join(format!(
         "tailbench-cli-{}-fig9_smoke_out.json",

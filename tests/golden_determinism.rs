@@ -31,8 +31,8 @@ use tailbench::core::{
     ServerApp,
 };
 use tailbench::experiment::{
-    AppBuilder, BenchApp, ClusterApp, Experiment, ExperimentSpec, FanoutSpec, LoadSpec, ModeSpec,
-    Registry, Scale, TopologySpec,
+    AppBuilder, BenchApp, ClusterApp, Experiment, ExperimentSpec, LoadSpec, Registry, Scale,
+    TopologySpec,
 };
 
 /// The shared fixed-seed configuration: 5k QPS Poisson arrivals, 1000 measured
@@ -196,7 +196,7 @@ fn golden_registry() -> Registry {
 /// The spec equivalent of [`golden_config`].
 fn golden_spec() -> ExperimentSpec {
     ExperimentSpec::new("golden", "golden-echo")
-        .with_mode(ModeSpec::Simulated)
+        .with_mode(HarnessMode::Simulated)
         .with_load(LoadSpec::Qps(5_000.0))
         .with_requests(1_000)
         .with_warmup(100)
@@ -220,7 +220,7 @@ fn experiment_single_server_path_reproduces_the_golden_percentiles() {
 #[test]
 fn experiment_cluster_path_reproduces_the_golden_percentiles() {
     let spec =
-        golden_spec().with_topology(TopologySpec::sharded(4).with_fanout(FanoutSpec::Broadcast));
+        golden_spec().with_topology(TopologySpec::sharded(4).with_fanout(FanoutPolicy::Broadcast));
     let output = Experiment::new(spec)
         .with_registry(golden_registry())
         .run()
@@ -238,7 +238,7 @@ fn experiment_json_round_trip_reproduces_the_golden_percentiles() {
     // Serialize the golden spec, parse it back (the CLI's spec-file path), run it,
     // and compare the full JSON output against the builder-constructed run.
     let spec =
-        golden_spec().with_topology(TopologySpec::sharded(4).with_fanout(FanoutSpec::Broadcast));
+        golden_spec().with_topology(TopologySpec::sharded(4).with_fanout(FanoutPolicy::Broadcast));
     let reparsed = ExperimentSpec::from_json_str(&spec.to_json_string()).unwrap();
     assert_eq!(reparsed, spec);
 
@@ -286,7 +286,7 @@ fn registry_apps_simulated_results_are_exact() {
     let run = |spec: ExperimentSpec| {
         let spec = spec
             .with_scale(Scale::Smoke)
-            .with_mode(ModeSpec::Simulated)
+            .with_mode(HarnessMode::Simulated)
             .with_seed(0x601D);
         let output = Experiment::new(spec)
             .with_registry(Registry::builtin())
@@ -343,7 +343,7 @@ fn registry_apps_simulated_results_are_exact() {
     );
 
     let broadcast = ExperimentSpec::new("xapian-broadcast4", "xapian")
-        .with_topology(TopologySpec::sharded(4).with_fanout(FanoutSpec::Broadcast))
+        .with_topology(TopologySpec::sharded(4).with_fanout(FanoutPolicy::Broadcast))
         .with_load(LoadSpec::Qps(1_500.0))
         .with_requests(600)
         .with_warmup(60);

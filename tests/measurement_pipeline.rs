@@ -15,14 +15,12 @@
 use std::sync::Arc;
 use tailbench::core::app::{EchoApp, InstructionRateModel};
 use tailbench::core::collector::StatsCollector;
-use tailbench::core::config::BenchmarkConfig;
+use tailbench::core::config::{BenchmarkConfig, HarnessMode};
 use tailbench::core::queue::AdmissionPolicy;
 use tailbench::core::request::{RequestId, RequestRecord};
 use tailbench::core::sim::run_simulated;
 use tailbench::core::ServerApp;
-use tailbench::experiment::{
-    Experiment, ExperimentSpec, LoadSpec, ModeSpec, QueuePolicySpec, Registry, Scale,
-};
+use tailbench::experiment::{Experiment, ExperimentSpec, LoadSpec, Registry, Scale};
 
 fn record(id: u64, issued: u64, service: u64) -> RequestRecord {
     RequestRecord {
@@ -170,12 +168,12 @@ fn echo_registry() -> Registry {
 #[test]
 fn experiment_layer_carries_queue_and_pacing_fields_end_to_end() {
     let spec = ExperimentSpec::new("pipeline", "echo")
-        .with_mode(ModeSpec::Simulated)
+        .with_mode(HarnessMode::Simulated)
         .with_load(LoadSpec::Qps(40_000.0))
         .with_requests(2_000)
         .with_warmup(0)
         .with_seed(0xD20B)
-        .with_queue(QueuePolicySpec::Drop { capacity: 32 });
+        .with_queue(AdmissionPolicy::Drop { capacity: 32 });
     // The queue policy survives the JSON spec round trip (the CLI path).
     let reparsed = ExperimentSpec::from_json_str(&spec.to_json_string()).unwrap();
     assert_eq!(reparsed, spec);

@@ -213,7 +213,7 @@ fn wall_clock_cluster_hedging_completes_and_dedups() {
             vec![Box::new(|| b"wh".to_vec()) as Box<dyn RequestFactory>],
             &scenario,
             &cluster,
-            mode.clone(),
+            mode,
             1,
             0x3D,
             None,
