@@ -309,13 +309,19 @@ struct PendingFanout {
 /// Reporting both distributions makes the fan-out tail amplification
 /// (`p99_cluster / p99_shard`) a first-class result.
 ///
-/// Like [`StatsCollector`], cluster collectors shard: each receiver/forwarder thread
-/// owns a partial collector seeing only its instance's legs, and the partials combine
-/// with [`ClusterCollector::merge`] at run end — including in-flight fan-out merges,
-/// whose leg counts and slowest-leg records compose across shards.
+/// A one-shard collector records each leg once: every leg is a whole request, so the
+/// per-shard view *is* the end-to-end one (first response wins under hedging or tied
+/// requests, so this holds for replicated shards too).  A single server runs as such a
+/// 1×1 cluster and pays for one collector, not two.
+///
+/// Like [`StatsCollector`], cluster collectors shard: each worker, receiver or hedge
+/// thread owns a partial collector seeing only its instance's legs, and the partials
+/// combine with [`ClusterCollector::merge`] at run end — including in-flight fan-out
+/// merges, whose leg counts and slowest-leg records compose across shards.
 #[derive(Debug, Clone)]
 pub struct ClusterCollector {
     cluster: StatsCollector,
+    /// One collector per shard; empty for a one-shard cluster.
     per_shard: Vec<StatsCollector>,
     pending: std::collections::BTreeMap<u64, PendingFanout>,
 }
@@ -324,9 +330,10 @@ impl ClusterCollector {
     /// Creates a collector for `shards` shards with the given warmup request count.
     #[must_use]
     pub fn new(shards: usize, warmup_count: u64) -> Self {
+        let per_shard = if shards > 1 { shards } else { 0 };
         ClusterCollector {
             cluster: StatsCollector::new(warmup_count),
-            per_shard: (0..shards.max(1))
+            per_shard: (0..per_shard)
                 .map(|_| StatsCollector::new(warmup_count))
                 .collect(),
             pending: std::collections::BTreeMap::new(),
@@ -350,14 +357,16 @@ impl ClusterCollector {
     ///
     /// # Panics
     ///
-    /// Panics if `shard` is out of range.
+    /// Panics if `shard` is out of range of a collector of more than one shard.
     pub fn record_leg(
         &mut self,
         shard: usize,
         record: RequestRecord,
         expected_legs: usize,
     ) -> Option<RequestRecord> {
-        self.per_shard[shard].record(&record);
+        if !self.per_shard.is_empty() {
+            self.per_shard[shard].record(&record);
+        }
         if expected_legs <= 1 {
             self.cluster.record(&record);
             return Some(record);
@@ -426,10 +435,15 @@ impl ClusterCollector {
         &self.cluster
     }
 
-    /// Per-shard statistics, indexed by shard.
+    /// Per-shard statistics, indexed by shard.  A one-shard collector serves its
+    /// end-to-end statistics, which carry the run's class/phase tags.
     #[must_use]
     pub fn shard_stats(&self) -> &[StatsCollector] {
-        &self.per_shard
+        if self.per_shard.is_empty() {
+            std::slice::from_ref(&self.cluster)
+        } else {
+            &self.per_shard
+        }
     }
 
     /// Number of requests whose fan-out merge is still incomplete (non-zero only if a
@@ -445,7 +459,7 @@ impl ClusterCollector {
     #[must_use]
     pub fn merged_shard_sojourn(&self) -> LatencySummary {
         let mut merged = LatencySummary::new();
-        for shard in &self.per_shard {
+        for shard in self.shard_stats() {
             merged.merge(shard.sojourn_summary());
         }
         merged

@@ -8,8 +8,9 @@
 //! (first-response-wins; the loser is dropped here, never recorded).
 //!
 //! Message flow: the router announces each leg with [`HedgeMsg::Dispatched`] *before*
-//! handing the request to the server, receiver/forwarder threads turn every completed
-//! copy into [`HedgeMsg::Completed`], and the router signals the end of pacing with
+//! handing the request to the server, every completed copy arrives as
+//! [`HedgeMsg::Completed`] (sent by the worker that served it in the integrated
+//! configuration, by the connection's receiver thread in the TCP ones), and the router signals the end of pacing with
 //! [`HedgeMsg::NoMoreDispatches`].  Because a leg's `Dispatched` is enqueued before the
 //! request can possibly complete, the engine never sees a completion for an unknown leg.
 //! The engine already serializes every completion on its own thread, so it records
@@ -19,7 +20,7 @@
 //!
 //! Shutdown is two-phase to avoid a teardown cycle: the reissue path (which holds
 //! clones of the server-side queue senders) is dropped as soon as pacing has ended and
-//! every outstanding copy has completed; only then can workers and forwarders unwind,
+//! every outstanding copy has completed; only then can workers and receivers unwind,
 //! closing the engine's channel and letting it return its [`HedgeStats`].
 
 use crate::collector::ClusterCollector;
@@ -288,7 +289,7 @@ impl HedgeEngine {
         Ok(HedgeEngine { tx, handle })
     }
 
-    /// A sender for router and forwarder threads.
+    /// A sender for the router and for whichever threads deliver completions.
     pub(crate) fn sender(&self) -> Sender<HedgeMsg> {
         self.tx.clone()
     }

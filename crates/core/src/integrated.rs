@@ -9,7 +9,8 @@
 //! (merged at join — no channel or collector thread on the hot path), the request
 //! queue applies the configured admission policy and reports depth/drop accounting,
 //! and the pacing loop records its per-request issue error.  All three surface as
-//! first-class [`RunReport`] fields.
+//! first-class [`RunReport`] fields.  An open-loop single server runs as a 1×1 cluster
+//! through [`run_cluster_integrated`]; only the closed-loop driver is single-server.
 
 use crate::app::{RequestFactory, ServerApp};
 use crate::collector::{ClusterCollector, StatsCollector};
@@ -18,14 +19,16 @@ use crate::error::HarnessError;
 use crate::hedge::{HedgeEngine, HedgeMsg};
 use crate::interference::InterferedApp;
 use crate::pool::BufferPool;
-use crate::queue::{Completion, PushOutcome, RequestQueue};
+use crate::queue::{Completion, PushOutcome, QueueObserver, RequestQueue};
 use crate::report::{
     ClusterReport, HedgeStats, LabeledLatency, LatencyStats, QueueSummary, RunReport,
 };
+use crate::request::{Request, RequestId, RequestRecord};
 use crate::time::{PacingRecorder, RunClock};
-use crate::traffic::{LoadMode, TrafficShaper};
-use crate::worker::WorkerPool;
+use crate::traffic::TrafficShaper;
+use crate::worker::{Shard, WorkerPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use tailbench_workloads::rng::seeded_rng;
 
@@ -55,27 +58,40 @@ pub(crate) fn shard_proto(config: &BenchmarkConfig) -> StatsCollector {
     StatsCollector::new(config.warmup_requests as u64).with_tags(config.tags.clone())
 }
 
-/// Runs one measurement in the integrated configuration and returns its report.
-///
-/// The factory provides request payloads; `config.load` controls their timing.  Warmup
-/// requests are issued at the same rate as measured ones and excluded from statistics.
+/// The run's queue summary over its instances' queues, each ledger checked at
+/// teardown: a leak fails the run with [`HarnessError::Internal`].
+pub(crate) fn queue_summary(observers: &[QueueObserver]) -> Result<QueueSummary, HarnessError> {
+    let summaries: Vec<_> = observers
+        .iter()
+        .map(QueueObserver::summary)
+        .collect::<Result<_, _>>()?;
+    Ok(QueueSummary::aggregate(&summaries))
+}
+
+/// Closed-loop driver of the integrated configuration: every `LoadMode::Closed` run
+/// (a spec's `LoadSpec::Closed`, the coordinated-omission ablation, the benchmark's
+/// `int-closed` workload).  A single client issues a request, waits synchronously for
+/// its completion, sleeps for the think time and repeats.  Queuing never builds up —
+/// the measurement error the open-loop design avoids — so the run measures saturation
+/// throughput.  The client thread records completions into its own collector directly;
+/// the completion channel is created once and reused for every request.
 ///
 /// # Errors
 ///
 /// Returns [`HarnessError::Io`] if worker threads cannot be spawned and
-/// [`HarnessError::Internal`] if a harness thread panics mid-run.
-pub fn run_integrated(
+/// [`HarnessError::Internal`] if a worker panics or the queue's ledger leaks.
+pub(crate) fn run_closed_loop(
     app: &Arc<dyn ServerApp>,
     factory: &mut dyn RequestFactory,
     config: &BenchmarkConfig,
+    think_ns: u64,
 ) -> Result<RunReport, HarnessError> {
     app.prepare();
     let clock = RunClock::new();
-    let serve_app = interfered(app, config, 0, clock);
     let queue = RequestQueue::with_policy(config.admission);
     let observer = queue.observer();
     let pool = WorkerPool::spawn(
-        serve_app,
+        interfered(app, config, 0, clock),
         queue.receiver(),
         clock,
         config.worker_threads,
@@ -83,69 +99,9 @@ pub fn run_integrated(
         None,
     )?;
 
-    let (collector_stats, pacing) = match &config.load {
-        LoadMode::Closed { think_ns } => {
-            run_closed_loop(factory, config, *think_ns, clock, queue, pool)?
-        }
-        open => {
-            let mut rng = seeded_rng(config.seed, 1);
-            let times = open
-                .schedule(&mut rng, config.total_requests())
-                .ok_or_else(|| {
-                    HarnessError::Internal("open-loop mode produced no schedule".into())
-                })?;
-            let shaper = TrafficShaper::from_times(times, 0, || factory.next_request());
-            let max_ns = config.max_duration.as_nanos() as u64;
-            let mut pacing = PacingRecorder::new();
-            for mut request in shaper.into_requests() {
-                let scheduled_ns = request.issued_ns;
-                // Checked before the wait too, so an arrival past the cap is not waited for.
-                if scheduled_ns > max_ns {
-                    break;
-                }
-                let now = clock.sleep_until_ns(scheduled_ns);
-                if now > max_ns {
-                    break;
-                }
-                pacing.record(scheduled_ns, now);
-                // The request is stamped with its *actual* issue time so pacing jitter is
-                // charged to the harness, not hidden.
-                request.issued_ns = now;
-                if queue.push(request, now, Completion::Inline) == PushOutcome::Closed {
-                    break;
-                }
-            }
-            queue.close();
-            (pool.join()?.stats, pacing)
-        }
-    };
-
-    let mut report = build_report(app.name(), "integrated", config, &collector_stats);
-    report.queue_depth = observer.summary();
-    report.pacing = pacing.stats();
-    Ok(report)
-}
-
-/// Closed-loop driver used only by the coordinated-omission ablation: a single client
-/// issues a request, waits synchronously for its completion, sleeps for the think time
-/// and repeats.  Queuing never builds up, which is precisely the measurement error the
-/// open-loop design avoids.  The client thread records completions into its own
-/// collector directly; the completion channel is created once and reused for every
-/// request.
-fn run_closed_loop(
-    factory: &mut dyn RequestFactory,
-    config: &BenchmarkConfig,
-    think_ns: u64,
-    clock: RunClock,
-    queue: RequestQueue,
-    pool: WorkerPool,
-) -> Result<(StatsCollector, PacingRecorder), HarnessError> {
-    use crate::request::{Request, RequestId};
-    use crossbeam::channel::unbounded;
-
     let mut collector = shard_proto(config);
     let max_ns = config.max_duration.as_nanos() as u64;
-    let (done_tx, done_rx) = unbounded();
+    let (done_tx, done_rx) = crossbeam::channel::unbounded();
     for i in 0..config.total_requests() as u64 {
         let issued_ns = clock.now_ns();
         if issued_ns > max_ns {
@@ -171,26 +127,66 @@ fn run_closed_loop(
     }
     drop(done_tx);
     queue.close();
-    let workers = pool.join()?;
-    collector.merge(&workers.stats);
-    Ok((collector, PacingRecorder::new()))
+    pool.join()?;
+
+    let mut report = build_report(app.name(), "integrated", config, &collector);
+    report.queue_depth = observer.summary()?;
+    Ok(report)
 }
 
-/// Runs one cluster measurement in the integrated configuration.
+/// A worker's share of a cluster run's statistics: the legs its instance served, in a
+/// partial of the run's cross-shard collector or, with hedging or tied requests
+/// active, sent to the hedge engine, which records only each leg's first response.
+/// Recording a leg also retires it from the instance's in-flight count, the load
+/// signal of the replica selectors.
+#[derive(Debug, Clone)]
+struct LegShard {
+    partial: ClusterCollector,
+    engine: Option<Sender<HedgeMsg>>,
+    shard: usize,
+    width: usize,
+    instance: usize,
+    in_flight: Arc<Vec<AtomicUsize>>,
+}
+
+impl Shard for LegShard {
+    fn record(&mut self, record: &RequestRecord) {
+        self.in_flight[self.instance].fetch_sub(1, Ordering::Relaxed);
+        let (shard, instance, record) = (self.shard, self.instance, *record);
+        if let Some(tx) = &self.engine {
+            let _ = tx.send(HedgeMsg::Completed {
+                shard,
+                instance,
+                record,
+            });
+        } else {
+            let _ = self.partial.record_leg(shard, record, self.width);
+        }
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.partial.merge(other.partial);
+    }
+}
+
+/// Runs one cluster measurement in the integrated configuration; a single server runs
+/// as `shards = 1, replication = 1`.
 ///
 /// Each of the `cluster.instances()` server instances gets its own request queue and
 /// worker pool (all sharing one run clock); the calling thread is the client-side
 /// router, pacing the global open-loop schedule and distributing requests according to
-/// `cluster.fanout`.  Fan-out legs are merged last-response-wins: each instance's
-/// forwarder thread records into a partial cross-shard collector, and the partials are
-/// merged when the run tears down (the hedge engine, when active, already serializes
-/// completions and owns the collector itself).  Leg payload clones come from a shared
-/// buffer pool and are recycled by the workers.
+/// `cluster.fanout`.  Fan-out legs are merged last-response-wins: each worker records
+/// the legs it serves into a partial cross-shard collector, and the partials are merged
+/// when the run tears down.  With hedging or tied requests active, workers hand their
+/// legs to the hedge engine instead, which owns the collector.  Every leg but a
+/// request's last gets a payload copy from a shared buffer pool, recycled by the
+/// workers.
 ///
 /// # Errors
 ///
 /// Returns [`HarnessError::Config`] if the load mode is closed-loop or `apps` does not
-/// hold exactly one application per instance.
+/// hold exactly one application per instance, [`HarnessError::Io`] if a thread cannot
+/// be spawned and [`HarnessError::Internal`] if one panics or a queue's ledger leaks.
 pub fn run_cluster_integrated(
     apps: &[Arc<dyn ServerApp>],
     factory: &mut dyn RequestFactory,
@@ -211,51 +207,33 @@ pub fn run_cluster_integrated(
     let width = cluster.fanout_width();
     let hedge = cluster.active_hedge();
     let tied = cluster.active_tied();
-    let warmup = config.warmup_requests as u64;
     let buffers = Arc::new(BufferPool::default());
+    // Only fanned-out or tied legs take copies from the pool, so only then do workers
+    // hand buffers back to it.
+    let recycle = width > 1 || tied;
     // Per-instance in-flight counts (accepted pushes minus completions/retractions):
     // the live load signal for the LeastLoaded / PowerOfTwo replica selectors.
     let outstanding: Arc<Vec<AtomicUsize>> =
         Arc::new((0..apps.len()).map(|_| AtomicUsize::new(0)).collect());
+    let warmup = config.warmup_requests as u64;
     let new_cluster_collector =
         || ClusterCollector::new(cluster.shards, warmup).with_tags(config.tags.clone());
     let queues: Vec<RequestQueue> = (0..apps.len())
         .map(|_| RequestQueue::with_policy(config.admission))
         .collect();
     let observers: Vec<_> = queues.iter().map(RequestQueue::observer).collect();
-    let mut pools = Vec::with_capacity(apps.len());
-    let mut leg_txs: Vec<crossbeam::channel::Sender<crate::queue::ServerCompletion>> =
-        Vec::with_capacity(apps.len());
-    let mut leg_rxs = Vec::with_capacity(apps.len());
-    for (i, app) in apps.iter().enumerate() {
-        pools.push(WorkerPool::spawn(
-            interfered(app, config, i, clock),
-            queues[i].receiver(),
-            clock,
-            config.worker_threads,
-            StatsCollector::new(warmup),
-            Some(Arc::clone(&buffers)),
-        )?);
-        let (resp_tx, resp_rx) = crossbeam::channel::unbounded();
-        leg_txs.push(resp_tx);
-        leg_rxs.push(resp_rx);
-    }
 
-    // With hedging or tied requests active, all completions detour through the hedge
-    // engine, which forwards only each leg's first response into the collector it owns,
-    // reissues hedge stragglers straight onto the alternate replica's queue, and
-    // retracts still-queued tied losers.
+    // With hedging or tied requests active, every completion goes to the hedge engine,
+    // which records only each leg's first response into the collector it owns, reissues
+    // hedge stragglers straight onto the alternate replica's queue, and retracts
+    // still-queued tied losers.
     let engine = if hedge.is_some() || tied {
         let queue_txs: Vec<_> = queues.iter().map(RequestQueue::sender).collect();
-        let resp_txs = leg_txs.clone();
         let inflight = Arc::clone(&outstanding);
-        let reissue = Box::new(move |instance: usize, request: crate::request::Request| {
+        let reissue = Box::new(move |instance: usize, request: Request| {
             let now = clock.now_ns();
-            let accepted = queue_txs[instance].push(
-                request,
-                now,
-                Completion::Responder(resp_txs[instance].clone()),
-            ) == PushOutcome::Accepted;
+            let accepted =
+                queue_txs[instance].push(request, now, Completion::Inline) == PushOutcome::Accepted;
             if accepted {
                 inflight[instance].fetch_add(1, Ordering::Relaxed);
             }
@@ -264,7 +242,7 @@ pub fn run_cluster_integrated(
         let cancel_queues: Vec<_> = queues.iter().map(RequestQueue::sender).collect();
         let inflight = Arc::clone(&outstanding);
         let retract = Box::new(move |instance: usize, id: u64| {
-            let cancelled = cancel_queues[instance].cancel(crate::request::RequestId(id));
+            let cancelled = cancel_queues[instance].cancel(RequestId(id));
             if cancelled {
                 inflight[instance].fetch_sub(1, Ordering::Relaxed);
             }
@@ -284,38 +262,24 @@ pub fn run_cluster_integrated(
     };
     let engine_tx = engine.as_ref().map(HedgeEngine::sender);
 
-    let mut forwarders = Vec::with_capacity(apps.len());
-    for (i, resp_rx) in leg_rxs.into_iter().enumerate() {
-        let hedge_tx = engine_tx.clone();
-        let shard = i / cluster.replication;
-        let mut partial = new_cluster_collector();
-        let inflight = Arc::clone(&outstanding);
-        forwarders.push(
-            std::thread::Builder::new()
-                .name(format!("tb-cluster-fwd-{i}"))
-                .spawn(move || {
-                    while let Ok(completion) = resp_rx.recv() {
-                        inflight[i].fetch_sub(1, Ordering::Relaxed);
-                        // Integrated configuration: the response is delivered the moment
-                        // processing completes (shared memory, no transport).
-                        let received = completion.completed_ns;
-                        let record = completion.into_record(received);
-                        match &hedge_tx {
-                            Some(tx) => {
-                                let _ = tx.send(HedgeMsg::Completed {
-                                    shard,
-                                    instance: i,
-                                    record,
-                                });
-                            }
-                            None => {
-                                let _ = partial.record_leg(shard, record, width);
-                            }
-                        }
-                    }
-                    partial
-                })?,
-        );
+    let mut pools = Vec::with_capacity(apps.len());
+    for (i, app) in apps.iter().enumerate() {
+        let shard = LegShard {
+            partial: new_cluster_collector(),
+            engine: engine_tx.clone(),
+            shard: i / cluster.replication,
+            width,
+            instance: i,
+            in_flight: Arc::clone(&outstanding),
+        };
+        pools.push(WorkerPool::spawn(
+            interfered(app, config, i, clock),
+            queues[i].receiver(),
+            clock,
+            config.worker_threads,
+            shard,
+            recycle.then(|| Arc::clone(&buffers)),
+        )?);
     }
 
     let mut rng = seeded_rng(config.seed, 1);
@@ -328,6 +292,7 @@ pub fn run_cluster_integrated(
     let mut pacing = PacingRecorder::new();
     'pacing: for mut request in shaper.into_requests() {
         let scheduled_ns = request.issued_ns;
+        // Checked before the wait too, so an arrival past the cap is not waited for.
         if scheduled_ns > max_ns {
             break;
         }
@@ -336,11 +301,14 @@ pub fn run_cluster_integrated(
             break;
         }
         pacing.record(scheduled_ns, now);
+        // The request is stamped with its *actual* issue time so pacing jitter is
+        // charged to the harness, not hidden.
         request.issued_ns = now;
         let shards = match cluster.fanout.route(&request.payload, cluster.shards) {
             Route::Shard(shard) => shard..shard + 1,
             Route::AllShards => 0..cluster.shards,
         };
+        let shards_end = shards.end;
         for shard in shards {
             let primary = cluster.route_replica(shard, request.id.0, config.seed, &|i| {
                 outstanding[i].load(Ordering::Relaxed)
@@ -361,9 +329,14 @@ pub fn run_cluster_integrated(
                 &[primary]
             };
             for (slot, &i) in copies.iter().enumerate() {
-                let leg = crate::request::Request {
+                let payload = if shard + 1 == shards_end && slot + 1 == copies.len() {
+                    std::mem::take(&mut request.payload)
+                } else {
+                    buffers.duplicate(&request.payload)
+                };
+                let leg = Request {
                     id: request.id,
-                    payload: buffers.duplicate(&request.payload),
+                    payload,
                     issued_ns: request.issued_ns,
                 };
                 if !tied && slot == 0 {
@@ -376,7 +349,7 @@ pub fn run_cluster_integrated(
                         });
                     }
                 }
-                match queues[i].push(leg, now, Completion::Responder(leg_txs[i].clone())) {
+                match queues[i].push(leg, now, Completion::Inline) {
                     PushOutcome::Accepted => {
                         outstanding[i].fetch_add(1, Ordering::Relaxed);
                     }
@@ -401,35 +374,21 @@ pub fn run_cluster_integrated(
     }
     drop(engine_tx);
 
-    drop(leg_txs);
     for queue in queues {
         queue.close();
     }
+    // Joining the workers also drops their engine senders, so the engine can finish.
+    let mut partials = new_cluster_collector();
     for pool in pools {
-        pool.join()?;
-    }
-    let mut partials = Vec::with_capacity(forwarders.len());
-    for forwarder in forwarders {
-        partials.push(
-            forwarder
-                .join()
-                .map_err(|_| HarnessError::Internal("cluster forwarder thread panicked".into()))?,
-        );
+        partials.merge(pool.join()?.stats.partial);
     }
     let (stats, hedge_stats) = match engine {
         Some(engine) => {
             let (hedge_stats, collector) = engine.join()?;
             (collector, Some(hedge_stats))
         }
-        None => {
-            let mut merged = new_cluster_collector();
-            for partial in partials {
-                merged.merge(partial);
-            }
-            (merged, None)
-        }
+        None => (partials, None),
     };
-    let queue_summaries: Vec<QueueSummary> = observers.iter().map(|o| o.summary()).collect();
     let mut report = build_cluster_report(
         apps[0].name(),
         "integrated",
@@ -438,7 +397,7 @@ pub fn run_cluster_integrated(
         &stats,
         hedge_stats,
     );
-    report.cluster.queue_depth = QueueSummary::aggregate(&queue_summaries);
+    report.cluster.queue_depth = queue_summary(&observers)?;
     report.cluster.pacing = pacing.stats();
     Ok(report)
 }
@@ -461,7 +420,10 @@ pub(crate) fn check_instances(
     }
 }
 
-/// Assembles a [`ClusterReport`] from a populated cross-shard collector.
+/// Assembles a [`ClusterReport`] from a populated cross-shard collector.  A one-shard
+/// cluster's per-shard view is its end-to-end view, so its one per-shard row is the
+/// end-to-end row, without the class/phase breakdown per-shard rows never carry (a
+/// shard serves legs of every class), rather than a second pass over the same data.
 pub(crate) fn build_cluster_report(
     app: &str,
     mode_name: &str,
@@ -471,16 +433,25 @@ pub(crate) fn build_cluster_report(
     hedge: Option<HedgeStats>,
 ) -> ClusterReport {
     let configuration = format!("{mode_name}+{}", cluster.name());
+    let end_to_end = build_report(app, &configuration, config, stats.cluster_stats());
+    let (per_shard, shard_union_sojourn) = if cluster.shards == 1 {
+        let row = RunReport {
+            per_class: Vec::new(),
+            per_phase: Vec::new(),
+            ..end_to_end.clone()
+        };
+        (vec![row], end_to_end.sojourn)
+    } else {
+        let row = |shard| build_report(app, &configuration, config, shard);
+        let union = LatencyStats::from_summary(&stats.merged_shard_sojourn());
+        (stats.shard_stats().iter().map(row).collect(), union)
+    };
     ClusterReport {
-        cluster: build_report(app, &configuration, config, stats.cluster_stats()),
-        per_shard: stats
-            .shard_stats()
-            .iter()
-            .map(|shard| build_report(app, &configuration, config, shard))
-            .collect(),
+        cluster: end_to_end,
+        per_shard,
         shards: cluster.shards,
         replication: cluster.replication,
-        shard_union_sojourn: LatencyStats::from_summary(&stats.merged_shard_sojourn()),
+        shard_union_sojourn,
         hedge,
         unmerged: stats.unmerged() as u64,
     }
@@ -524,6 +495,8 @@ pub(crate) fn build_report(
 mod tests {
     use super::*;
     use crate::app::EchoApp;
+    use crate::runner::execute;
+    use crate::traffic::LoadMode;
     use std::time::Duration;
 
     fn echo_app() -> Arc<dyn ServerApp> {
@@ -537,7 +510,7 @@ mod tests {
         let config = BenchmarkConfig::new(2_000.0, 400)
             .with_warmup(50)
             .with_max_duration(Duration::from_secs(20));
-        let report = run_integrated(&app, &mut factory, &config).expect("integrated run");
+        let report = execute(&app, &mut factory, &config, None).expect("integrated run");
         assert_eq!(report.app, "echo");
         assert_eq!(report.configuration, "integrated");
         assert!(report.requests > 350, "measured {}", report.requests);
@@ -568,7 +541,7 @@ mod tests {
             ])))
             .with_max_duration(Duration::from_millis(100));
         let started = std::time::Instant::now();
-        let report = run_integrated(&app, &mut factory, &config).expect("integrated run");
+        let report = execute(&app, &mut factory, &config, None).expect("integrated run");
         assert!(
             started.elapsed() < Duration::from_secs(10),
             "the run waited {:?} for an arrival past the cap",
@@ -583,16 +556,18 @@ mod tests {
         let app = echo_app();
         let mut factory = || b"x".to_vec();
         // Echo spins ~tens of microseconds; 1k QPS is light, 20k QPS is heavy for one thread.
-        let low = run_integrated(
+        let low = execute(
             &app,
             &mut factory,
             &BenchmarkConfig::new(500.0, 300).with_seed(1),
+            None,
         )
         .expect("integrated run");
-        let high = run_integrated(
+        let high = execute(
             &app,
             &mut factory,
             &BenchmarkConfig::new(15_000.0, 300).with_seed(1),
+            None,
         )
         .expect("integrated run");
         assert!(
@@ -616,7 +591,7 @@ mod tests {
             .with_warmup(0)
             .with_seed(11)
             .with_admission(AdmissionPolicy::Drop { capacity: 16 });
-        let report = run_integrated(&app, &mut factory, &config).expect("integrated run");
+        let report = execute(&app, &mut factory, &config, None).expect("integrated run");
         assert_eq!(report.queue_depth.policy, "drop(16)");
         assert!(report.queue_depth.dropped > 0, "overload must shed");
         assert!(report.queue_depth.peak_depth <= 16);
@@ -746,7 +721,7 @@ mod tests {
         let config = BenchmarkConfig::new(1_000.0, 100)
             .with_warmup(10)
             .with_load(LoadMode::Closed { think_ns: 10_000 });
-        let report = run_integrated(&app, &mut factory, &config).expect("integrated run");
+        let report = execute(&app, &mut factory, &config, None).expect("integrated run");
         assert!(report.requests > 80);
         assert!(report.offered_qps.is_none());
         // Closed loop: no open-loop schedule, so no pacing error to report.

@@ -20,12 +20,12 @@ use crate::config::{BenchmarkConfig, ClusterConfig, Route};
 use crate::error::HarnessError;
 use crate::hedge::{HedgeEngine, HedgeMsg};
 use crate::integrated::{
-    build_cluster_report, build_report, check_instances, interfered, shard_proto,
+    build_cluster_report, build_report, check_instances, interfered, queue_summary, shard_proto,
 };
 use crate::pool::BufferPool;
 use crate::protocol;
 use crate::queue::{Completion, PushOutcome, RequestQueue};
-use crate::report::{ClusterReport, QueueSummary, RunReport};
+use crate::report::{ClusterReport, RunReport};
 use crate::time::{PacingRecorder, RunClock};
 use crate::traffic::TrafficShaper;
 use crate::worker::WorkerPool;
@@ -244,7 +244,7 @@ pub fn run_tcp(
     }
 
     let mut report = build_report(app.name(), configuration_name, config, &stats);
-    report.queue_depth = observer.summary();
+    report.queue_depth = observer.summary()?;
     report.pacing = pacing.stats();
     Ok(report)
 }
@@ -587,7 +587,6 @@ pub fn run_cluster_tcp(
             (merged, None)
         }
     };
-    let queue_summaries: Vec<QueueSummary> = observers.iter().map(|o| o.summary()).collect();
     let mut report = build_cluster_report(
         apps.first().map_or("", |a| a.name()),
         configuration_name,
@@ -596,7 +595,7 @@ pub fn run_cluster_tcp(
         &stats,
         hedge_stats,
     );
-    report.cluster.queue_depth = QueueSummary::aggregate(&queue_summaries);
+    report.cluster.queue_depth = queue_summary(&observers)?;
     report.cluster.pacing = pacing.stats();
     Ok(report)
 }

@@ -163,8 +163,9 @@ pub(crate) struct DepthTracker {
     dropped: u64,
     /// Everything that arrived at the queue, admitted or not.  Kept separately so the
     /// invariant `accepted + dropped == offered` is *checked* rather than true by
-    /// construction: a path that forgets to account one side trips the assertion in
-    /// [`DepthTracker::summary`] instead of silently skewing drop rates.
+    /// construction: a path that forgets to account one side fails
+    /// [`DepthTracker::check`] at the end of the run instead of silently skewing drop
+    /// rates.
     offered: u64,
     peak: u64,
     sample_every_ns: u64,
@@ -250,15 +251,10 @@ impl DepthTracker {
         )))
     }
 
-    /// The summary of everything recorded so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if [`DepthTracker::check`] fails; the simulator runs
-    /// the check in release builds before it summarises.
+    /// The summary of everything recorded so far.  Callers run
+    /// [`DepthTracker::check`] first: the simulator at the end of its run, the
+    /// real-time queue in [`QueueObserver::summary`].
     pub(crate) fn summary(&self, policy_label: String) -> QueueSummary {
-        let balanced = self.check();
-        debug_assert!(balanced.is_ok(), "{balanced:?}");
         let mean = if self.samples.is_empty() {
             0.0
         } else {
@@ -675,11 +671,16 @@ impl Drop for QueueReceiver {
 }
 
 impl QueueObserver {
-    /// The queue's admission/depth summary so far (complete once producers closed).
-    #[must_use]
-    pub fn summary(&self) -> QueueSummary {
+    /// The queue's admission/depth summary so far (complete once producers closed),
+    /// after checking its admission ledger: `accepted + dropped == offered`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HarnessError::Internal`] naming the three counts if the ledger leaked.
+    pub fn summary(&self) -> Result<QueueSummary, HarnessError> {
         let state = lock_recover(&self.shared.state);
-        state.tracker.summary(self.shared.policy.label())
+        state.tracker.check()?;
+        Ok(state.tracker.summary(self.shared.policy.label()))
     }
 }
 
@@ -694,6 +695,20 @@ mod tests {
             payload: vec![id as u8],
             issued_ns: id * 10,
         }
+    }
+
+    #[test]
+    fn observer_summary_fails_on_a_leaked_ledger() {
+        let q = RequestQueue::new();
+        let observer = q.observer();
+        assert!(observer.summary().is_ok());
+        // A shed with nothing admitted: accepted + dropped no longer equals offered.
+        lock_recover(&observer.shared.state)
+            .tracker
+            .on_shed_admitted();
+        let err = observer.summary().unwrap_err();
+        assert!(matches!(err, HarnessError::Internal(_)));
+        assert!(err.to_string().contains("queue accounting leaked"), "{err}");
     }
 
     #[test]
@@ -760,7 +775,7 @@ mod tests {
             PushOutcome::Dropped
         );
         assert_eq!(q.depth(), 2);
-        let summary = observer.summary();
+        let summary = observer.summary().expect("balanced ledger");
         assert_eq!(summary.policy, "drop(2)");
         assert_eq!(summary.accepted, 2);
         assert_eq!(summary.dropped, 1);
@@ -912,7 +927,7 @@ mod tests {
         );
         let served = rx.recv_at(&|| 550).unwrap();
         assert_eq!(served.request.id, RequestId(2));
-        let summary = observer.summary();
+        let summary = observer.summary().expect("balanced ledger");
         assert_eq!(summary.accepted, 1);
         assert_eq!(summary.dropped, 2);
         assert!((summary.drop_rate() - 2.0 / 3.0).abs() < 1e-12);
@@ -943,7 +958,7 @@ mod tests {
             PushOutcome::Accepted
         );
         assert_eq!(q.depth(), 1);
-        let summary = observer.summary();
+        let summary = observer.summary().expect("balanced ledger");
         assert_eq!(summary.accepted, 1);
         assert_eq!(summary.dropped, 2);
         // A full queue of *fresh* requests still sheds the arrival itself.
@@ -984,7 +999,7 @@ mod tests {
         );
         assert_eq!(rx.recv().unwrap().request.id, RequestId(1));
         assert_eq!(rx.recv().unwrap().request.id, RequestId(0));
-        let summary = observer.summary();
+        let summary = observer.summary().expect("balanced ledger");
         assert_eq!(summary.policy, "priority(2)");
         assert_eq!(summary.accepted, 2);
         assert_eq!(summary.dropped, 2);
@@ -1014,7 +1029,7 @@ mod tests {
         assert!(!q.cancel(RequestId(0)), "already retracted");
         assert!(!q.cancel(RequestId(9)), "never queued");
         assert_eq!(rx.recv().unwrap().request.id, RequestId(1));
-        let summary = observer.summary();
+        let summary = observer.summary().expect("balanced ledger");
         assert_eq!(summary.accepted, 2, "retraction is not an overload shed");
         assert_eq!(summary.dropped, 0);
     }

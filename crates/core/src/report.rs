@@ -106,17 +106,19 @@ impl Default for QueueSummary {
 }
 
 impl QueueSummary {
-    /// Aggregates several queues' summaries (a cluster's per-instance queues) into one:
-    /// counts add, peaks max, timelines are dropped (they belong to individual queues).
+    /// Aggregates several queues' summaries (a cluster's per-instance queues) into one.
+    ///
+    /// The aggregate of one summary is that summary, unchanged.  Over several, counts
+    /// add, the peak is the largest peak and the policy is the first queue's; the
+    /// sampled timeline and its mean are left out (empty and 0), because each queue
+    /// samples on its own instants and their depths do not add.
     #[must_use]
     pub fn aggregate<'a>(summaries: impl IntoIterator<Item = &'a QueueSummary>) -> QueueSummary {
-        let mut out = QueueSummary::default();
-        let mut first = true;
+        let mut summaries = summaries.into_iter();
+        let mut out = summaries.next().cloned().unwrap_or_default();
         for s in summaries {
-            if first {
-                out.policy = s.policy.clone();
-                first = false;
-            }
+            out.mean_sampled_depth = 0.0;
+            out.depth_timeline.clear();
             out.accepted += s.accepted;
             out.dropped += s.dropped;
             out.peak_depth = out.peak_depth.max(s.peak_depth);
@@ -667,9 +669,24 @@ mod tests {
         assert_eq!(agg.dropped, 10);
         assert_eq!(agg.peak_depth, 64);
         assert!(agg.depth_timeline.is_empty());
+        assert_eq!(agg.mean_sampled_depth, 0.0);
         assert!((a.drop_rate() - 10.0 / 110.0).abs() < 1e-12);
         assert_eq!(QueueSummary::default().drop_rate(), 0.0);
         assert_eq!(QueueSummary::default().policy, "unbounded");
+    }
+
+    #[test]
+    fn queue_summary_aggregate_of_one_is_that_summary() {
+        let only = QueueSummary {
+            policy: "drop-deadline(8, 2000us)".into(),
+            accepted: 90,
+            dropped: 3,
+            peak_depth: 8,
+            mean_sampled_depth: 2.5,
+            depth_timeline: vec![(0, 1), (1_000, 4)],
+        };
+        assert_eq!(QueueSummary::aggregate([&only]), only);
+        assert_eq!(QueueSummary::aggregate([]), QueueSummary::default());
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! (paper Table I reports latencies "at 20% / 50% / 70% load").
 
 use crate::app::{CostModel, RequestFactory, ServerApp};
-use crate::config::{BenchmarkConfig, ClusterConfig, HarnessMode};
+use crate::config::{BenchmarkConfig, ClusterConfig, FanoutPolicy, HarnessMode};
 use crate::error::HarnessError;
-use crate::integrated::{run_cluster_integrated, run_integrated};
+use crate::integrated::{run_closed_loop, run_cluster_integrated};
 use crate::net::{run_cluster_tcp, run_tcp};
 use crate::report::{ClusterReport, MultiRunReport, RunReport};
-use crate::sim::{run_cluster_simulated, run_simulated};
+use crate::sim::run_cluster_simulated;
+use crate::traffic::LoadMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,6 +60,12 @@ impl RepeatPolicy {
 /// Runs one single-server measurement with the configured harness mode — the one
 /// low-level dispatcher behind every single-server entrypoint.
 ///
+/// A single server is a 1×1 cluster: simulated runs and open-loop integrated runs go
+/// through the cluster engines on one shard of one replica, and the report is that
+/// cluster's end-to-end view (which holds the one instance's full queue summary) under
+/// the mode's own label.  The closed-loop driver and the TCP modes, whose single-server
+/// clients pace per connection, keep engines of their own.
+///
 /// `cost_model` is required by simulated mode and ignored by the real-time modes, so a
 /// caller that has a model can always pass `Some(model)` regardless of mode.  Most
 /// callers should prefer the declarative `tailbench_experiment::Experiment` API, which
@@ -77,8 +84,17 @@ pub fn execute(
     cost_model: Option<&dyn CostModel>,
 ) -> Result<RunReport, HarnessError> {
     config.validate()?;
+    let apps = std::slice::from_ref(app);
+    let one_by_one = ClusterConfig::new(1, FanoutPolicy::Broadcast);
+    let single_server = |report: ClusterReport| RunReport {
+        configuration: config.mode.name().to_string(),
+        ..report.cluster
+    };
     match &config.mode {
-        HarnessMode::Integrated => run_integrated(app, factory, config),
+        HarnessMode::Integrated => match config.load {
+            LoadMode::Closed { think_ns } => run_closed_loop(app, factory, config, think_ns),
+            _ => run_cluster_integrated(apps, factory, config, &one_by_one).map(single_server),
+        },
         HarnessMode::Loopback { connections } => {
             run_tcp(app, factory, config, *connections, 0, "loopback")
         }
@@ -94,7 +110,9 @@ pub fn execute(
             "networked",
         ),
         HarnessMode::Simulated => match cost_model {
-            Some(model) => run_simulated(app, factory, config, model),
+            Some(model) => {
+                run_cluster_simulated(apps, factory, config, &one_by_one, model).map(single_server)
+            }
             None => Err(HarnessError::Config(
                 "simulated mode requires a cost model; pass Some(cost_model) to \
                  runner::execute (the Experiment API supplies one from its registry)"
@@ -323,6 +341,71 @@ mod tests {
         let mut factory = || vec![3u8];
         let config = BenchmarkConfig::new(500.0, 50).with_mode(HarnessMode::Simulated);
         assert!(execute_cluster(&apps, &mut factory, &config, &cluster, None).is_err());
+    }
+
+    #[test]
+    fn a_single_server_is_a_one_by_one_cluster() {
+        use crate::config::{ClusterConfig, FanoutPolicy, HedgePolicy};
+        use crate::interference::InterferencePlan;
+        use crate::queue::AdmissionPolicy;
+        let model = InstructionRateModel {
+            ns_per_instruction: 1.0,
+        };
+        let echo = || Arc::new(EchoApp { spin_iters: 90_000 }) as Arc<dyn ServerApp>;
+        // Overloaded into a shedding queue, so drops and a depth timeline are compared.
+        let config = BenchmarkConfig::new(12_000.0, 3_000)
+            .with_warmup(100)
+            .with_seed(27)
+            .with_mode(HarnessMode::Simulated)
+            .with_admission(AdmissionPolicy::Drop { capacity: 8 });
+        let mut factory = || b"one".to_vec();
+        let single = execute(&echo(), &mut factory, &config, Some(&model)).unwrap();
+        let mut factory = || b"one".to_vec();
+        let one_by_one = ClusterConfig::new(1, FanoutPolicy::Broadcast);
+        let cluster =
+            execute_cluster(&[echo()], &mut factory, &config, &one_by_one, Some(&model)).unwrap();
+        let end_to_end = &cluster.cluster;
+        assert_eq!(single.configuration, "simulated");
+        assert_eq!(single.requests, end_to_end.requests);
+        assert_eq!(single.duration_ns, end_to_end.duration_ns);
+        assert_eq!(single.sojourn, end_to_end.sojourn);
+        assert_eq!(single.service, end_to_end.service);
+        assert_eq!(single.queue, end_to_end.queue);
+        assert_eq!(single.overhead, end_to_end.overhead);
+        assert!(single.queue_depth.dropped > 0, "overload must shed");
+        assert!(!single.queue_depth.depth_timeline.is_empty());
+        assert_eq!(single.queue_depth, end_to_end.queue_depth);
+
+        // One shard of two replicas, one slowed: hedged or tied, each leg's first
+        // response is the request's, so the shard's view is the end-to-end view.
+        let slow = config
+            .with_admission(AdmissionPolicy::unbounded())
+            .with_interference(InterferencePlan::none().slow_instance(1, 0, u64::MAX, 5.0));
+        let replicated = one_by_one.with_replication(2);
+        for mitigated in [
+            replicated
+                .clone()
+                .with_hedge(HedgePolicy::after_ns(150_000)),
+            replicated.with_tied(true),
+        ] {
+            let mut factory = || b"two".to_vec();
+            let report = execute_cluster(
+                &[echo(), echo()],
+                &mut factory,
+                &slow,
+                &mitigated,
+                Some(&model),
+            )
+            .unwrap();
+            let shard = &report.per_shard[0];
+            let end_to_end = &report.cluster;
+            assert!(report.hedge.is_some_and(|h| h.issued > 0 && h.wins > 0));
+            assert_eq!(shard.requests, end_to_end.requests);
+            assert_eq!(shard.sojourn, end_to_end.sojourn);
+            assert_eq!(shard.service, end_to_end.service);
+            assert_eq!(shard.queue, end_to_end.queue);
+            assert_eq!(report.shard_union_sojourn, end_to_end.sojourn);
+        }
     }
 
     #[test]

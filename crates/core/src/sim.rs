@@ -5,9 +5,11 @@
 //! that role: it executes the application functionally (so data structures behave exactly
 //! as in a real run) but derives *service times* from a [`CostModel`] fed with the
 //! per-request [`WorkProfile`](crate::request::WorkProfile), and advances a virtual clock
-//! through a standard discrete-event loop with `worker_threads` servers and a FIFO
-//! request queue.  Queuing behaviour — the dominant component of tail latency at load —
-//! emerges from the same open-loop arrival process used by the real-time runners.
+//! through a standard discrete-event loop.  Every server instance is a station with
+//! `worker_threads` servers and a FIFO request queue; a single server is a 1×1 cluster,
+//! so one loop serves both.  Queuing behaviour — the dominant component of tail latency
+//! at load — emerges from the same open-loop arrival process used by the real-time
+//! runners.
 //!
 //! Arrivals are drawn from [`LoadMode::arrivals`](crate::traffic::LoadMode::arrivals) as
 //! the virtual clock reaches them, and a request's state lives only while it is in
@@ -23,129 +25,44 @@
 //! Scenario support: arrivals may follow a precompiled phased trace
 //! ([`LoadMode::Trace`](crate::traffic::LoadMode)), service times are adjusted by the
 //! configuration's deterministic [`InterferencePlan`](crate::interference::InterferencePlan),
-//! and cluster runs honour the router's hedged-request policy
+//! and the router honours the cluster's hedged-request and tied-request policies
 //! ([`HedgePolicy`](crate::config::HedgePolicy)) — all on the virtual clock, so a fixed
 //! seed still pins exact percentiles.
 
 use crate::app::{CostModel, RequestFactory, ServerApp};
-use crate::collector::{ClusterCollector, RequestTags, StatsCollector};
+use crate::collector::{ClusterCollector, RequestTags};
 use crate::config::{BenchmarkConfig, ClusterConfig, Route};
 use crate::error::HarnessError;
-use crate::integrated::{build_cluster_report, build_report, check_instances};
+use crate::integrated::{build_cluster_report, check_instances};
 use crate::queue::{priority_victim, AdmissionPolicy, DepthTracker};
-use crate::report::{ClusterReport, HedgeStats, QueueSummary, RunReport};
+use crate::report::{ClusterReport, HedgeStats, QueueSummary};
 use crate::request::{Request, RequestRecord};
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 use tailbench_workloads::rng::seeded_rng;
 
-/// One copy of request `id`'s leg on `shard` waiting in a station's FIFO queue, with
-/// what the loop keeps alongside: the request itself in the single-server loop, nothing
-/// in the cluster loop (the payload stays in the request's [`Slot`]).
+/// One copy of request `id`'s leg on `shard` waiting in a station's FIFO queue (the
+/// payload stays in the request's [`Slot`]).
 #[derive(Debug)]
-struct QueuedLeg<H> {
+struct QueuedLeg {
     id: u64,
     enqueued_ns: u64,
     shard: usize,
     is_hedge: bool,
-    held: H,
 }
 
-/// Applies a shedding admission policy to one leg arriving at a full-or-not FIFO.
-/// Returns `true` when the leg was queued; `false` when the arrival itself was shed
-/// (counted as a drop).  Requests that were *admitted earlier* but shed now to make
-/// room — expired head-of-line requests under `DropDeadline`, the evicted victim under
-/// `Priority` — are reclassified in the tracker and appended to `removed` so cluster
-/// callers can unwind per-leg hedging/tied bookkeeping.
-fn enqueue_or_shed<H>(
-    waiting: &mut VecDeque<QueuedLeg<H>>,
-    tracker: &mut DepthTracker,
-    admission: &AdmissionPolicy,
-    tags: Option<&RequestTags>,
-    leg: QueuedLeg<H>,
-    now: u64,
-    removed: &mut Vec<QueuedLeg<H>>,
-) -> bool {
-    if let Some(capacity) = admission.shed_capacity() {
-        if waiting.len() >= capacity {
-            match *admission {
-                AdmissionPolicy::DropDeadline { slo_ns, .. } => {
-                    while waiting
-                        .front()
-                        .is_some_and(|q| now.saturating_sub(q.enqueued_ns) > slo_ns)
-                    {
-                        if let Some(expired) = waiting.pop_front() {
-                            tracker.on_shed_admitted();
-                            removed.push(expired);
-                        }
-                    }
-                    if waiting.len() >= capacity {
-                        tracker.on_drop();
-                        return false;
-                    }
-                }
-                AdmissionPolicy::Priority { .. } => {
-                    let class_of = |id: u64| tags.map_or(0, |t| t.class_of(id));
-                    let victim =
-                        priority_victim(waiting.iter().map(|q| class_of(q.id)), class_of(leg.id));
-                    let Some(victim) = victim else {
-                        tracker.on_drop();
-                        return false;
-                    };
-                    if let Some(evicted) = waiting.remove(victim) {
-                        tracker.on_shed_admitted();
-                        removed.push(evicted);
-                    }
-                }
-                _ => {
-                    tracker.on_drop();
-                    return false;
-                }
-            }
-        }
-    }
-    waiting.push_back(leg);
-    tracker.on_push(now, waiting.len() as u64);
-    true
-}
-
-/// Pops the next serviceable leg, shedding expired head-of-line legs under a
-/// `DropDeadline` policy (each reclassified in the tracker and appended to `removed`).
-fn pop_fresh<H>(
-    waiting: &mut VecDeque<QueuedLeg<H>>,
-    tracker: &mut DepthTracker,
-    admission: &AdmissionPolicy,
-    now: u64,
-    removed: &mut Vec<QueuedLeg<H>>,
-) -> Option<QueuedLeg<H>> {
-    while let Some(leg) = waiting.pop_front() {
-        if admission
-            .slo_ns()
-            .is_some_and(|slo| now.saturating_sub(leg.enqueued_ns) > slo)
-        {
-            tracker.on_shed_admitted();
-            removed.push(leg);
-            continue;
-        }
-        return Some(leg);
-    }
-    None
-}
-
-/// A scheduled virtual-time event of either loop.  Min-heap by time; completions (rank
-/// 0) outrank hedge checks (rank 1) at equal times (a response landing exactly at the
-/// deadline cancels the hedge); FIFO by push order among equals.  `what` is the
-/// completed request's record in the single-server loop, an [`EventKind`] in the
-/// cluster loop.
+/// A scheduled virtual-time event.  Min-heap by time; completions (rank 0) outrank
+/// hedge checks (rank 1) at equal times (a response landing exactly at the deadline
+/// cancels the hedge); FIFO by push order among equals.
 #[derive(Debug, PartialEq, Eq)]
-struct Event<K> {
+struct Event {
     time_ns: u64,
     rank: u8,
     seq: u64,
-    what: K,
+    what: EventKind,
 }
 
-impl<K: Eq> Ord for Event<K> {
+impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         other
             .time_ns
@@ -155,13 +72,13 @@ impl<K: Eq> Ord for Event<K> {
     }
 }
 
-impl<K: Eq> PartialOrd for Event<K> {
+impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// The end-of-run conservation check of both loops, in release builds: every station's
+/// The end-of-run conservation check, in release builds: every station's
 /// admission ledger balances, no request is still in flight, and the requests retired
 /// with some but not all of their legs answered are exactly the collector's unmerged
 /// fan-outs.
@@ -187,154 +104,97 @@ fn check_end_of_run<'a>(
     Ok(())
 }
 
-/// Runs one measurement under discrete-event simulation and returns its report.
-///
-/// The simulated system has `config.worker_threads` servers; arrivals follow
-/// `config.load` (which must be open-loop: Poisson or a precompiled trace); service
-/// times come from `cost_model`, adjusted by `config.interference`.
-///
-/// # Errors
-///
-/// Returns [`HarnessError::Config`] if `config.load` is closed-loop (the simulated
-/// runner implements only the open-loop methodology) and [`HarnessError::Internal`]
-/// if the event loop's bookkeeping invariants are violated.
-pub fn run_simulated(
-    app: &Arc<dyn ServerApp>,
-    factory: &mut dyn RequestFactory,
-    config: &BenchmarkConfig,
-    cost_model: &dyn CostModel,
-) -> Result<RunReport, HarnessError> {
-    app.prepare();
-
-    let mut rng = seeded_rng(config.seed, 1);
-    let mut arrivals = config
-        .load
-        .arrivals(&mut rng, config.total_requests(), 0, || {
-            factory.next_request()
-        })
-        .ok_or_else(|| {
-            HarnessError::Config("the simulated runner requires an open-loop load mode".into())
-        })?;
-    let mut next_arrival = arrivals.next();
-
-    let servers = config.worker_threads.max(1);
-    let plan = config.interference.clone();
-    let mut collector =
-        StatsCollector::new(config.warmup_requests as u64).with_tags(config.tags.clone());
-    let mut tracker = DepthTracker::new();
-    let tags = config.tags.clone();
-    let mut removed: Vec<QueuedLeg<Request>> = Vec::new();
-    let mut waiting: VecDeque<QueuedLeg<Request>> = VecDeque::new();
-    // Completion events, each carrying the record of the request it completes.
-    let mut completions: BinaryHeap<Event<RequestRecord>> = BinaryHeap::new();
-    let mut busy = 0usize;
-    let mut seq = 0u64;
-
-    // Helper to start service for a request at virtual time `now`.
-    let start_service =
-        |request: Request,
-         enqueued_ns: u64,
-         now: u64,
-         busy: &mut usize,
-         seq: &mut u64,
-         completions: &mut BinaryHeap<Event<RequestRecord>>| {
-            *busy += 1;
-            let response = app.handle(&request.payload);
-            let base_ns = cost_model.service_time_ns(&response.work, *busy);
-            let service_ns = plan
-                .adjusted_service_ns(0, now, base_ns, request.id.0)
-                .max(1);
-            *seq += 1;
-            completions.push(Event {
-                time_ns: now + service_ns,
-                rank: 0,
-                seq: *seq,
-                what: RequestRecord {
-                    id: request.id,
-                    issued_ns: request.issued_ns,
-                    enqueued_ns,
-                    started_ns: now,
-                    completed_ns: now + service_ns,
-                    client_received_ns: now + service_ns,
-                },
-            });
-        };
-
-    loop {
-        // Pick the earlier of the next arrival and the next completion; arrivals win ties
-        // so that a request arriving exactly when a worker frees up still observes the
-        // queue state before the completion is processed (a conservative FIFO choice).
-        let next_completion_time = completions.peek().map(|c| c.time_ns);
-        match next_arrival.take() {
-            Some(request) if next_completion_time.is_none_or(|ct| request.issued_ns <= ct) => {
-                next_arrival = arrivals.next();
-                let now = request.issued_ns;
-                if busy < servers {
-                    start_service(request, now, now, &mut busy, &mut seq, &mut completions);
-                    // Inclusive depth, matching the real-time queue's post-push sample: a
-                    // request transits the queue (depth 1) even when a server is idle.
-                    tracker.on_push(now, 1);
-                } else {
-                    let _ = enqueue_or_shed(
-                        &mut waiting,
-                        &mut tracker,
-                        &config.admission,
-                        tags.as_deref(),
-                        QueuedLeg {
-                            id: request.id.0,
-                            enqueued_ns: now,
-                            shard: 0,
-                            is_hedge: false,
-                            held: request,
-                        },
-                        now,
-                        &mut removed,
-                    );
-                    removed.clear();
-                }
-            }
-            pending => {
-                next_arrival = pending;
-                let Some(completion) = completions.pop() else {
-                    break;
-                };
-                let ct = completion.time_ns;
-                collector.record(&completion.what);
-                busy -= 1;
-                removed.clear();
-                if let Some(queued) = pop_fresh(
-                    &mut waiting,
-                    &mut tracker,
-                    &config.admission,
-                    ct,
-                    &mut removed,
-                ) {
-                    start_service(
-                        queued.held,
-                        queued.enqueued_ns,
-                        ct,
-                        &mut busy,
-                        &mut seq,
-                        &mut completions,
-                    );
-                }
-            }
-        }
-    }
-
-    check_end_of_run([&tracker], waiting.len(), 0, 0)?;
-    let mut report = build_report(app.name(), "simulated", config, &collector);
-    report.queue_depth = tracker.summary(config.admission.label());
-    Ok(report)
-}
-
 /// One simulated server instance: its busy-server count, FIFO wait queue and the
 /// queue-depth accounting that reports it.
 #[derive(Debug, Default)]
 struct Station {
     busy: usize,
-    waiting: VecDeque<QueuedLeg<()>>,
+    waiting: VecDeque<QueuedLeg>,
     tracker: DepthTracker,
+}
+
+impl Station {
+    /// Applies a shedding admission policy to one leg arriving at a full-or-not FIFO.
+    /// Returns `true` when the leg was queued; `false` when the arrival itself was shed
+    /// (counted as a drop).  Requests that were *admitted earlier* but shed now to make
+    /// room — expired head-of-line requests under `DropDeadline`, the evicted victim under
+    /// `Priority` — are reclassified in the tracker and appended to `removed` so the
+    /// caller can unwind per-leg hedging/tied bookkeeping.
+    fn enqueue_or_shed(
+        &mut self,
+        admission: &AdmissionPolicy,
+        tags: Option<&RequestTags>,
+        leg: QueuedLeg,
+        now: u64,
+        removed: &mut Vec<QueuedLeg>,
+    ) -> bool {
+        if let Some(capacity) = admission.shed_capacity() {
+            if self.waiting.len() >= capacity {
+                match *admission {
+                    AdmissionPolicy::DropDeadline { slo_ns, .. } => {
+                        while self
+                            .waiting
+                            .front()
+                            .is_some_and(|q| now.saturating_sub(q.enqueued_ns) > slo_ns)
+                        {
+                            if let Some(expired) = self.waiting.pop_front() {
+                                self.tracker.on_shed_admitted();
+                                removed.push(expired);
+                            }
+                        }
+                        if self.waiting.len() >= capacity {
+                            self.tracker.on_drop();
+                            return false;
+                        }
+                    }
+                    AdmissionPolicy::Priority { .. } => {
+                        let class_of = |id: u64| tags.map_or(0, |t| t.class_of(id));
+                        let victim = priority_victim(
+                            self.waiting.iter().map(|q| class_of(q.id)),
+                            class_of(leg.id),
+                        );
+                        let Some(victim) = victim else {
+                            self.tracker.on_drop();
+                            return false;
+                        };
+                        if let Some(evicted) = self.waiting.remove(victim) {
+                            self.tracker.on_shed_admitted();
+                            removed.push(evicted);
+                        }
+                    }
+                    _ => {
+                        self.tracker.on_drop();
+                        return false;
+                    }
+                }
+            }
+        }
+        self.waiting.push_back(leg);
+        self.tracker.on_push(now, self.waiting.len() as u64);
+        true
+    }
+
+    /// Pops the next serviceable leg, shedding expired head-of-line legs under a
+    /// `DropDeadline` policy (each reclassified in the tracker and appended to `removed`).
+    fn pop_fresh(
+        &mut self,
+        admission: &AdmissionPolicy,
+        now: u64,
+        removed: &mut Vec<QueuedLeg>,
+    ) -> Option<QueuedLeg> {
+        while let Some(leg) = self.waiting.pop_front() {
+            if admission
+                .slo_ns()
+                .is_some_and(|slo| now.saturating_sub(leg.enqueued_ns) > slo)
+            {
+                self.tracker.on_shed_admitted();
+                removed.push(leg);
+                continue;
+            }
+            return Some(leg);
+        }
+        None
+    }
 }
 
 /// Fallible station lookup: a missing instance is a routing bug surfaced as an
@@ -347,25 +207,20 @@ fn station_mut(stations: &mut [Station], instance: usize) -> Result<&mut Station
 
 #[derive(Debug, PartialEq, Eq)]
 enum EventKind {
-    /// Service completion of one copy.
-    Completion(ServiceEntry),
+    /// Service completion of one copy of request `record.id`'s leg on `shard`.
+    Completion {
+        instance: usize,
+        shard: usize,
+        is_hedge: bool,
+        record: RequestRecord,
+    },
     /// Hedge deadline of request `id`'s leg on `shard`.
     HedgeCheck { id: u64, shard: usize },
-}
-
-/// A request copy in service, carried by its completion event.
-#[derive(Debug, PartialEq, Eq)]
-struct ServiceEntry {
-    instance: usize,
-    shard: usize,
-    is_hedge: bool,
-    record: RequestRecord,
 }
 
 /// Client-side state of one leg (request × shard).
 #[derive(Debug)]
 struct Leg {
-    shard: usize,
     /// A response was recorded; under hedging or tied requests the first one wins.
     resolved: bool,
     /// The leg's hedge check has fired, or none is due (unhedged and tied legs).
@@ -373,75 +228,204 @@ struct Leg {
     /// Copies currently admitted (queued or in service).  A leg whose copies were all
     /// shed stays unresolved and surfaces as `unmerged` in the report.
     outstanding: u8,
-    /// The instance the selector picked as primary.
+    /// The instance the selector picked as primary; a hedge or tied copy goes to the
+    /// replica after it.
     primary: usize,
-    /// The replica after the primary, where a hedge or tied copy goes.
-    secondary: usize,
 }
 
-/// One request in flight in the cluster loop: its payload, held once for all copies,
-/// and one [`Leg`] per shard it fans out to.
+/// One request in flight: its payload, held once for all copies, beside its first leg
+/// (shard 0 under broadcast, the routed shard otherwise).
 #[derive(Debug)]
 struct Slot {
     request: Request,
-    legs: Vec<Leg>,
+    leg: Leg,
 }
 
-/// The cluster loop's requests in flight, in id order: slot `i` holds request
-/// `head + i` (ids are dense from 0).  A slot retires once no copy of its request is
-/// admitted and no hedge check is due, and the head advances past retired slots.
+/// The requests in flight, in id order: request `head + i` is `slots[i]`, and a
+/// broadcast request's other legs, shards 1 to `width - 1`, are the `width - 1` entries
+/// of `more_legs` from `i * (width - 1)`.  Ids are dense from 0, so lookups index and
+/// nothing allocates per request.  A request retires once no copy of it is admitted and
+/// no hedge check is due, and the head advances past retired requests.
 #[derive(Debug, Default)]
 struct Ring {
     head: u64,
+    width: usize,
     slots: VecDeque<Slot>,
+    more_legs: VecDeque<Leg>,
     /// Retired requests with some but not all legs answered.
     partial: u64,
 }
 
 impl Ring {
-    fn slot_mut(&mut self, id: u64) -> Result<&mut Slot, HarnessError> {
-        id.checked_sub(self.head)
-            .and_then(|i| self.slots.get_mut(usize::try_from(i).ok()?))
+    fn index(&self, id: u64) -> Option<usize> {
+        usize::try_from(id.checked_sub(self.head)?).ok()
+    }
+
+    fn request(&self, id: u64) -> Result<&Request, HarnessError> {
+        self.index(id)
+            .and_then(|i| self.slots.get(i))
+            .map(|slot| &slot.request)
             .ok_or_else(|| HarnessError::Internal(format!("request {id} is not in flight")))
     }
 
     fn leg_mut(&mut self, id: u64, shard: usize) -> Result<&mut Leg, HarnessError> {
-        self.slot_mut(id)?
-            .legs
-            .iter_mut()
-            .find(|leg| leg.shard == shard)
-            .ok_or_else(|| HarnessError::Internal(format!("request {id} has no shard {shard}")))
+        let extra = self.width - 1;
+        let leg = match self.index(id) {
+            Some(i) if extra == 0 || shard == 0 => self.slots.get_mut(i).map(|slot| &mut slot.leg),
+            Some(i) if shard <= extra => self.more_legs.get_mut(i * extra + shard - 1),
+            _ => None,
+        };
+        leg.ok_or_else(|| HarnessError::Internal(format!("request {id} has no shard {shard}")))
     }
 
-    /// Pops finished slots off the front, counting those with unanswered legs.
+    /// Pops finished requests off the front, counting those with unanswered legs.
+    #[inline]
     fn retire(&mut self) {
+        let extra = self.width - 1;
         while let Some(slot) = self.slots.front() {
-            if !slot.legs.iter().all(|l| l.outstanding == 0 && l.hedged) {
-                break;
+            let mut answered = 0;
+            for leg in std::iter::once(&slot.leg).chain(self.more_legs.iter().take(extra)) {
+                if leg.outstanding > 0 || !leg.hedged {
+                    return;
+                }
+                answered += usize::from(leg.resolved);
             }
-            let answered = slot.legs.iter().filter(|l| l.resolved).count();
-            self.partial += u64::from(answered > 0 && answered < slot.legs.len());
+            self.partial += u64::from(answered > 0 && answered < self.width);
             self.slots.pop_front();
+            for _ in 0..extra {
+                self.more_legs.pop_front();
+            }
             self.head += 1;
         }
     }
 }
 
-/// Unwinds per-leg bookkeeping for queued copies that were shed after admission
-/// (deadline purge or priority eviction pulled them back out of a station queue).
-fn unwind_removed(removed: &mut Vec<QueuedLeg<()>>, ring: &mut Ring) -> Result<(), HarnessError> {
-    for q in removed.drain(..) {
-        let leg = ring.leg_mut(q.id, q.shard)?;
-        leg.outstanding = leg.outstanding.saturating_sub(1);
+/// The state the event handlers share: the applications and their cost model, one
+/// station per instance, the event heap, the requests in flight, and the scratch list
+/// of queued copies shed after admission.
+struct Sim<'a> {
+    apps: &'a [Arc<dyn ServerApp>],
+    cost_model: &'a dyn CostModel,
+    config: &'a BenchmarkConfig,
+    stations: Vec<Station>,
+    events: BinaryHeap<Event>,
+    ring: Ring,
+    removed: Vec<QueuedLeg>,
+    seq: u64,
+}
+
+impl Sim<'_> {
+    /// Schedules `what` at `time_ns`, after every event already scheduled then.
+    fn schedule(&mut self, time_ns: u64, rank: u8, what: EventKind) {
+        self.seq += 1;
+        self.events.push(Event {
+            time_ns,
+            rank,
+            seq: self.seq,
+            what,
+        });
     }
-    Ok(())
+
+    /// Starts service for one copy on `instance` at virtual time `now`.
+    #[inline]
+    fn start_service(
+        &mut self,
+        instance: usize,
+        copy: QueuedLeg,
+        now: u64,
+    ) -> Result<(), HarnessError> {
+        let app = self
+            .apps
+            .get(instance)
+            .ok_or_else(|| HarnessError::Internal(format!("app index {instance} out of range")))?;
+        let station = station_mut(&mut self.stations, instance)?;
+        station.busy += 1;
+        let request = self.ring.request(copy.id)?;
+        let response = app.handle(&request.payload);
+        let base_ns = self
+            .cost_model
+            .service_time_ns(&response.work, station.busy);
+        let service_ns = self
+            .config
+            .interference
+            .adjusted_service_ns(instance, now, base_ns, copy.id)
+            .max(1);
+        let record = RequestRecord {
+            id: request.id,
+            issued_ns: request.issued_ns,
+            enqueued_ns: copy.enqueued_ns,
+            started_ns: now,
+            completed_ns: now + service_ns,
+            client_received_ns: now + service_ns,
+        };
+        let completion = EventKind::Completion {
+            instance,
+            shard: copy.shard,
+            is_hedge: copy.is_hedge,
+            record,
+        };
+        self.schedule(now + service_ns, 0, completion);
+        Ok(())
+    }
+
+    /// Admits one copy on `instance` at `now`: straight into service on an idle server
+    /// (an inclusive depth-1 transit, matching the real-time queue's post-push sample),
+    /// else through the station's admission policy.  Returns whether the copy was
+    /// admitted.
+    #[inline]
+    fn admit(&mut self, instance: usize, copy: QueuedLeg, now: u64) -> Result<bool, HarnessError> {
+        let servers = self.config.worker_threads.max(1);
+        // A missing station is a routing bug; treat it as a full station so the
+        // fallible lookup below reports it.
+        let admitted = if self
+            .stations
+            .get(instance)
+            .is_some_and(|s| s.busy < servers)
+        {
+            self.start_service(instance, copy, now)?;
+            let station = station_mut(&mut self.stations, instance)?;
+            station.tracker.on_push(now, 1);
+            true
+        } else {
+            station_mut(&mut self.stations, instance)?.enqueue_or_shed(
+                &self.config.admission,
+                self.config.tags.as_deref(),
+                copy,
+                now,
+                &mut self.removed,
+            )
+        };
+        self.unwind_removed()?;
+        Ok(admitted)
+    }
+
+    /// Starts the next serviceable copy queued at `instance`, if any, once a server
+    /// frees up at `now`.
+    #[inline]
+    fn serve_next(&mut self, instance: usize, now: u64) -> Result<(), HarnessError> {
+        let station = station_mut(&mut self.stations, instance)?;
+        if let Some(queued) = station.pop_fresh(&self.config.admission, now, &mut self.removed) {
+            self.start_service(instance, queued, now)?;
+        }
+        self.unwind_removed()
+    }
+
+    /// Unwinds per-leg bookkeeping for queued copies that were shed after admission
+    /// (deadline purge or priority eviction pulled them back out of a station queue).
+    fn unwind_removed(&mut self) -> Result<(), HarnessError> {
+        for q in self.removed.drain(..) {
+            let leg = self.ring.leg_mut(q.id, q.shard)?;
+            leg.outstanding = leg.outstanding.saturating_sub(1);
+        }
+        Ok(())
+    }
 }
 
 /// Runs one cluster measurement under discrete-event simulation.
 ///
 /// All `cluster.instances()` server stations share a single virtual clock and event
-/// heap, so a cluster run is exactly as deterministic and host-independent as a
-/// single-server simulated run: same seed, same report, on any machine.  Each station
+/// heap, so a run is deterministic and host-independent: same seed, same report, on any
+/// machine.  A single server runs as `shards = 1, replication = 1`.  Each station
 /// has `config.worker_threads` servers and its own FIFO queue; the client-side router
 /// distributes the open-loop schedule per `cluster.fanout`, and broadcast legs merge
 /// last-response-wins in the cross-shard collector.  When the cluster configures an
@@ -460,11 +444,6 @@ pub fn run_cluster_simulated(
     cluster: &ClusterConfig,
     cost_model: &dyn CostModel,
 ) -> Result<ClusterReport, HarnessError> {
-    if !config.load.is_open() {
-        return Err(HarnessError::Config(
-            "the simulated runner requires an open-loop load mode".into(),
-        ));
-    }
     check_instances(apps, cluster)?;
     for app in apps {
         app.prepare();
@@ -476,102 +455,37 @@ pub fn run_cluster_simulated(
         .arrivals(&mut rng, config.total_requests(), 0, || {
             factory.next_request()
         })
-        .ok_or_else(|| HarnessError::Internal("open-loop mode produced no schedule".into()))?;
+        .ok_or_else(|| {
+            HarnessError::Config("the simulated runner requires an open-loop load mode".into())
+        })?;
     let mut next_arrival = arrivals.next();
 
-    let servers = config.worker_threads.max(1);
     let width = cluster.fanout_width();
-    let plan = config.interference.clone();
     let hedge = cluster.active_hedge();
     let tied = cluster.active_tied();
-    let tags = config.tags.clone();
     let mut collector = ClusterCollector::new(cluster.shards, config.warmup_requests as u64)
         .with_tags(config.tags.clone());
-    let mut stations: Vec<Station> = (0..apps.len()).map(|_| Station::default()).collect();
-    let mut events: BinaryHeap<Event<EventKind>> = BinaryHeap::new();
-    let mut ring = Ring::default();
     let mut hedge_stats = HedgeStats::default();
-    let mut removed: Vec<QueuedLeg<()>> = Vec::new();
-    let mut seq = 0u64;
-
-    // Starts service for one copy on `instance` at virtual time `now`.
-    let start_service = |instance: usize,
-                         copy: QueuedLeg<()>,
-                         now: u64,
-                         stations: &mut Vec<Station>,
-                         seq: &mut u64,
-                         events: &mut BinaryHeap<Event<EventKind>>,
-                         ring: &mut Ring|
-     -> Result<(), HarnessError> {
-        let app = apps
-            .get(instance)
-            .ok_or_else(|| HarnessError::Internal(format!("app index {instance} out of range")))?;
-        let station = station_mut(stations, instance)?;
-        station.busy += 1;
-        let request = &ring.slot_mut(copy.id)?.request;
-        let response = app.handle(&request.payload);
-        let base_ns = cost_model.service_time_ns(&response.work, station.busy);
-        let service_ns = plan
-            .adjusted_service_ns(instance, now, base_ns, copy.id)
-            .max(1);
-        let record = RequestRecord {
-            id: request.id,
-            issued_ns: request.issued_ns,
-            enqueued_ns: copy.enqueued_ns,
-            started_ns: now,
-            completed_ns: now + service_ns,
-            client_received_ns: now + service_ns,
-        };
-        *seq += 1;
-        events.push(Event {
-            time_ns: now + service_ns,
-            rank: 0,
-            seq: *seq,
-            what: EventKind::Completion(ServiceEntry {
-                instance,
-                shard: copy.shard,
-                is_hedge: copy.is_hedge,
-                record,
-            }),
-        });
-        Ok(())
-    };
-
-    // Admits one copy on `instance` at `now`: straight into service on an idle server
-    // (an inclusive depth-1 transit, as in the single-server loop), else through the
-    // station's admission policy.  Returns whether the copy was admitted.
-    let admit = |instance: usize,
-                 copy: QueuedLeg<()>,
-                 now: u64,
-                 stations: &mut Vec<Station>,
-                 seq: &mut u64,
-                 events: &mut BinaryHeap<Event<EventKind>>,
-                 ring: &mut Ring,
-                 removed: &mut Vec<QueuedLeg<()>>|
-     -> Result<bool, HarnessError> {
-        // A missing station is a routing bug; treat it as a full station so the
-        // fallible lookup below reports it.
-        if stations.get(instance).is_some_and(|s| s.busy < servers) {
-            start_service(instance, copy, now, stations, seq, events, ring)?;
-            station_mut(stations, instance)?.tracker.on_push(now, 1);
-            return Ok(true);
-        }
-        let station = station_mut(stations, instance)?;
-        Ok(enqueue_or_shed(
-            &mut station.waiting,
-            &mut station.tracker,
-            &config.admission,
-            tags.as_deref(),
-            copy,
-            now,
-            removed,
-        ))
+    let mut sim = Sim {
+        apps,
+        cost_model,
+        config,
+        stations: (0..apps.len()).map(|_| Station::default()).collect(),
+        events: BinaryHeap::new(),
+        ring: Ring {
+            width,
+            ..Ring::default()
+        },
+        removed: Vec::new(),
+        seq: 0,
     };
 
     loop {
-        ring.retire();
-        // Arrivals win ties, matching the single-server loop.
-        let next_event_time = events.peek().map(|e| e.time_ns);
+        sim.ring.retire();
+        // Pick the earlier of the next arrival and the next event; arrivals win ties so
+        // that a request arriving exactly when a server frees up still observes the
+        // queue state before the completion is processed (a conservative FIFO choice).
+        let next_event_time = sim.events.peek().map(|e| e.time_ns);
         match next_arrival.take() {
             Some(request) if next_event_time.is_none_or(|et| request.issued_ns <= et) => {
                 next_arrival = arrivals.next();
@@ -580,34 +494,35 @@ pub fn run_cluster_simulated(
                     Route::Shard(shard) => shard..shard + 1,
                     Route::AllShards => 0..cluster.shards,
                 };
-                let legs = Vec::with_capacity(shards.len());
-                ring.slots.push_back(Slot { request, legs });
+                let mut request = Some(request);
                 for shard in shards {
                     let primary = cluster.route_replica(shard, id, config.seed, &|i| {
-                        stations.get(i).map_or(0, |s| s.busy + s.waiting.len())
+                        sim.stations.get(i).map_or(0, |s| s.busy + s.waiting.len())
                     });
-                    let secondary = cluster.secondary_instance(shard, primary);
                     if let Some(policy) = hedge {
-                        seq += 1;
-                        events.push(Event {
-                            time_ns: now + policy.delay_ns,
-                            rank: 1,
-                            seq,
-                            what: EventKind::HedgeCheck { id, shard },
-                        });
+                        sim.schedule(
+                            now + policy.delay_ns,
+                            1,
+                            EventKind::HedgeCheck { id, shard },
+                        );
                     } else if tied {
                         hedge_stats.issued += 1;
                     }
-                    ring.slot_mut(id)?.legs.push(Leg {
-                        shard,
+                    let leg = Leg {
                         resolved: false,
                         hedged: hedge.is_none(),
                         outstanding: 0,
                         primary,
-                        secondary,
-                    });
+                    };
+                    match request.take() {
+                        Some(request) => sim.ring.slots.push_back(Slot { request, leg }),
+                        None => sim.ring.more_legs.push_back(leg),
+                    }
                     let copies: &[(usize, bool)] = if tied {
-                        &[(primary, false), (secondary, true)]
+                        &[
+                            (primary, false),
+                            (cluster.secondary_instance(shard, primary), true),
+                        ]
                     } else {
                         &[(primary, false)]
                     };
@@ -618,40 +533,28 @@ pub fn run_cluster_simulated(
                             enqueued_ns: now,
                             shard,
                             is_hedge,
-                            held: (),
                         };
-                        let queued = admit(
-                            instance,
-                            copy,
-                            now,
-                            &mut stations,
-                            &mut seq,
-                            &mut events,
-                            &mut ring,
-                            &mut removed,
-                        )?;
-                        admitted += u8::from(queued);
-                        unwind_removed(&mut removed, &mut ring)?;
+                        admitted += u8::from(sim.admit(instance, copy, now)?);
                     }
-                    ring.leg_mut(id, shard)?.outstanding += admitted;
+                    sim.ring.leg_mut(id, shard)?.outstanding += admitted;
                 }
             }
             pending => {
                 next_arrival = pending;
-                let Some(event) = events.pop() else {
+                let Some(event) = sim.events.pop() else {
                     break;
                 };
                 let t = event.time_ns;
                 match event.what {
-                    EventKind::Completion(ServiceEntry {
+                    EventKind::Completion {
                         instance,
                         shard,
                         is_hedge,
                         record,
-                    }) => {
-                        let station = station_mut(&mut stations, instance)?;
+                    } => {
+                        let station = station_mut(&mut sim.stations, instance)?;
                         station.busy = station.busy.saturating_sub(1);
-                        let leg = ring.leg_mut(record.id.0, shard)?;
+                        let leg = sim.ring.leg_mut(record.id.0, shard)?;
                         leg.outstanding = leg.outstanding.saturating_sub(1);
                         if !leg.resolved {
                             leg.resolved = true;
@@ -662,11 +565,11 @@ pub fn run_cluster_simulated(
                             // runs to completion, exactly like a hedge loser).
                             if tied {
                                 let sibling = if instance == leg.primary {
-                                    leg.secondary
+                                    cluster.secondary_instance(shard, leg.primary)
                                 } else {
                                     leg.primary
                                 };
-                                let sib = station_mut(&mut stations, sibling)?;
+                                let sib = station_mut(&mut sim.stations, sibling)?;
                                 if let Some(pos) = sib
                                     .waiting
                                     .iter()
@@ -677,52 +580,22 @@ pub fn run_cluster_simulated(
                                 }
                             }
                         }
-                        let station = station_mut(&mut stations, instance)?;
-                        if let Some(queued) = pop_fresh(
-                            &mut station.waiting,
-                            &mut station.tracker,
-                            &config.admission,
-                            t,
-                            &mut removed,
-                        ) {
-                            start_service(
-                                instance,
-                                queued,
-                                t,
-                                &mut stations,
-                                &mut seq,
-                                &mut events,
-                                &mut ring,
-                            )?;
-                        }
-                        unwind_removed(&mut removed, &mut ring)?;
+                        sim.serve_next(instance, t)?;
                     }
                     EventKind::HedgeCheck { id, shard } => {
-                        let leg = ring.leg_mut(id, shard)?;
+                        let leg = sim.ring.leg_mut(id, shard)?;
                         leg.hedged = true;
                         if !leg.resolved {
-                            let alt = leg.secondary;
+                            let alt = cluster.secondary_instance(shard, leg.primary);
                             let copy = QueuedLeg {
                                 id,
                                 enqueued_ns: t,
                                 shard,
                                 is_hedge: true,
-                                held: (),
                             };
-                            let admitted = admit(
-                                alt,
-                                copy,
-                                t,
-                                &mut stations,
-                                &mut seq,
-                                &mut events,
-                                &mut ring,
-                                &mut removed,
-                            )?;
-                            unwind_removed(&mut removed, &mut ring)?;
-                            if admitted {
+                            if sim.admit(alt, copy, t)? {
                                 hedge_stats.issued += 1;
-                                ring.leg_mut(id, shard)?.outstanding += 1;
+                                sim.ring.leg_mut(id, shard)?.outstanding += 1;
                             }
                         }
                     }
@@ -731,15 +604,16 @@ pub fn run_cluster_simulated(
         }
     }
 
-    ring.retire();
+    sim.ring.retire();
     let unmerged = collector.unmerged() as u64;
     check_end_of_run(
-        stations.iter().map(|s| &s.tracker),
-        ring.slots.len(),
-        ring.partial,
+        sim.stations.iter().map(|s| &s.tracker),
+        sim.ring.slots.len(),
+        sim.ring.partial,
         unmerged,
     )?;
-    let queue_summaries: Vec<QueueSummary> = stations
+    let queue_summaries: Vec<QueueSummary> = sim
+        .stations
         .iter()
         .map(|s| s.tracker.summary(config.admission.label()))
         .collect();
@@ -759,12 +633,24 @@ pub fn run_cluster_simulated(
 mod tests {
     use super::*;
     use crate::app::{EchoApp, InstructionRateModel};
-    use crate::config::BenchmarkConfig;
+    use crate::config::{BenchmarkConfig, HarnessMode};
+    use crate::report::RunReport;
 
     fn app() -> Arc<dyn ServerApp> {
         Arc::new(EchoApp {
             spin_iters: 100_000, // ~100k "instructions" per request
         })
+    }
+
+    /// A single-server simulated run, dispatched by the runner as every caller's is.
+    fn simulate(
+        app: &Arc<dyn ServerApp>,
+        factory: &mut dyn RequestFactory,
+        config: &BenchmarkConfig,
+        model: &dyn CostModel,
+    ) -> Result<RunReport, HarnessError> {
+        let config = config.clone().with_mode(HarnessMode::Simulated);
+        crate::runner::execute(app, factory, &config, Some(model))
     }
 
     #[test]
@@ -777,9 +663,9 @@ mod tests {
             .with_warmup(50)
             .with_seed(3);
         let mut factory = || b"sim".to_vec();
-        let a = run_simulated(&app, &mut factory, &config, &model).expect("simulated run");
+        let a = simulate(&app, &mut factory, &config, &model).expect("simulated run");
         let mut factory = || b"sim".to_vec();
-        let b = run_simulated(&app, &mut factory, &config, &model).expect("simulated run");
+        let b = simulate(&app, &mut factory, &config, &model).expect("simulated run");
         assert_eq!(a.sojourn.p95_ns, b.sojourn.p95_ns);
         assert_eq!(a.requests, b.requests);
         assert_eq!(a.requests, 500);
@@ -793,7 +679,7 @@ mod tests {
             ns_per_instruction: 1.0,
         };
         let mut factory = || b"x".to_vec();
-        let low = run_simulated(
+        let low = simulate(
             &app,
             &mut factory,
             &BenchmarkConfig::new(1_000.0, 2_000).with_seed(7),
@@ -801,7 +687,7 @@ mod tests {
         )
         .expect("simulated run");
         let mut factory = || b"x".to_vec();
-        let high = run_simulated(
+        let high = simulate(
             &app,
             &mut factory,
             &BenchmarkConfig::new(9_000.0, 2_000).with_seed(7),
@@ -823,7 +709,7 @@ mod tests {
             ns_per_instruction: 1.0,
         };
         let mut factory = || b"x".to_vec();
-        let one = run_simulated(
+        let one = simulate(
             &app,
             &mut factory,
             &BenchmarkConfig::new(8_000.0, 2_000)
@@ -833,7 +719,7 @@ mod tests {
         )
         .expect("simulated run");
         let mut factory = || b"x".to_vec();
-        let four = run_simulated(
+        let four = simulate(
             &app,
             &mut factory,
             &BenchmarkConfig::new(8_000.0, 2_000)
@@ -935,8 +821,7 @@ mod tests {
         let one: Arc<dyn ServerApp> = Arc::new(EchoApp {
             spin_iters: 100_000,
         });
-        let single =
-            run_simulated(&one, &mut single_factory, &config, &model).expect("simulated run");
+        let single = simulate(&one, &mut single_factory, &config, &model).expect("simulated run");
         assert!(report.cluster.sojourn.p99_ns < single.sojourn.p99_ns);
     }
 
@@ -995,7 +880,7 @@ mod tests {
             ns_per_instruction: 0.5,
         };
         let mut factory = || b"x".to_vec();
-        let report = run_simulated(
+        let report = simulate(
             &app,
             &mut factory,
             &BenchmarkConfig::new(1_000.0, 1_000)
@@ -1022,7 +907,7 @@ mod tests {
             .with_warmup(0)
             .with_seed(13);
         let mut factory = || b"x".to_vec();
-        let clean = run_simulated(&app, &mut factory, &base_config, &model).expect("simulated run");
+        let clean = simulate(&app, &mut factory, &base_config, &model).expect("simulated run");
         let faulted_config =
             base_config
                 .clone()
@@ -1033,8 +918,7 @@ mod tests {
                     10.0,
                 ));
         let mut factory = || b"x".to_vec();
-        let faulted =
-            run_simulated(&app, &mut factory, &faulted_config, &model).expect("simulated run");
+        let faulted = simulate(&app, &mut factory, &faulted_config, &model).expect("simulated run");
         assert!(
             faulted.sojourn.max_ns >= clean.sojourn.max_ns * 5,
             "faulted max {} vs clean max {}",
@@ -1044,8 +928,7 @@ mod tests {
         assert!(faulted.sojourn.p50_ns < clean.sojourn.p50_ns * 2);
         // Determinism holds with interference active.
         let mut factory = || b"x".to_vec();
-        let again =
-            run_simulated(&app, &mut factory, &faulted_config, &model).expect("simulated run");
+        let again = simulate(&app, &mut factory, &faulted_config, &model).expect("simulated run");
         assert_eq!(again.sojourn.p99_ns, faulted.sojourn.p99_ns);
     }
 
@@ -1174,13 +1057,13 @@ mod tests {
             .with_warmup(0)
             .with_seed(23);
         let mut factory = || b"d".to_vec();
-        let unbounded = run_simulated(&app, &mut factory, &base, &model).expect("simulated run");
+        let unbounded = simulate(&app, &mut factory, &base, &model).expect("simulated run");
         let shed_config = base.clone().with_admission(AdmissionPolicy::DropDeadline {
             capacity: 64,
             slo_ns: 2_000_000,
         });
         let mut factory = || b"d".to_vec();
-        let shed = run_simulated(&app, &mut factory, &shed_config, &model).expect("simulated run");
+        let shed = simulate(&app, &mut factory, &shed_config, &model).expect("simulated run");
         assert!(shed.queue_depth.dropped > 0, "overload must shed");
         assert_eq!(
             shed.queue_depth.accepted + shed.queue_depth.dropped,
@@ -1196,7 +1079,7 @@ mod tests {
         );
         // Deterministic.
         let mut factory = || b"d".to_vec();
-        let again = run_simulated(&app, &mut factory, &shed_config, &model).expect("simulated run");
+        let again = simulate(&app, &mut factory, &shed_config, &model).expect("simulated run");
         assert_eq!(again.sojourn.p99_ns, shed.sojourn.p99_ns);
         assert_eq!(again.queue_depth.dropped, shed.queue_depth.dropped);
     }
@@ -1215,7 +1098,7 @@ mod tests {
             .with_seed(29)
             .with_admission(AdmissionPolicy::Drop { capacity: 16 });
         let mut factory = || b"o".to_vec();
-        let report = run_simulated(&app, &mut factory, &config, &model).expect("simulated run");
+        let report = simulate(&app, &mut factory, &config, &model).expect("simulated run");
         let q = &report.queue_depth;
         assert!(q.dropped > 0);
         assert_eq!(q.accepted + q.dropped, config.total_requests() as u64);
@@ -1225,7 +1108,7 @@ mod tests {
             "only accepted requests can be measured"
         );
         let mut factory = || b"o".to_vec();
-        let again = run_simulated(&app, &mut factory, &config, &model).expect("simulated run");
+        let again = simulate(&app, &mut factory, &config, &model).expect("simulated run");
         assert_eq!(again.queue_depth.accepted, q.accepted);
         assert_eq!(again.queue_depth.dropped, q.dropped);
     }
@@ -1253,7 +1136,7 @@ mod tests {
             .with_tags(tags)
             .with_admission(AdmissionPolicy::Priority { capacity: 32 });
         let mut factory = || b"p".to_vec();
-        let report = run_simulated(&app, &mut factory, &config, &model).expect("simulated run");
+        let report = simulate(&app, &mut factory, &config, &model).expect("simulated run");
         let q = &report.queue_depth;
         assert!(q.dropped > 0, "overload must shed");
         assert_eq!(q.accepted + q.dropped, config.total_requests() as u64);

@@ -2,9 +2,9 @@
 //!
 //! Worker threads pull requests off the shared [`RequestQueue`](crate::queue::RequestQueue),
 //! invoke the application, and either record the completion straight into their own
-//! statistics shard (integrated configuration — no cross-thread send on the critical
-//! path) or route it back to the originating connection (TCP configurations).  The
-//! number of worker threads is the "threads" axis of the paper's multithreaded
+//! [`Shard`] (integrated configuration — no cross-thread send on the critical path) or
+//! route it back to whoever waits for it (a TCP connection, the closed-loop client).
+//! The number of worker threads is the "threads" axis of the paper's multithreaded
 //! experiments (Fig. 4, Fig. 7).
 
 use crate::app::ServerApp;
@@ -12,28 +12,48 @@ use crate::collector::StatsCollector;
 use crate::error::HarnessError;
 use crate::pool::BufferPool;
 use crate::queue::{Completion, QueueReceiver, ServerCompletion};
+use crate::request::RequestRecord;
 use crate::time::RunClock;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+/// What a worker records its [`Completion::Inline`] requests into: a statistics shard
+/// of its own, merged with the other workers' shards when the pool joins.
+pub trait Shard: Clone + Send + 'static {
+    /// Records one finished request.
+    fn record(&mut self, record: &RequestRecord);
+    /// Folds another worker's shard into this one.
+    fn merge(&mut self, other: Self);
+}
+
+impl Shard for StatsCollector {
+    fn record(&mut self, record: &RequestRecord) {
+        StatsCollector::record(self, record);
+    }
+
+    fn merge(&mut self, other: Self) {
+        StatsCollector::merge(self, &other);
+    }
+}
+
 /// What a joined worker pool hands back: the served-request count plus the merged
-/// per-worker statistics shards (empty for TCP runs, where clients record instead).
+/// per-worker statistics shards (empty when every completion was routed elsewhere).
 #[derive(Debug)]
-pub struct WorkerOutput {
+pub struct WorkerOutput<S = StatsCollector> {
     /// Total requests served across all workers.
     pub served: u64,
     /// The merged per-worker collector shards.
-    pub stats: StatsCollector,
+    pub stats: S,
 }
 
 /// A pool of application worker threads.
 #[derive(Debug)]
-pub struct WorkerPool {
-    handles: Vec<JoinHandle<(u64, StatsCollector)>>,
-    shard_proto: StatsCollector,
+pub struct WorkerPool<S = StatsCollector> {
+    handles: Vec<JoinHandle<(u64, S)>>,
+    shard_proto: S,
 }
 
-impl WorkerPool {
+impl<S: Shard> WorkerPool<S> {
     /// Spawns `threads` workers that serve requests from `queue_rx` using `app`.
     ///
     /// Each worker owns a clone of `shard` (its local statistics shard, used for
@@ -50,7 +70,7 @@ impl WorkerPool {
         queue_rx: QueueReceiver,
         clock: RunClock,
         threads: usize,
-        shard: StatsCollector,
+        shard: S,
         pool: Option<Arc<BufferPool>>,
     ) -> Result<Self, HarnessError> {
         let shard_proto = shard.clone();
@@ -93,7 +113,7 @@ impl WorkerPool {
     ///
     /// Returns [`HarnessError::Internal`] if a worker thread panicked; the
     /// remaining workers are still joined first so no thread is leaked.
-    pub fn join(self) -> Result<WorkerOutput, HarnessError> {
+    pub fn join(self) -> Result<WorkerOutput<S>, HarnessError> {
         let mut stats = self.shard_proto;
         let mut served = 0u64;
         let mut panicked = 0usize;
@@ -101,7 +121,7 @@ impl WorkerPool {
             match handle.join() {
                 Ok((count, shard)) => {
                     served += count;
-                    stats.merge(&shard);
+                    stats.merge(shard);
                 }
                 Err(_) => panicked += 1,
             }
@@ -116,11 +136,11 @@ impl WorkerPool {
 }
 
 /// The body of one worker thread. Returns the number of requests it served.
-fn worker_loop(
+fn worker_loop<S: Shard>(
     app: &dyn ServerApp,
     rx: &QueueReceiver,
     clock: RunClock,
-    shard: &mut StatsCollector,
+    shard: &mut S,
     pool: Option<&BufferPool>,
 ) -> u64 {
     let mut served = 0u64;
@@ -138,7 +158,7 @@ fn worker_loop(
             Completion::Inline => {
                 // Integrated configuration: the response is "delivered" at completion
                 // and recorded into this worker's own shard — zero cross-thread work.
-                shard.record(&crate::request::RequestRecord {
+                shard.record(&RequestRecord {
                     id: item.request.id,
                     issued_ns: item.request.issued_ns,
                     enqueued_ns: item.enqueued_ns,

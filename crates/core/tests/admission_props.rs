@@ -70,7 +70,7 @@ proptest! {
             received += 1;
             prop_assert!(now.saturating_sub(item.enqueued_ns) <= slo_ns);
         }
-        let summary = observer.summary();
+        let summary = observer.summary().expect("balanced ledger");
         prop_assert_eq!(summary.accepted, received);
         prop_assert_eq!(summary.accepted + summary.dropped, offered);
     }
@@ -132,7 +132,7 @@ proptest! {
         }
         let expected: Vec<u64> = model.iter().map(|&(id, _)| id).collect();
         prop_assert_eq!(delivered, expected);
-        let summary = observer.summary();
+        let summary = observer.summary().expect("balanced ledger");
         prop_assert_eq!(summary.dropped, model_dropped);
         prop_assert_eq!(summary.accepted + summary.dropped, classes.len() as u64);
     }
@@ -160,7 +160,7 @@ proptest! {
             prop_assert!(outcome != PushOutcome::Closed);
             prop_assert!(q.depth() <= capacity, "depth exceeded the shed capacity");
         }
-        let summary = q.observer().summary();
+        let summary = q.observer().summary().expect("balanced ledger");
         prop_assert_eq!(summary.accepted + summary.dropped, total as u64);
         // Nothing was delivered, so at most `capacity` requests can still count as
         // accepted — every other offer ended up dropped, whichever shed path took it.

@@ -18,8 +18,7 @@ use tailbench::core::collector::StatsCollector;
 use tailbench::core::config::{BenchmarkConfig, HarnessMode};
 use tailbench::core::queue::AdmissionPolicy;
 use tailbench::core::request::{RequestId, RequestRecord};
-use tailbench::core::sim::run_simulated;
-use tailbench::core::ServerApp;
+use tailbench::core::{runner, ServerApp};
 use tailbench::experiment::{Experiment, ExperimentSpec, LoadSpec, Registry, Scale};
 
 fn record(id: u64, issued: u64, service: u64) -> RequestRecord {
@@ -94,11 +93,12 @@ fn bounded_queue_overload_is_reported_and_deterministic_in_des() {
     let config = BenchmarkConfig::new(40_000.0, 4_000)
         .with_warmup(0)
         .with_seed(0xD20B)
-        .with_admission(AdmissionPolicy::Drop { capacity: 32 });
+        .with_admission(AdmissionPolicy::Drop { capacity: 32 })
+        .with_mode(HarnessMode::Simulated);
     let mut factory = || b"shed".to_vec();
-    let a = run_simulated(&app, &mut factory, &config, &model).expect("simulated run");
+    let a = runner::execute(&app, &mut factory, &config, Some(&model)).expect("simulated run");
     let mut factory = || b"shed".to_vec();
-    let b = run_simulated(&app, &mut factory, &config, &model).expect("simulated run");
+    let b = runner::execute(&app, &mut factory, &config, Some(&model)).expect("simulated run");
 
     assert_eq!(a.queue_depth.policy, "drop(32)");
     assert!(a.queue_depth.dropped > 0, "overload must shed");
@@ -126,9 +126,11 @@ fn bounded_queue_overload_is_reported_and_deterministic_in_des() {
     // same offered count; the backlog shows up as depth instead.
     let unbounded_config = BenchmarkConfig::new(40_000.0, 4_000)
         .with_warmup(0)
-        .with_seed(0xD20B);
+        .with_seed(0xD20B)
+        .with_mode(HarnessMode::Simulated);
     let mut factory = || b"shed".to_vec();
-    let u = run_simulated(&app, &mut factory, &unbounded_config, &model).expect("simulated run");
+    let u = runner::execute(&app, &mut factory, &unbounded_config, Some(&model))
+        .expect("simulated run");
     assert_eq!(u.queue_depth.policy, "unbounded");
     assert_eq!(u.queue_depth.dropped, 0);
     assert_eq!(u.queue_depth.accepted, 4_000);

@@ -15,10 +15,10 @@
 use std::sync::Arc;
 use tailbench::core::app::{EchoApp, InstructionRateModel};
 use tailbench::core::collector::{ClusterCollector, RequestTags};
-use tailbench::core::config::{BenchmarkConfig, ClusterConfig, FanoutPolicy};
+use tailbench::core::config::{BenchmarkConfig, ClusterConfig, FanoutPolicy, HarnessMode};
 use tailbench::core::request::{RequestId, RequestRecord};
-use tailbench::core::sim::{run_cluster_simulated, run_simulated};
-use tailbench::core::ServerApp;
+use tailbench::core::sim::run_cluster_simulated;
+use tailbench::core::{runner, ServerApp};
 use tailbench::experiment::output::{cluster_report_to_json, run_report_to_json};
 
 fn app() -> Arc<dyn ServerApp> {
@@ -48,12 +48,21 @@ fn tagged_config() -> BenchmarkConfig {
         .with_tags(tags)
 }
 
+fn simulated(config: BenchmarkConfig) -> BenchmarkConfig {
+    config.with_mode(HarnessMode::Simulated)
+}
+
 #[test]
 fn per_class_rows_follow_tag_declaration_order() {
     let app = app();
     let mut factory = || b"x".to_vec();
-    let report =
-        run_simulated(&app, &mut factory, &tagged_config(), &model()).expect("simulated run");
+    let report = runner::execute(
+        &app,
+        &mut factory,
+        &simulated(tagged_config()),
+        Some(&model()),
+    )
+    .expect("simulated run");
     let names: Vec<&str> = report.per_class.iter().map(|c| c.name.as_str()).collect();
     assert_eq!(
         names,
@@ -72,8 +81,13 @@ fn tagged_report_json_is_byte_identical_across_repeats() {
     let mut runs = Vec::new();
     for _ in 0..2 {
         let mut factory = || b"x".to_vec();
-        let report =
-            run_simulated(&app, &mut factory, &tagged_config(), &model()).expect("simulated run");
+        let report = runner::execute(
+            &app,
+            &mut factory,
+            &simulated(tagged_config()),
+            Some(&model()),
+        )
+        .expect("simulated run");
         runs.push(run_report_to_json(&report).to_text());
     }
     assert_eq!(
