@@ -651,14 +651,21 @@ impl BenchmarkConfig {
     /// # Errors
     ///
     /// Returns [`HarnessError::Config`] for any [`BenchmarkConfig::validate`] failure,
-    /// for closed-loop load (cluster runs are open-loop only), and for a hedge policy
-    /// without a replica to hedge to (`replication < 2`).
+    /// for a cluster without a shard or without a replica, for closed-loop load (cluster
+    /// runs are open-loop only), and for a hedge policy without a replica to hedge to
+    /// (`replication < 2`).
     pub fn validate_cluster(
         &self,
         cluster: &ClusterConfig,
     ) -> Result<(), crate::error::HarnessError> {
         use crate::error::HarnessError;
         self.validate()?;
+        if cluster.shards == 0 || cluster.replication == 0 {
+            return Err(HarnessError::Config(format!(
+                "cluster has {} shard(s) x {} replica(s); both must be at least 1",
+                cluster.shards, cluster.replication
+            )));
+        }
         if !self.load.is_open() {
             return Err(HarnessError::Config(
                 "cluster runs require an open-loop load mode: closed-loop arrivals \
@@ -998,6 +1005,30 @@ mod tests {
         assert!(err.contains("replication"), "{err}");
         let hedged_replicated = hedged_unreplicated.with_replication(2);
         assert!(good.validate_cluster(&hedged_replicated).is_ok());
+    }
+
+    #[test]
+    fn validate_cluster_rejects_a_cluster_without_shards_or_replicas() {
+        let good = BenchmarkConfig::new(1_000.0, 100);
+        let shardless = ClusterConfig {
+            shards: 0,
+            ..ClusterConfig::new(1, FanoutPolicy::Broadcast)
+        };
+        let err = good.validate_cluster(&shardless).unwrap_err();
+        assert!(
+            matches!(err, crate::error::HarnessError::Config(_)),
+            "{err}"
+        );
+        assert!(
+            err.to_string().contains("0 shard(s) x 1 replica(s)"),
+            "{err}"
+        );
+        let replicaless = ClusterConfig {
+            replication: 0,
+            ..ClusterConfig::new(2, FanoutPolicy::Broadcast)
+        };
+        let err = good.validate_cluster(&replicaless).unwrap_err().to_string();
+        assert!(err.contains("2 shard(s) x 0 replica(s)"), "{err}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::app::{RequestFactory, ServerApp};
 use crate::collector::{ClusterCollector, StatsCollector};
-use crate::config::{BenchmarkConfig, ClusterConfig, Route};
+use crate::config::{BenchmarkConfig, ClusterConfig, ReplicaSelector, Route};
 use crate::error::HarnessError;
 use crate::hedge::{HedgeEngine, HedgeMsg};
 use crate::interference::InterferedApp;
@@ -134,11 +134,46 @@ pub(crate) fn run_closed_loop(
     Ok(report)
 }
 
+/// Per-instance in-flight counts (copies sent minus responses and retractions): the
+/// live load signal of the LeastLoaded and PowerOfTwo replica selectors.  Kept only when
+/// the cluster's selector reads it, so under round-robin (a single server included) no
+/// request updates a counter shared between threads.
+#[derive(Debug, Clone)]
+pub(crate) struct InFlight(Option<Arc<Vec<AtomicUsize>>>);
+
+impl InFlight {
+    pub(crate) fn new(cluster: &ClusterConfig) -> Self {
+        let read = cluster.selector != ReplicaSelector::RoundRobin;
+        let counts = (0..cluster.instances()).map(|_| AtomicUsize::new(0));
+        InFlight(read.then(|| Arc::new(counts.collect())))
+    }
+
+    fn counter(&self, instance: usize) -> Option<&AtomicUsize> {
+        self.0.as_ref().and_then(|counts| counts.get(instance))
+    }
+
+    pub(crate) fn load(&self, instance: usize) -> usize {
+        self.counter(instance)
+            .map_or(0, |count| count.load(Ordering::Relaxed))
+    }
+
+    pub(crate) fn add(&self, instance: usize) {
+        if let Some(count) = self.counter(instance) {
+            count.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    pub(crate) fn sub(&self, instance: usize) {
+        if let Some(count) = self.counter(instance) {
+            count.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
 /// A worker's share of a cluster run's statistics: the legs its instance served, in a
 /// partial of the run's cross-shard collector or, with hedging or tied requests
 /// active, sent to the hedge engine, which records only each leg's first response.
-/// Recording a leg also retires it from the instance's in-flight count, the load
-/// signal of the replica selectors.
+/// Recording a leg also retires it from the instance's in-flight count.
 #[derive(Debug, Clone)]
 struct LegShard {
     partial: ClusterCollector,
@@ -146,12 +181,12 @@ struct LegShard {
     shard: usize,
     width: usize,
     instance: usize,
-    in_flight: Arc<Vec<AtomicUsize>>,
+    in_flight: InFlight,
 }
 
 impl Shard for LegShard {
     fn record(&mut self, record: &RequestRecord) {
-        self.in_flight[self.instance].fetch_sub(1, Ordering::Relaxed);
+        self.in_flight.sub(self.instance);
         let (shard, instance, record) = (self.shard, self.instance, *record);
         if let Some(tx) = &self.engine {
             let _ = tx.send(HedgeMsg::Completed {
@@ -211,10 +246,7 @@ pub fn run_cluster_integrated(
     // Only fanned-out or tied legs take copies from the pool, so only then do workers
     // hand buffers back to it.
     let recycle = width > 1 || tied;
-    // Per-instance in-flight counts (accepted pushes minus completions/retractions):
-    // the live load signal for the LeastLoaded / PowerOfTwo replica selectors.
-    let outstanding: Arc<Vec<AtomicUsize>> =
-        Arc::new((0..apps.len()).map(|_| AtomicUsize::new(0)).collect());
+    let in_flight = InFlight::new(cluster);
     let warmup = config.warmup_requests as u64;
     let new_cluster_collector =
         || ClusterCollector::new(cluster.shards, warmup).with_tags(config.tags.clone());
@@ -229,22 +261,22 @@ pub fn run_cluster_integrated(
     // still-queued tied losers.
     let engine = if hedge.is_some() || tied {
         let queue_txs: Vec<_> = queues.iter().map(RequestQueue::sender).collect();
-        let inflight = Arc::clone(&outstanding);
+        let inflight = in_flight.clone();
         let reissue = Box::new(move |instance: usize, request: Request| {
             let now = clock.now_ns();
             let accepted =
                 queue_txs[instance].push(request, now, Completion::Inline) == PushOutcome::Accepted;
             if accepted {
-                inflight[instance].fetch_add(1, Ordering::Relaxed);
+                inflight.add(instance);
             }
             accepted
         });
         let cancel_queues: Vec<_> = queues.iter().map(RequestQueue::sender).collect();
-        let inflight = Arc::clone(&outstanding);
+        let inflight = in_flight.clone();
         let retract = Box::new(move |instance: usize, id: u64| {
             let cancelled = cancel_queues[instance].cancel(RequestId(id));
             if cancelled {
-                inflight[instance].fetch_sub(1, Ordering::Relaxed);
+                inflight.sub(instance);
             }
             cancelled
         });
@@ -270,7 +302,7 @@ pub fn run_cluster_integrated(
             shard: i / cluster.replication,
             width,
             instance: i,
-            in_flight: Arc::clone(&outstanding),
+            in_flight: in_flight.clone(),
         };
         pools.push(WorkerPool::spawn(
             interfered(app, config, i, clock),
@@ -310,9 +342,8 @@ pub fn run_cluster_integrated(
         };
         let shards_end = shards.end;
         for shard in shards {
-            let primary = cluster.route_replica(shard, request.id.0, config.seed, &|i| {
-                outstanding[i].load(Ordering::Relaxed)
-            });
+            let primary =
+                cluster.route_replica(shard, request.id.0, config.seed, &|i| in_flight.load(i));
             let copies: &[usize] = if tied {
                 let secondary = cluster.secondary_instance(shard, primary);
                 if let Some(tx) = &engine_tx {
@@ -350,9 +381,7 @@ pub fn run_cluster_integrated(
                     }
                 }
                 match queues[i].push(leg, now, Completion::Inline) {
-                    PushOutcome::Accepted => {
-                        outstanding[i].fetch_add(1, Ordering::Relaxed);
-                    }
+                    PushOutcome::Accepted => in_flight.add(i),
                     PushOutcome::Dropped => {
                         // The copy was shed at admission: retract its tracking so the
                         // engine neither hedges a request that can no longer complete

@@ -21,6 +21,7 @@ use crate::error::HarnessError;
 use crate::hedge::{HedgeEngine, HedgeMsg};
 use crate::integrated::{
     build_cluster_report, build_report, check_instances, interfered, queue_summary, shard_proto,
+    InFlight,
 };
 use crate::pool::BufferPool;
 use crate::protocol;
@@ -32,7 +33,6 @@ use crate::worker::WorkerPool;
 use crossbeam::channel::unbounded;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -308,10 +308,7 @@ pub fn run_cluster_tcp(
     let warmup = config.warmup_requests as u64;
     let new_cluster_collector =
         || ClusterCollector::new(cluster.shards, warmup).with_tags(config.tags.clone());
-    // Per-instance in-flight counts (legs sent minus responses received): the live load
-    // signal for the LeastLoaded / PowerOfTwo replica selectors.
-    let outstanding: Arc<Vec<AtomicUsize>> =
-        Arc::new((0..apps.len()).map(|_| AtomicUsize::new(0)).collect());
+    let in_flight = InFlight::new(cluster);
 
     let mut queues = Vec::with_capacity(apps.len());
     let mut observers = Vec::with_capacity(apps.len());
@@ -378,15 +375,13 @@ pub fn run_cluster_tcp(
         let reissue: Box<dyn FnMut(usize, crate::request::Request) -> bool + Send> =
             if hedge.is_some() {
                 let hedge_leg_txs = leg_txs.clone();
-                let inflight = Arc::clone(&outstanding);
+                let inflight = in_flight.clone();
                 Box::new(move |instance: usize, request: crate::request::Request| {
                     let sent = hedge_leg_txs
                         .get(instance)
                         .is_some_and(|tx| tx.send(request).is_ok());
                     if sent {
-                        if let Some(count) = inflight.get(instance) {
-                            count.fetch_add(1, Ordering::Relaxed);
-                        }
+                        inflight.add(instance);
                     }
                     sent
                 })
@@ -418,7 +413,7 @@ pub fn run_cluster_tcp(
         let hedge_tx = engine_tx.clone();
         let shard = i / cluster.replication;
         let mut partial = new_cluster_collector();
-        let inflight = Arc::clone(&outstanding);
+        let inflight = in_flight.clone();
         receiver_handles.push(
             std::thread::Builder::new()
                 .name(format!("tb-cluster-recv-{i}"))
@@ -428,9 +423,7 @@ pub fn run_cluster_tcp(
                     let error = loop {
                         match protocol::read_response_header(&mut reader, &mut scratch) {
                             Ok(Some(header)) => {
-                                if let Some(count) = inflight.get(i) {
-                                    count.fetch_sub(1, Ordering::Relaxed);
-                                }
+                                inflight.sub(i);
                                 let record =
                                     record_from_header(&header, clock.now_ns(), one_way_delay_ns);
                                 match &hedge_tx {
@@ -483,9 +476,8 @@ pub fn run_cluster_tcp(
             Route::AllShards => 0..cluster.shards,
         };
         for shard in legs {
-            let primary = cluster.route_replica(shard, request.id.0, config.seed, &|i| {
-                outstanding.get(i).map_or(0, |c| c.load(Ordering::Relaxed))
-            });
+            let primary =
+                cluster.route_replica(shard, request.id.0, config.seed, &|i| in_flight.load(i));
             if tied {
                 let secondary = cluster.secondary_instance(shard, primary);
                 if let Some(tx) = &engine_tx {
@@ -504,9 +496,7 @@ pub fn run_cluster_tcp(
                     if !delivered {
                         break 'pacing;
                     }
-                    if let Some(count) = outstanding.get(i) {
-                        count.fetch_add(1, Ordering::Relaxed);
-                    }
+                    in_flight.add(i);
                 }
             } else {
                 if let Some(tx) = &engine_tx {
@@ -523,9 +513,7 @@ pub fn run_cluster_tcp(
                 if !delivered {
                     break 'pacing;
                 }
-                if let Some(count) = outstanding.get(primary) {
-                    count.fetch_add(1, Ordering::Relaxed);
-                }
+                in_flight.add(primary);
             }
         }
     }

@@ -308,6 +308,29 @@ mod tests {
     }
 
     #[test]
+    fn execute_cluster_rejects_a_cluster_without_shards_or_replicas() {
+        use crate::config::{ClusterConfig, FanoutPolicy};
+        let model = InstructionRateModel::default();
+        let config = BenchmarkConfig::new(1_000.0, 100).with_mode(HarnessMode::Simulated);
+        let one = ClusterConfig::new(1, FanoutPolicy::Broadcast);
+        for cluster in [
+            ClusterConfig {
+                shards: 0,
+                ..one.clone()
+            },
+            ClusterConfig {
+                replication: 0,
+                ..one
+            },
+        ] {
+            let mut factory = || vec![1u8];
+            let err =
+                execute_cluster(&[], &mut factory, &config, &cluster, Some(&model)).unwrap_err();
+            assert!(matches!(err, HarnessError::Config(_)), "{err}");
+        }
+    }
+
+    #[test]
     fn run_cluster_dispatches_every_mode() {
         use crate::config::{ClusterConfig, FanoutPolicy};
         let apps: Vec<Arc<dyn ServerApp>> = (0..2)

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use tailbench_workloads::rng::seeded_rng;
 
 /// One copy of request `id`'s leg on `shard` waiting in a station's FIFO queue (the
-/// payload stays in the request's [`Slot`]).
+/// payload stays in the [`Ring`]).
 #[derive(Debug)]
 struct QueuedLeg {
     id: u64,
@@ -132,16 +132,7 @@ impl Station {
             if self.waiting.len() >= capacity {
                 match *admission {
                     AdmissionPolicy::DropDeadline { slo_ns, .. } => {
-                        while self
-                            .waiting
-                            .front()
-                            .is_some_and(|q| now.saturating_sub(q.enqueued_ns) > slo_ns)
-                        {
-                            if let Some(expired) = self.waiting.pop_front() {
-                                self.tracker.on_shed_admitted();
-                                removed.push(expired);
-                            }
-                        }
+                        self.shed_expired(slo_ns, now, removed);
                         if self.waiting.len() >= capacity {
                             self.tracker.on_drop();
                             return false;
@@ -174,26 +165,28 @@ impl Station {
         true
     }
 
-    /// Pops the next serviceable leg, shedding expired head-of-line legs under a
-    /// `DropDeadline` policy (each reclassified in the tracker and appended to `removed`).
+    /// Sheds the head-of-line legs that have waited longer than `slo_ns` at `now`, each
+    /// reclassified in the tracker and appended to `removed`.
+    fn shed_expired(&mut self, slo_ns: u64, now: u64, removed: &mut Vec<QueuedLeg>) {
+        let expired = |q: &mut QueuedLeg| now.saturating_sub(q.enqueued_ns) > slo_ns;
+        while let Some(leg) = self.waiting.pop_front_if(expired) {
+            self.tracker.on_shed_admitted();
+            removed.push(leg);
+        }
+    }
+
+    /// Pops the next serviceable leg, shedding expired head-of-line legs first under a
+    /// `DropDeadline` policy.
     fn pop_fresh(
         &mut self,
         admission: &AdmissionPolicy,
         now: u64,
         removed: &mut Vec<QueuedLeg>,
     ) -> Option<QueuedLeg> {
-        while let Some(leg) = self.waiting.pop_front() {
-            if admission
-                .slo_ns()
-                .is_some_and(|slo| now.saturating_sub(leg.enqueued_ns) > slo)
-            {
-                self.tracker.on_shed_admitted();
-                removed.push(leg);
-                continue;
-            }
-            return Some(leg);
+        if let Some(slo_ns) = admission.slo_ns() {
+            self.shed_expired(slo_ns, now, removed);
         }
-        None
+        self.waiting.pop_front()
     }
 }
 
@@ -233,25 +226,17 @@ struct Leg {
     primary: usize,
 }
 
-/// One request in flight: its payload, held once for all copies, beside its first leg
-/// (shard 0 under broadcast, the routed shard otherwise).
-#[derive(Debug)]
-struct Slot {
-    request: Request,
-    leg: Leg,
-}
-
-/// The requests in flight, in id order: request `head + i` is `slots[i]`, and a
-/// broadcast request's other legs, shards 1 to `width - 1`, are the `width - 1` entries
-/// of `more_legs` from `i * (width - 1)`.  Ids are dense from 0, so lookups index and
-/// nothing allocates per request.  A request retires once no copy of it is admitted and
-/// no hedge check is due, and the head advances past retired requests.
+/// The requests in flight, in id order: request `head + i` is `requests[i]` (its
+/// payload, held once for all copies), and its legs are the `width` entries of `legs`
+/// from `i * width` (a routed request's one leg sits at offset 0, whatever its shard).
+/// Ids are dense from 0, so lookups index and nothing allocates per request.  A request
+/// retires once all its legs are done, and the head advances past retired requests.
 #[derive(Debug, Default)]
 struct Ring {
     head: u64,
     width: usize,
-    slots: VecDeque<Slot>,
-    more_legs: VecDeque<Leg>,
+    requests: VecDeque<Request>,
+    legs: VecDeque<Leg>,
     /// Retired requests with some but not all legs answered.
     partial: u64,
 }
@@ -263,53 +248,44 @@ impl Ring {
 
     fn request(&self, id: u64) -> Result<&Request, HarnessError> {
         self.index(id)
-            .and_then(|i| self.slots.get(i))
-            .map(|slot| &slot.request)
+            .and_then(|i| self.requests.get(i))
             .ok_or_else(|| HarnessError::Internal(format!("request {id} is not in flight")))
     }
 
     fn leg_mut(&mut self, id: u64, shard: usize) -> Result<&mut Leg, HarnessError> {
-        let extra = self.width - 1;
-        let leg = match self.index(id) {
-            Some(i) if extra == 0 || shard == 0 => self.slots.get_mut(i).map(|slot| &mut slot.leg),
-            Some(i) if shard <= extra => self.more_legs.get_mut(i * extra + shard - 1),
-            _ => None,
-        };
-        leg.ok_or_else(|| HarnessError::Internal(format!("request {id} has no shard {shard}")))
+        let offset = if self.width > 1 { shard } else { 0 };
+        self.index(id)
+            .filter(|_| offset < self.width)
+            .and_then(|i| self.legs.get_mut(i * self.width + offset))
+            .ok_or_else(|| HarnessError::Internal(format!("request {id} has no shard {shard}")))
     }
 
-    /// Pops finished requests off the front, counting those with unanswered legs.
-    #[inline]
+    /// Pops finished requests (no copy of any leg admitted, no hedge check due) off the
+    /// front, counting those with unanswered legs.
     fn retire(&mut self) {
-        let extra = self.width - 1;
-        while let Some(slot) = self.slots.front() {
-            let mut answered = 0;
-            for leg in std::iter::once(&slot.leg).chain(self.more_legs.iter().take(extra)) {
-                if leg.outstanding > 0 || !leg.hedged {
-                    return;
-                }
-                answered += usize::from(leg.resolved);
-            }
+        let done = |leg: &Leg| leg.outstanding == 0 && leg.hedged;
+        while !self.requests.is_empty()
+            && (0..self.width).all(|k| self.legs.get(k).is_some_and(done))
+        {
+            let legs = (0..self.width).filter_map(|_| self.legs.pop_front());
+            let answered = legs.filter(|leg| leg.resolved).count();
             self.partial += u64::from(answered > 0 && answered < self.width);
-            self.slots.pop_front();
-            for _ in 0..extra {
-                self.more_legs.pop_front();
-            }
+            self.requests.pop_front();
             self.head += 1;
         }
     }
 }
 
 /// The state the event handlers share: the applications and their cost model, one
-/// station per instance, the event heap, the requests in flight, and the scratch list
-/// of queued copies shed after admission.
+/// station per instance, the event heap, and the scratch list of queued copies shed
+/// after admission.  The requests in flight live beside it in a [`Ring`], so a handler
+/// can read a payload from the ring while it changes the stations.
 struct Sim<'a> {
     apps: &'a [Arc<dyn ServerApp>],
     cost_model: &'a dyn CostModel,
     config: &'a BenchmarkConfig,
     stations: Vec<Station>,
     events: BinaryHeap<Event>,
-    ring: Ring,
     removed: Vec<QueuedLeg>,
     seq: u64,
 }
@@ -326,12 +302,12 @@ impl Sim<'_> {
         });
     }
 
-    /// Starts service for one copy on `instance` at virtual time `now`.
-    #[inline]
+    /// Starts service for one copy of `request` on `instance` at virtual time `now`.
     fn start_service(
         &mut self,
         instance: usize,
         copy: QueuedLeg,
+        request: &Request,
         now: u64,
     ) -> Result<(), HarnessError> {
         let app = self
@@ -340,7 +316,6 @@ impl Sim<'_> {
             .ok_or_else(|| HarnessError::Internal(format!("app index {instance} out of range")))?;
         let station = station_mut(&mut self.stations, instance)?;
         station.busy += 1;
-        let request = self.ring.request(copy.id)?;
         let response = app.handle(&request.payload);
         let base_ns = self
             .cost_model
@@ -368,53 +343,49 @@ impl Sim<'_> {
         Ok(())
     }
 
-    /// Admits one copy on `instance` at `now`: straight into service on an idle server
-    /// (an inclusive depth-1 transit, matching the real-time queue's post-push sample),
-    /// else through the station's admission policy.  Returns whether the copy was
-    /// admitted.
-    #[inline]
-    fn admit(&mut self, instance: usize, copy: QueuedLeg, now: u64) -> Result<bool, HarnessError> {
+    /// Admits one copy of `request` on `instance` at `now`: straight into service on an
+    /// idle server (an inclusive depth-1 transit, matching the real-time queue's
+    /// post-push sample), else through the station's admission policy.  Returns whether
+    /// the copy was admitted; copies of other requests it shed are left in `removed`.
+    fn admit(
+        &mut self,
+        instance: usize,
+        copy: QueuedLeg,
+        request: &Request,
+        now: u64,
+    ) -> Result<bool, HarnessError> {
         let servers = self.config.worker_threads.max(1);
-        // A missing station is a routing bug; treat it as a full station so the
-        // fallible lookup below reports it.
-        let admitted = if self
-            .stations
-            .get(instance)
-            .is_some_and(|s| s.busy < servers)
-        {
-            self.start_service(instance, copy, now)?;
-            let station = station_mut(&mut self.stations, instance)?;
+        let station = station_mut(&mut self.stations, instance)?;
+        if station.busy < servers {
             station.tracker.on_push(now, 1);
-            true
-        } else {
-            station_mut(&mut self.stations, instance)?.enqueue_or_shed(
-                &self.config.admission,
-                self.config.tags.as_deref(),
-                copy,
-                now,
-                &mut self.removed,
-            )
-        };
-        self.unwind_removed()?;
-        Ok(admitted)
+            self.start_service(instance, copy, request, now)?;
+            return Ok(true);
+        }
+        Ok(station.enqueue_or_shed(
+            &self.config.admission,
+            self.config.tags.as_deref(),
+            copy,
+            now,
+            &mut self.removed,
+        ))
     }
 
     /// Starts the next serviceable copy queued at `instance`, if any, once a server
     /// frees up at `now`.
-    #[inline]
-    fn serve_next(&mut self, instance: usize, now: u64) -> Result<(), HarnessError> {
+    fn serve_next(&mut self, ring: &Ring, instance: usize, now: u64) -> Result<(), HarnessError> {
         let station = station_mut(&mut self.stations, instance)?;
         if let Some(queued) = station.pop_fresh(&self.config.admission, now, &mut self.removed) {
-            self.start_service(instance, queued, now)?;
+            let request = ring.request(queued.id)?;
+            self.start_service(instance, queued, request, now)?;
         }
-        self.unwind_removed()
+        Ok(())
     }
 
     /// Unwinds per-leg bookkeeping for queued copies that were shed after admission
     /// (deadline purge or priority eviction pulled them back out of a station queue).
-    fn unwind_removed(&mut self) -> Result<(), HarnessError> {
-        for q in self.removed.drain(..) {
-            let leg = self.ring.leg_mut(q.id, q.shard)?;
+    fn unwind_removed(&mut self, ring: &mut Ring) -> Result<(), HarnessError> {
+        while let Some(q) = self.removed.pop() {
+            let leg = ring.leg_mut(q.id, q.shard)?;
             leg.outstanding = leg.outstanding.saturating_sub(1);
         }
         Ok(())
@@ -472,16 +443,15 @@ pub fn run_cluster_simulated(
         config,
         stations: (0..apps.len()).map(|_| Station::default()).collect(),
         events: BinaryHeap::new(),
-        ring: Ring {
-            width,
-            ..Ring::default()
-        },
         removed: Vec::new(),
         seq: 0,
     };
+    let mut ring = Ring {
+        width,
+        ..Ring::default()
+    };
 
     loop {
-        sim.ring.retire();
         // Pick the earlier of the next arrival and the next event; arrivals win ties so
         // that a request arriving exactly when a server frees up still observes the
         // queue state before the completion is processed (a conservative FIFO choice).
@@ -494,7 +464,6 @@ pub fn run_cluster_simulated(
                     Route::Shard(shard) => shard..shard + 1,
                     Route::AllShards => 0..cluster.shards,
                 };
-                let mut request = Some(request);
                 for shard in shards {
                     let primary = cluster.route_replica(shard, id, config.seed, &|i| {
                         sim.stations.get(i).map_or(0, |s| s.busy + s.waiting.len())
@@ -508,16 +477,6 @@ pub fn run_cluster_simulated(
                     } else if tied {
                         hedge_stats.issued += 1;
                     }
-                    let leg = Leg {
-                        resolved: false,
-                        hedged: hedge.is_none(),
-                        outstanding: 0,
-                        primary,
-                    };
-                    match request.take() {
-                        Some(request) => sim.ring.slots.push_back(Slot { request, leg }),
-                        None => sim.ring.more_legs.push_back(leg),
-                    }
                     let copies: &[(usize, bool)] = if tied {
                         &[
                             (primary, false),
@@ -526,7 +485,7 @@ pub fn run_cluster_simulated(
                     } else {
                         &[(primary, false)]
                     };
-                    let mut admitted = 0u8;
+                    let mut outstanding = 0u8;
                     for &(instance, is_hedge) in copies {
                         let copy = QueuedLeg {
                             id,
@@ -534,9 +493,18 @@ pub fn run_cluster_simulated(
                             shard,
                             is_hedge,
                         };
-                        admitted += u8::from(sim.admit(instance, copy, now)?);
+                        outstanding += u8::from(sim.admit(instance, copy, &request, now)?);
                     }
-                    sim.ring.leg_mut(id, shard)?.outstanding += admitted;
+                    ring.legs.push_back(Leg {
+                        resolved: false,
+                        hedged: hedge.is_none(),
+                        outstanding,
+                        primary,
+                    });
+                }
+                ring.requests.push_back(request);
+                if !sim.removed.is_empty() {
+                    sim.unwind_removed(&mut ring)?;
                 }
             }
             pending => {
@@ -554,7 +522,7 @@ pub fn run_cluster_simulated(
                     } => {
                         let station = station_mut(&mut sim.stations, instance)?;
                         station.busy = station.busy.saturating_sub(1);
-                        let leg = sim.ring.leg_mut(record.id.0, shard)?;
+                        let leg = ring.leg_mut(record.id.0, shard)?;
                         leg.outstanding = leg.outstanding.saturating_sub(1);
                         if !leg.resolved {
                             leg.resolved = true;
@@ -580,10 +548,10 @@ pub fn run_cluster_simulated(
                                 }
                             }
                         }
-                        sim.serve_next(instance, t)?;
+                        sim.serve_next(&ring, instance, t)?;
                     }
                     EventKind::HedgeCheck { id, shard } => {
-                        let leg = sim.ring.leg_mut(id, shard)?;
+                        let leg = ring.leg_mut(id, shard)?;
                         leg.hedged = true;
                         if !leg.resolved {
                             let alt = cluster.secondary_instance(shard, leg.primary);
@@ -593,23 +561,30 @@ pub fn run_cluster_simulated(
                                 shard,
                                 is_hedge: true,
                             };
-                            if sim.admit(alt, copy, t)? {
+                            if sim.admit(alt, copy, ring.request(id)?, t)? {
                                 hedge_stats.issued += 1;
-                                sim.ring.leg_mut(id, shard)?.outstanding += 1;
+                                ring.leg_mut(id, shard)?.outstanding += 1;
                             }
                         }
                     }
                 }
+                if !sim.removed.is_empty() {
+                    sim.unwind_removed(&mut ring)?;
+                }
+                // Retiring after events is enough: events end nearly every request, and
+                // one that an arrival ends (all its copies shed) retires at the next
+                // event or after the loop.
+                ring.retire();
             }
         }
     }
 
-    sim.ring.retire();
+    ring.retire();
     let unmerged = collector.unmerged() as u64;
     check_end_of_run(
         sim.stations.iter().map(|s| &s.tracker),
-        sim.ring.slots.len(),
-        sim.ring.partial,
+        ring.requests.len(),
+        ring.partial,
         unmerged,
     )?;
     let queue_summaries: Vec<QueueSummary> = sim
