@@ -1,318 +1,182 @@
-//! Wall-clock hedged-request engine for the cluster router.
+//! Wall-clock hedged- and tied-request engine for the cluster router.
 //!
-//! The discrete-event simulation applies the [`HedgePolicy`](crate::config::HedgePolicy)
-//! inside its event loop; the real-time cluster configurations (integrated and TCP) use
-//! this engine instead: a dedicated thread that tracks every dispatched leg, reissues a
-//! copy to the shard's next replica once the trigger delay expires without a response,
-//! and forwards only the *first* response per leg to the cross-shard collector
-//! (first-response-wins; the loser is dropped here, never recorded).
-//!
-//! Message flow: the router announces each leg with [`HedgeMsg::Dispatched`] *before*
-//! handing the request to the server, every completed copy arrives as
-//! [`HedgeMsg::Completed`] (sent by the worker that served it in the integrated
-//! configuration, by the connection's receiver thread in the TCP ones), and the router signals the end of pacing with
-//! [`HedgeMsg::NoMoreDispatches`].  Because a leg's `Dispatched` is enqueued before the
-//! request can possibly complete, the engine never sees a completion for an unknown leg.
-//! The engine already serializes every completion on its own thread, so it records
-//! winning legs straight into a [`ClusterCollector`] it owns — there is no separate
-//! collector thread or channel behind it — and hands the populated collector back at
+//! The simulator drives the shared [`LegBook`] from its event loop; the integrated and
+//! TCP configurations drive it from this thread.  It opens every request the router
+//! announces, reissues a copy to the shard's next replica once a leg's hedge delay
+//! expires unanswered, retracts a tied loser still queued on its replica, and records
+//! each leg's first response into the [`ClusterCollector`] it owns, handed back at
 //! [`HedgeEngine::join`].
 //!
-//! Shutdown is two-phase to avoid a teardown cycle: the reissue path (which holds
-//! clones of the server-side queue senders) is dropped as soon as pacing has ended and
-//! every outstanding copy has completed; only then can workers and receivers unwind,
-//! closing the engine's channel and letting it return its [`HedgeStats`].
+//! The router announces each request ([`HedgeMsg::Dispatched`], in id order from 0)
+//! before any server can see it.  Completions come from the workers (integrated) or the
+//! connection receivers (TCP); a copy that will never complete — shed at admission, or
+//! later from its queue by a deadline purge or a priority eviction — comes as
+//! [`HedgeMsg::Cancelled`].  The hedge delay is fixed and messages are handled in
+//! order, so deadlines come due in the order they were armed.
+//!
+//! The engine returns once pacing has ended and every request has retired, dropping
+//! the reissue and retract paths (which hold the servers' queue or channel senders) so
+//! the servers can unwind, or once every sender to it is gone.  TCP cannot see a
+//! server-side shed: a TCP tied leg whose copy was shed never retires, and the book
+//! keeps it and every later request until the senders are gone — memory, not
+//! correctness.  Hedged TCP runs, which would wait for that copy, reject shedding
+//! admission policies up front.
 
 use crate::collector::ClusterCollector;
-use crate::config::{ClusterConfig, HedgePolicy};
+use crate::config::ClusterConfig;
 use crate::error::HarnessError;
+use crate::policy::{LegBook, LegPlan};
 use crate::report::HedgeStats;
 use crate::request::{Request, RequestRecord};
 use crate::time::RunClock;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::collections::VecDeque;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// One message into the hedge engine.
 #[derive(Debug)]
 pub(crate) enum HedgeMsg {
-    /// The router dispatched `request`'s leg on `shard` (sent before the server can see
-    /// the request).
+    /// `request`'s legs are about to be issued; its payload is kept for hedge copies
+    /// (and may be empty when none will be).
     Dispatched {
-        /// The leg's request (kept so a hedge copy can be reissued).
         request: Request,
-        /// The shard this leg belongs to.
-        shard: usize,
-        /// The replica instance the primary copy was routed to.  The hedge copy goes to
-        /// the shard's *next* replica after this one, so hedging stays correct under
-        /// load-aware replica selectors.
-        instance: usize,
+        legs: Vec<LegPlan>,
     },
-    /// The router dispatched a *tied* leg: two copies issued up front, `primary` and
-    /// `secondary`.  First response wins; the engine retracts the queued loser.
-    DispatchedTied {
-        /// The leg's request id.
-        id: u64,
-        /// The shard this leg belongs to.
-        shard: usize,
-        /// The instance serving the first copy.
-        primary: usize,
-        /// The instance serving the second copy.
-        secondary: usize,
-    },
-    /// One copy of a leg completed.
+    /// A copy of a leg responded from `instance`.
     Completed {
-        /// The shard the completed copy belongs to.
         shard: usize,
-        /// The instance whose connection/queue delivered the copy — identifies whether
-        /// the primary or the hedge copy responded (each goes to a distinct replica).
         instance: usize,
-        /// The copy's latency record.
         record: RequestRecord,
     },
-    /// A previously announced leg was shed at admission and will never complete;
-    /// retract its tracking so it is neither hedged nor left pending.
-    Cancelled {
-        /// The leg's request id.
-        id: u64,
-        /// The shard the leg belonged to.
-        shard: usize,
-    },
-    /// The router finished pacing; no further `Dispatched` messages will arrive.
+    /// An announced copy was shed and will never complete.
+    Cancelled { id: u64, shard: usize },
+    /// Pacing has ended: no further requests.
     NoMoreDispatches,
 }
 
-/// Client-side state of one wall-clock leg.
-#[derive(Debug)]
-struct WallLeg {
-    request: Option<Request>,
-    resolved: bool,
-    /// The instance the primary copy was routed to.
-    primary: usize,
-    /// The instance the secondary copy targets: the hedge copy's destination once
-    /// reissued, or the tied copy's destination from dispatch (`None` until hedged).
-    hedged_to: Option<usize>,
-    /// Tied legs dispatched both copies up front; the engine retracts the loser instead
-    /// of reissuing anything.
-    tied: bool,
-    outstanding: u8,
-}
-
-/// The engine thread plus its message sender.
+/// The engine thread.
 #[derive(Debug)]
 pub(crate) struct HedgeEngine {
-    tx: Sender<HedgeMsg>,
-    handle: JoinHandle<(HedgeStats, ClusterCollector)>,
+    handle: JoinHandle<Result<(HedgeStats, ClusterCollector), HarnessError>>,
 }
 
 impl HedgeEngine {
-    /// Spawns the engine.  `policy` arms the reissue deadlines (pass `None` for
-    /// tied-only runs, where both copies are dispatched up front and nothing is ever
-    /// reissued).  `reissue(instance, request)` injects a hedge copy into the transport
-    /// (a queue push in the integrated configuration, a sender-channel send in the TCP
-    /// ones); `retract(instance, id)` attempts to pull a still-queued tied loser back
-    /// out of the transport, returning `true` if the copy will never run.  `collector`
-    /// receives the winning record of every leg and is returned, populated, from
-    /// [`HedgeEngine::join`].
+    /// Spawns the engine on `rx` for the cluster's hedge or tied policy; `collector`
+    /// receives the winning record of every leg.  `reissue(instance, request)` injects
+    /// a hedge copy, `true` if admitted; `retract(instance, id)` pulls a tied loser
+    /// back out of its queue, `true` if it was still there.
     pub(crate) fn spawn(
-        policy: Option<HedgePolicy>,
+        rx: Receiver<HedgeMsg>,
         cluster: ClusterConfig,
-        width: usize,
         clock: RunClock,
-        mut collector: ClusterCollector,
-        reissue: Box<dyn FnMut(usize, Request) -> bool + Send>,
-        retract: Box<dyn FnMut(usize, u64) -> bool + Send>,
+        collector: ClusterCollector,
+        reissue: impl FnMut(usize, Request) -> bool + Send + 'static,
+        retract: impl FnMut(usize, u64) -> bool + Send + 'static,
     ) -> Result<Self, HarnessError> {
-        let (tx, rx) = channel::<HedgeMsg>();
         let handle = std::thread::Builder::new()
             .name("tb-hedge-engine".into())
-            .spawn(move || {
-                // The reissue and retract paths both hold transport handles (queue or
-                // channel senders); they are released together once pacing has ended and
-                // every outstanding copy is accounted for, so servers can unwind.
-                let mut transport = Some((reissue, retract));
-                let mut stats = HedgeStats::default();
-                let mut pending: HashMap<(u64, usize), WallLeg> = HashMap::new();
-                // Hedge deadlines: (deadline_ns, ticket) -> leg key.  The ticket makes
-                // keys unique when deadlines collide.
-                let mut deadlines: BTreeMap<(u64, u64), (u64, usize)> = BTreeMap::new();
-                let mut ticket = 0u64;
-                let mut no_more = false;
-                loop {
-                    // Fire every due hedge.
-                    let now = clock.now_ns();
-                    while let Some((&slot, &key)) = deadlines.iter().next() {
-                        if slot.0 > now {
-                            break;
-                        }
-                        deadlines.remove(&slot);
-                        let Some(leg) = pending.get_mut(&key) else {
-                            continue;
-                        };
-                        if leg.resolved || leg.hedged_to.is_some() {
-                            continue;
-                        }
-                        let Some(request) = leg.request.take() else {
-                            continue;
-                        };
-                        // The copy goes to the shard's next replica *after the actual
-                        // primary* — under load-aware selectors that is not necessarily
-                        // `hedge_instance(shard, id)`.
-                        let alt = cluster.secondary_instance(key.1, leg.primary);
-                        if let Some((send, _)) = transport.as_mut() {
-                            if send(alt, request) {
-                                leg.hedged_to = Some(alt);
-                                leg.outstanding += 1;
-                                stats.issued += 1;
-                            }
-                        }
-                    }
-                    // Once pacing is over and every copy has come back, release the
-                    // reissue/retract paths so the servers can start unwinding.
-                    if no_more && pending.is_empty() && transport.is_some() {
-                        transport = None;
-                        deadlines.clear();
-                    }
-                    // Wait for the next message, or until the next hedge deadline.
-                    let msg = match deadlines.keys().next() {
-                        Some(&(deadline, _)) => {
-                            let wait = deadline.saturating_sub(clock.now_ns());
-                            match rx.recv_timeout(Duration::from_nanos(wait.max(1))) {
-                                Ok(msg) => msg,
-                                Err(RecvTimeoutError::Timeout) => continue,
-                                Err(RecvTimeoutError::Disconnected) => break,
-                            }
-                        }
-                        None => match rx.recv() {
-                            Ok(msg) => msg,
-                            Err(_) => break,
-                        },
-                    };
-                    match msg {
-                        HedgeMsg::Dispatched {
-                            request,
-                            shard,
-                            instance,
-                        } => {
-                            let key = (request.id.0, shard);
-                            if let Some(policy) = policy {
-                                ticket += 1;
-                                deadlines.insert((clock.now_ns() + policy.delay_ns, ticket), key);
-                            }
-                            pending.insert(
-                                key,
-                                WallLeg {
-                                    request: Some(request),
-                                    resolved: false,
-                                    primary: instance,
-                                    hedged_to: None,
-                                    tied: false,
-                                    outstanding: 1,
-                                },
-                            );
-                        }
-                        HedgeMsg::DispatchedTied {
-                            id,
-                            shard,
-                            primary,
-                            secondary,
-                        } => {
-                            stats.issued += 1;
-                            pending.insert(
-                                (id, shard),
-                                WallLeg {
-                                    request: None,
-                                    resolved: false,
-                                    primary,
-                                    hedged_to: Some(secondary),
-                                    tied: true,
-                                    outstanding: 2,
-                                },
-                            );
-                        }
-                        HedgeMsg::Completed {
-                            shard,
-                            instance,
-                            record,
-                        } => {
-                            let key = (record.id.0, shard);
-                            if let Some(leg) = pending.get_mut(&key) {
-                                leg.outstanding = leg.outstanding.saturating_sub(1);
-                                if !leg.resolved {
-                                    leg.resolved = true;
-                                    // The copy won iff the first response came back on
-                                    // the replica the secondary targets (primary and
-                                    // secondary always target distinct replicas).
-                                    if leg.hedged_to == Some(instance) {
-                                        stats.wins += 1;
-                                    }
-                                    let _ = collector.record_leg(shard, record, width);
-                                    // Tied: try to pull the losing copy back off its
-                                    // queue.  If the retraction lands, that copy will
-                                    // never produce a completion.
-                                    if leg.tied && leg.outstanding > 0 {
-                                        let loser = if Some(instance) == leg.hedged_to {
-                                            leg.primary
-                                        } else {
-                                            leg.hedged_to.unwrap_or(leg.primary)
-                                        };
-                                        if let Some((_, cancel)) = transport.as_mut() {
-                                            if cancel(loser, key.0) {
-                                                leg.outstanding -= 1;
-                                            }
-                                        }
-                                    }
-                                }
-                                if leg.outstanding == 0 {
-                                    pending.remove(&key);
-                                }
-                            }
-                        }
-                        HedgeMsg::Cancelled { id, shard } => {
-                            // One announced copy was shed at admission and will never
-                            // complete.  For tied legs the sibling copy may still be in
-                            // flight, so this only retires one copy's bookkeeping.
-                            let key = (id, shard);
-                            if let Some(leg) = pending.get_mut(&key) {
-                                leg.outstanding = leg.outstanding.saturating_sub(1);
-                                if leg.outstanding == 0 {
-                                    pending.remove(&key);
-                                }
-                            }
-                        }
-                        HedgeMsg::NoMoreDispatches => no_more = true,
-                    }
-                }
-                (stats, collector)
-            })?;
-        Ok(HedgeEngine { tx, handle })
+            .spawn(move || run(&rx, &cluster, clock, collector, reissue, retract))?;
+        Ok(HedgeEngine { handle })
     }
 
-    /// A sender for the router and for whichever threads deliver completions.
-    pub(crate) fn sender(&self) -> Sender<HedgeMsg> {
-        self.tx.clone()
-    }
-
-    /// Drops the local sender and waits for the engine to drain, returning the hedge
-    /// bookkeeping and the populated cluster collector.
+    /// Waits for the engine, returning its counters and the populated collector.
     ///
     /// # Errors
     ///
-    /// Returns [`HarnessError::Internal`] if the engine thread panicked.
+    /// Returns [`HarnessError::Internal`] if the engine panicked or met a copy of a
+    /// request its book does not hold.
     pub(crate) fn join(self) -> Result<(HedgeStats, ClusterCollector), HarnessError> {
-        drop(self.tx);
         self.handle
             .join()
-            .map_err(|_| HarnessError::Internal("hedge engine thread panicked".into()))
+            .map_err(|_| HarnessError::Internal("hedge engine thread panicked".into()))?
     }
+}
+
+/// The engine thread's body.
+fn run(
+    rx: &Receiver<HedgeMsg>,
+    cluster: &ClusterConfig,
+    clock: RunClock,
+    mut collector: ClusterCollector,
+    mut reissue: impl FnMut(usize, Request) -> bool,
+    mut retract: impl FnMut(usize, u64) -> bool,
+) -> Result<(HedgeStats, ClusterCollector), HarnessError> {
+    let width = cluster.fanout_width();
+    let delay_ns = cluster.active_hedge().map(|policy| policy.delay_ns);
+    let mut book: LegBook<Request> = LegBook::new(cluster);
+    // (due_ns, id, shard), in the order they come due.
+    let mut deadlines: VecDeque<(u64, u64, usize)> = VecDeque::new();
+    let mut no_more = false;
+    loop {
+        let now = clock.now_ns();
+        while let Some(&(_, id, shard)) = deadlines.front().filter(|d| d.0 <= now) {
+            deadlines.pop_front();
+            if let Some(alt) = book.hedge_due(id, shard)? {
+                if reissue(alt, book.payload(id)?.clone()) {
+                    book.hedge_admitted(id, shard)?;
+                }
+            }
+        }
+        book.retire();
+        if no_more && book.in_flight() == 0 {
+            break;
+        }
+        // Wait for the next message, or until the next deadline (with none, for good).
+        let wait = deadlines.front().map_or(Duration::MAX, |&(due, ..)| {
+            Duration::from_nanos(due.saturating_sub(clock.now_ns()).max(1))
+        });
+        let msg = match rx.recv_timeout(wait) {
+            Ok(msg) => msg,
+            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        match msg {
+            HedgeMsg::Dispatched { request, legs } => {
+                let due = delay_ns.map(|delay| clock.now_ns() + delay);
+                for leg in &legs {
+                    book.open_leg(leg.primary, leg.copies().count() as u8);
+                    deadlines.extend(due.map(|due| (due, request.id.0, leg.shard)));
+                }
+                book.open_request(request);
+            }
+            HedgeMsg::Completed {
+                shard,
+                instance,
+                record,
+            } => {
+                let id = record.id.0;
+                if let Some(first) = book.respond(id, shard, instance)? {
+                    let _ = collector.record_leg(shard, record, width);
+                    if first.retract.is_some_and(|loser| retract(loser, id)) {
+                        book.shed(id, shard)?;
+                    }
+                }
+            }
+            HedgeMsg::Cancelled { id, shard } => book.shed(id, shard)?,
+            HedgeMsg::NoMoreDispatches => no_more = true,
+        }
+    }
+    Ok((book.hedge_stats().unwrap_or_default(), collector))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FanoutPolicy;
+    use crate::config::{FanoutPolicy, HedgePolicy};
     use crate::request::RequestId;
+    use std::sync::mpsc::channel;
+
+    fn dispatched(id: u64, primary: usize, secondary: Option<usize>) -> HedgeMsg {
+        HedgeMsg::Dispatched {
+            request: leg_request(id),
+            legs: vec![LegPlan {
+                shard: 0,
+                primary,
+                secondary,
+            }],
+        }
+    }
 
     fn leg_request(id: u64) -> Request {
         Request {
@@ -335,28 +199,24 @@ mod tests {
 
     #[test]
     fn slow_legs_get_hedged_and_first_response_wins() {
-        let cluster = ClusterConfig::new(1, FanoutPolicy::Broadcast).with_replication(2);
+        let cluster = ClusterConfig::new(1, FanoutPolicy::Broadcast)
+            .with_replication(2)
+            .with_hedge(HedgePolicy::after_ns(2_000_000)); // 2 ms trigger
         let clock = RunClock::new();
         let (hedged_tx, hedged_rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         let engine = HedgeEngine::spawn(
-            Some(HedgePolicy::after_ns(2_000_000)), // 2 ms trigger
+            rx,
             cluster,
-            1,
             clock,
             ClusterCollector::new(1, 0),
             Box::new(move |instance, request| hedged_tx.send((instance, request)).is_ok()),
             Box::new(|_, _| false),
         )
         .expect("spawn hedge engine");
-        let tx = engine.sender();
         // Leg 0 never gets a primary response: the engine must reissue it to the other
         // replica (instance 1) after ~2 ms.
-        tx.send(HedgeMsg::Dispatched {
-            request: leg_request(0),
-            shard: 0,
-            instance: 0,
-        })
-        .unwrap();
+        tx.send(dispatched(0, 0, None)).unwrap();
         let (alt, copy) = hedged_rx
             .recv()
             .expect("the engine must issue a hedge copy");
@@ -380,12 +240,7 @@ mod tests {
         .unwrap();
         // Leg 1 (primary replica 1, hedge to replica 0) also gets hedged, but this time
         // the *primary* responds first: the hedge is issued yet must not count as a win.
-        tx.send(HedgeMsg::Dispatched {
-            request: leg_request(1),
-            shard: 0,
-            instance: 1,
-        })
-        .unwrap();
+        tx.send(dispatched(1, 1, None)).unwrap();
         let (alt, copy) = hedged_rx.recv().expect("second hedge copy");
         assert_eq!(alt, 0);
         assert_eq!(copy.id, RequestId(1));
@@ -422,26 +277,22 @@ mod tests {
 
     #[test]
     fn fast_legs_are_never_hedged() {
-        let cluster = ClusterConfig::new(1, FanoutPolicy::Broadcast).with_replication(2);
+        let cluster = ClusterConfig::new(1, FanoutPolicy::Broadcast)
+            .with_replication(2)
+            .with_hedge(HedgePolicy::after_ns(200_000_000)); // 200 ms: nothing should trigger
         let clock = RunClock::new();
+        let (tx, rx) = channel();
         let engine = HedgeEngine::spawn(
-            Some(HedgePolicy::after_ns(200_000_000)), // 200 ms: nothing should trigger
+            rx,
             cluster,
-            1,
             clock,
             ClusterCollector::new(1, 0),
             Box::new(|_, _| panic!("no hedge expected")),
             Box::new(|_, _| false),
         )
         .expect("spawn hedge engine");
-        let tx = engine.sender();
         for id in 0..10u64 {
-            tx.send(HedgeMsg::Dispatched {
-                request: leg_request(id),
-                shard: 0,
-                instance: (id % 2) as usize,
-            })
-            .unwrap();
+            tx.send(dispatched(id, (id % 2) as usize, None)).unwrap();
             tx.send(HedgeMsg::Completed {
                 shard: 0,
                 instance: (id % 2) as usize,
@@ -458,13 +309,16 @@ mod tests {
 
     #[test]
     fn tied_legs_record_first_response_and_retract_the_loser() {
-        let cluster = ClusterConfig::new(1, FanoutPolicy::Broadcast).with_replication(2);
+        // Tied mode: nothing is ever reissued.
+        let cluster = ClusterConfig::new(1, FanoutPolicy::Broadcast)
+            .with_replication(2)
+            .with_tied(true);
         let clock = RunClock::new();
         let (retract_tx, retract_rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         let engine = HedgeEngine::spawn(
-            None, // tied mode: nothing is ever reissued
+            rx,
             cluster,
-            1,
             clock,
             ClusterCollector::new(1, 0),
             Box::new(|_, _| panic!("tied mode must not reissue")),
@@ -474,15 +328,8 @@ mod tests {
             }),
         )
         .expect("spawn hedge engine");
-        let tx = engine.sender();
         // Leg 0: secondary (instance 1) answers first -> win + retraction of instance 0.
-        tx.send(HedgeMsg::DispatchedTied {
-            id: 0,
-            shard: 0,
-            primary: 0,
-            secondary: 1,
-        })
-        .unwrap();
+        tx.send(dispatched(0, 0, Some(1))).unwrap();
         tx.send(HedgeMsg::Completed {
             shard: 0,
             instance: 1,
@@ -495,13 +342,7 @@ mod tests {
             "the queued primary copy is pulled back"
         );
         // Leg 1: primary answers first -> no win, retract the secondary.
-        tx.send(HedgeMsg::DispatchedTied {
-            id: 1,
-            shard: 0,
-            primary: 0,
-            secondary: 1,
-        })
-        .unwrap();
+        tx.send(dispatched(1, 0, Some(1))).unwrap();
         tx.send(HedgeMsg::Completed {
             shard: 0,
             instance: 0,
@@ -510,13 +351,7 @@ mod tests {
         .unwrap();
         assert_eq!(retract_rx.recv().unwrap(), (1, 1));
         // Leg 2: one copy shed at admission (Cancelled), the survivor still records.
-        tx.send(HedgeMsg::DispatchedTied {
-            id: 2,
-            shard: 0,
-            primary: 0,
-            secondary: 1,
-        })
-        .unwrap();
+        tx.send(dispatched(2, 0, Some(1))).unwrap();
         tx.send(HedgeMsg::Cancelled { id: 2, shard: 0 }).unwrap();
         tx.send(HedgeMsg::Completed {
             shard: 0,

@@ -14,21 +14,22 @@
 
 use crate::app::{RequestFactory, ServerApp};
 use crate::collector::{ClusterCollector, StatsCollector};
-use crate::config::{BenchmarkConfig, ClusterConfig, ReplicaSelector, Route};
+use crate::config::{BenchmarkConfig, ClusterConfig, ReplicaSelector};
 use crate::error::HarnessError;
 use crate::hedge::{HedgeEngine, HedgeMsg};
 use crate::interference::InterferedApp;
+use crate::policy::plan_legs;
 use crate::pool::BufferPool;
-use crate::queue::{Completion, PushOutcome, QueueObserver, RequestQueue};
+use crate::queue::{Completion, PushOutcome, QueueObserver, RequestQueue, ShedSink};
 use crate::report::{
     ClusterReport, HedgeStats, LabeledLatency, LatencyStats, QueueSummary, RunReport,
 };
 use crate::request::{Request, RequestId, RequestRecord};
-use crate::time::{PacingRecorder, RunClock};
+use crate::time::{pace, RunClock};
 use crate::traffic::TrafficShaper;
 use crate::worker::{Shard, WorkerPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use tailbench_workloads::rng::seeded_rng;
 
@@ -170,18 +171,46 @@ impl InFlight {
     }
 }
 
-/// A worker's share of a cluster run's statistics: the legs its instance served, in a
-/// partial of the run's cross-shard collector or, with hedging or tied requests
-/// active, sent to the hedge engine, which records only each leg's first response.
-/// Recording a leg also retires it from the instance's in-flight count.
+/// The run's empty cross-shard collector.
+pub(crate) fn cluster_collector(
+    config: &BenchmarkConfig,
+    cluster: &ClusterConfig,
+) -> ClusterCollector {
+    ClusterCollector::new(cluster.shards, config.warmup_requests as u64)
+        .with_tags(config.tags.clone())
+}
+
+/// One instance's share of a cluster run's statistics (a worker's, or a TCP receiver's):
+/// the legs it served, in a partial cross-shard collector or, with hedging or tied
+/// requests active, sent to the hedge engine.  Recording a leg also retires it from the
+/// instance's in-flight count.
 #[derive(Debug, Clone)]
-struct LegShard {
-    partial: ClusterCollector,
+pub(crate) struct LegShard {
+    pub(crate) partial: ClusterCollector,
     engine: Option<Sender<HedgeMsg>>,
     shard: usize,
     width: usize,
     instance: usize,
     in_flight: InFlight,
+}
+
+impl LegShard {
+    pub(crate) fn new(
+        config: &BenchmarkConfig,
+        cluster: &ClusterConfig,
+        instance: usize,
+        engine: Option<&Sender<HedgeMsg>>,
+        in_flight: &InFlight,
+    ) -> Self {
+        LegShard {
+            partial: cluster_collector(config, cluster),
+            engine: engine.cloned(),
+            shard: instance / cluster.replication,
+            width: cluster.fanout_width(),
+            instance,
+            in_flight: in_flight.clone(),
+        }
+    }
 }
 
 impl Shard for LegShard {
@@ -211,11 +240,10 @@ impl Shard for LegShard {
 /// worker pool (all sharing one run clock); the calling thread is the client-side
 /// router, pacing the global open-loop schedule and distributing requests according to
 /// `cluster.fanout`.  Fan-out legs are merged last-response-wins: each worker records
-/// the legs it serves into a partial cross-shard collector, and the partials are merged
-/// when the run tears down.  With hedging or tied requests active, workers hand their
-/// legs to the hedge engine instead, which owns the collector.  Every leg but a
-/// request's last gets a payload copy from a shared buffer pool, recycled by the
-/// workers.
+/// the legs it serves into a partial cross-shard collector, merged at teardown.  With
+/// hedging or tied requests active, workers hand their legs to the hedge engine, which
+/// owns the collector, and the queues report every copy they shed after admitting it.
+/// Every leg but a request's last gets a payload copy from a shared buffer pool.
 ///
 /// # Errors
 ///
@@ -228,15 +256,11 @@ pub fn run_cluster_integrated(
     config: &BenchmarkConfig,
     cluster: &ClusterConfig,
 ) -> Result<ClusterReport, HarnessError> {
-    if !config.load.is_open() {
-        return Err(HarnessError::Config(
-            "cluster runs require an open-loop load mode".into(),
-        ));
-    }
     check_instances(apps, cluster)?;
     for app in apps {
         app.prepare();
     }
+    let requests = open_loop_requests(factory, config)?;
 
     let clock = RunClock::new();
     let width = cluster.fanout_width();
@@ -247,11 +271,21 @@ pub fn run_cluster_integrated(
     // hand buffers back to it.
     let recycle = width > 1 || tied;
     let in_flight = InFlight::new(cluster);
-    let warmup = config.warmup_requests as u64;
-    let new_cluster_collector =
-        || ClusterCollector::new(cluster.shards, warmup).with_tags(config.tags.clone());
+    let (engine_tx, engine_rx) = channel();
+    let engine_tx = (hedge.is_some() || tied).then_some(engine_tx);
+    // A copy shed after admission leaves its instance's in-flight count and the book.
     let queues: Vec<RequestQueue> = (0..apps.len())
-        .map(|_| RequestQueue::with_policy(config.admission))
+        .map(|i| {
+            let (engine, in_flight) = (engine_tx.clone(), in_flight.clone());
+            let shard = i / cluster.replication;
+            let sink = ShedSink(Box::new(move |id: RequestId| {
+                in_flight.sub(i);
+                if let Some(tx) = &engine {
+                    let _ = tx.send(HedgeMsg::Cancelled { id: id.0, shard });
+                }
+            }));
+            RequestQueue::shedding_to(config.admission, config.tags.clone(), Some(sink))
+        })
         .collect();
     let observers: Vec<_> = queues.iter().map(RequestQueue::observer).collect();
 
@@ -259,10 +293,10 @@ pub fn run_cluster_integrated(
     // which records only each leg's first response into the collector it owns, reissues
     // hedge stragglers straight onto the alternate replica's queue, and retracts
     // still-queued tied losers.
-    let engine = if hedge.is_some() || tied {
+    let engine = if engine_tx.is_some() {
         let queue_txs: Vec<_> = queues.iter().map(RequestQueue::sender).collect();
         let inflight = in_flight.clone();
-        let reissue = Box::new(move |instance: usize, request: Request| {
+        let reissue = move |instance: usize, request: Request| {
             let now = clock.now_ns();
             let accepted =
                 queue_txs[instance].push(request, now, Completion::Inline) == PushOutcome::Accepted;
@@ -270,40 +304,31 @@ pub fn run_cluster_integrated(
                 inflight.add(instance);
             }
             accepted
-        });
+        };
         let cancel_queues: Vec<_> = queues.iter().map(RequestQueue::sender).collect();
         let inflight = in_flight.clone();
-        let retract = Box::new(move |instance: usize, id: u64| {
+        let retract = move |instance: usize, id: u64| {
             let cancelled = cancel_queues[instance].cancel(RequestId(id));
             if cancelled {
                 inflight.sub(instance);
             }
             cancelled
-        });
+        };
         Some(HedgeEngine::spawn(
-            hedge,
+            engine_rx,
             cluster.clone(),
-            width,
             clock,
-            new_cluster_collector(),
+            cluster_collector(config, cluster),
             reissue,
             retract,
         )?)
     } else {
         None
     };
-    let engine_tx = engine.as_ref().map(HedgeEngine::sender);
 
     let mut pools = Vec::with_capacity(apps.len());
     for (i, app) in apps.iter().enumerate() {
-        let shard = LegShard {
-            partial: new_cluster_collector(),
-            engine: engine_tx.clone(),
-            shard: i / cluster.replication,
-            width,
-            instance: i,
-            in_flight: in_flight.clone(),
-        };
+        let shard = LegShard::new(config, cluster, i, engine_tx.as_ref(), &in_flight);
         pools.push(WorkerPool::spawn(
             interfered(app, config, i, clock),
             queues[i].receiver(),
@@ -314,90 +339,43 @@ pub fn run_cluster_integrated(
         )?);
     }
 
-    let mut rng = seeded_rng(config.seed, 1);
-    let times = config
-        .load
-        .schedule(&mut rng, config.total_requests())
-        .ok_or_else(|| HarnessError::Internal("open-loop mode produced no schedule".into()))?;
-    let shaper = TrafficShaper::from_times(times, 0, || factory.next_request());
     let max_ns = config.max_duration.as_nanos() as u64;
-    let mut pacing = PacingRecorder::new();
-    'pacing: for mut request in shaper.into_requests() {
-        let scheduled_ns = request.issued_ns;
-        // Checked before the wait too, so an arrival past the cap is not waited for.
-        if scheduled_ns > max_ns {
-            break;
+    let mut plan = Vec::with_capacity(width);
+    let pacing = pace(requests.into_requests(), clock, max_ns, |mut request| {
+        let (id, now) = (request.id, request.issued_ns);
+        let load_of = |i| in_flight.load(i);
+        plan_legs(cluster, &request, config.seed, &load_of, &mut plan);
+        if let Some(tx) = &engine_tx {
+            // Announce the legs before any server can answer them; only a hedge copy
+            // needs the payload.
+            let payload = hedge.map_or_else(Vec::new, |_| request.payload.clone());
+            let legs = plan.clone();
+            let request = Request { payload, ..request };
+            let _ = tx.send(HedgeMsg::Dispatched { request, legs });
         }
-        let now = clock.sleep_until_ns(scheduled_ns);
-        if now > max_ns {
-            break;
-        }
-        pacing.record(scheduled_ns, now);
-        // The request is stamped with its *actual* issue time so pacing jitter is
-        // charged to the harness, not hidden.
-        request.issued_ns = now;
-        let shards = match cluster.fanout.route(&request.payload, cluster.shards) {
-            Route::Shard(shard) => shard..shard + 1,
-            Route::AllShards => 0..cluster.shards,
-        };
-        let shards_end = shards.end;
-        for shard in shards {
-            let primary =
-                cluster.route_replica(shard, request.id.0, config.seed, &|i| in_flight.load(i));
-            let copies: &[usize] = if tied {
-                let secondary = cluster.secondary_instance(shard, primary);
-                if let Some(tx) = &engine_tx {
-                    // Announce the tied pair before either server can answer it.
-                    let _ = tx.send(HedgeMsg::DispatchedTied {
-                        id: request.id.0,
-                        shard,
-                        primary,
-                        secondary,
-                    });
-                }
-                &[primary, secondary]
+        let copies: usize = plan.iter().map(|leg| leg.copies().count()).sum();
+        let targets = plan
+            .iter()
+            .flat_map(|leg| leg.copies().map(|i| (leg.shard, i)));
+        for (n, (shard, i)) in targets.enumerate() {
+            let payload = if n + 1 == copies {
+                std::mem::take(&mut request.payload)
             } else {
-                &[primary]
+                buffers.duplicate(&request.payload)
             };
-            for (slot, &i) in copies.iter().enumerate() {
-                let payload = if shard + 1 == shards_end && slot + 1 == copies.len() {
-                    std::mem::take(&mut request.payload)
-                } else {
-                    buffers.duplicate(&request.payload)
-                };
-                let leg = Request {
-                    id: request.id,
-                    payload,
-                    issued_ns: request.issued_ns,
-                };
-                if !tied && slot == 0 {
+            match queues[i].push(Request { payload, ..request }, now, Completion::Inline) {
+                PushOutcome::Accepted => in_flight.add(i),
+                PushOutcome::Dropped => {
+                    // The copy was shed at admission: it will never complete.
                     if let Some(tx) = &engine_tx {
-                        // Announce the leg before the server can possibly answer it.
-                        let _ = tx.send(HedgeMsg::Dispatched {
-                            request: leg.clone(),
-                            shard,
-                            instance: i,
-                        });
+                        let _ = tx.send(HedgeMsg::Cancelled { id: id.0, shard });
                     }
                 }
-                match queues[i].push(leg, now, Completion::Inline) {
-                    PushOutcome::Accepted => in_flight.add(i),
-                    PushOutcome::Dropped => {
-                        // The copy was shed at admission: retract its tracking so the
-                        // engine neither hedges a request that can no longer complete
-                        // its fan-out nor counts phantom stragglers.
-                        if let Some(tx) = &engine_tx {
-                            let _ = tx.send(HedgeMsg::Cancelled {
-                                id: request.id.0,
-                                shard,
-                            });
-                        }
-                    }
-                    PushOutcome::Closed => break 'pacing,
-                }
+                PushOutcome::Closed => return false,
             }
         }
-    }
+        true
+    });
     if let Some(tx) = &engine_tx {
         let _ = tx.send(HedgeMsg::NoMoreDispatches);
     }
@@ -406,8 +384,9 @@ pub fn run_cluster_integrated(
     for queue in queues {
         queue.close();
     }
-    // Joining the workers also drops their engine senders, so the engine can finish.
-    let mut partials = new_cluster_collector();
+    // Workers exit once every producer is gone: the router's handles, closed here, and
+    // the engine's, dropped when every request has retired from its book.
+    let mut partials = cluster_collector(config, cluster);
     for pool in pools {
         partials.merge(pool.join()?.stats.partial);
     }
@@ -429,6 +408,24 @@ pub fn run_cluster_integrated(
     report.cluster.queue_depth = queue_summary(&observers)?;
     report.cluster.pacing = pacing.stats();
     Ok(report)
+}
+
+/// The run's open-loop requests, scheduled and with their payloads built.  Pacers call
+/// this before they start their run clock, so set-up does not delay the first arrivals.
+pub(crate) fn open_loop_requests(
+    factory: &mut dyn RequestFactory,
+    config: &BenchmarkConfig,
+) -> Result<TrafficShaper, HarnessError> {
+    let mut rng = seeded_rng(config.seed, 1);
+    let times = config
+        .load
+        .schedule(&mut rng, config.total_requests())
+        .ok_or_else(|| {
+            HarnessError::Config("this runner requires an open-loop load mode".into())
+        })?;
+    Ok(TrafficShaper::from_times(times, 0, || {
+        factory.next_request()
+    }))
 }
 
 /// Validates that `apps` provides exactly one application per cluster instance.

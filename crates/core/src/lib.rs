@@ -61,6 +61,7 @@ mod hedge;
 pub mod integrated;
 pub mod interference;
 pub mod net;
+mod policy;
 pub mod pool;
 pub mod protocol;
 pub mod queue;

@@ -15,24 +15,26 @@
 //! server-side payload buffers are pooled: readers take, workers and writers recycle.
 
 use crate::app::{RequestFactory, ServerApp};
-use crate::collector::{ClusterCollector, StatsCollector};
-use crate::config::{BenchmarkConfig, ClusterConfig, Route};
+use crate::collector::StatsCollector;
+use crate::config::{BenchmarkConfig, ClusterConfig};
 use crate::error::HarnessError;
 use crate::hedge::{HedgeEngine, HedgeMsg};
 use crate::integrated::{
-    build_cluster_report, build_report, check_instances, interfered, queue_summary, shard_proto,
-    InFlight,
+    build_cluster_report, build_report, check_instances, cluster_collector, interfered,
+    open_loop_requests, queue_summary, shard_proto, InFlight, LegShard,
 };
+use crate::policy::plan_legs;
 use crate::pool::BufferPool;
 use crate::protocol;
 use crate::queue::{Completion, PushOutcome, RequestQueue};
 use crate::report::{ClusterReport, RunReport};
-use crate::time::{PacingRecorder, RunClock};
-use crate::traffic::TrafficShaper;
-use crate::worker::WorkerPool;
+use crate::request::Request;
+use crate::time::{pace, PacingRecorder, RunClock};
+use crate::worker::{Shard, WorkerPool};
 use crossbeam::channel::unbounded;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -105,24 +107,12 @@ fn spawn_client(
         .name("tb-client-send".into())
         .spawn(move || {
             let mut writer = BufWriter::new(&stream);
-            let mut pacing = PacingRecorder::new();
             let mut error = None;
-            for mut request in requests {
-                let scheduled_ns = request.issued_ns;
-                if scheduled_ns > max_ns {
-                    break;
-                }
-                let now = clock.sleep_until_ns(scheduled_ns);
-                if now > max_ns {
-                    break;
-                }
-                pacing.record(scheduled_ns, now);
-                request.issued_ns = now;
-                if let Err(e) = protocol::write_request(&mut writer, &request) {
-                    error = Some(e);
-                    break;
-                }
-            }
+            let pacing = pace(requests, clock, max_ns, |request| {
+                let written = protocol::write_request(&mut writer, &request);
+                error = written.err();
+                error.is_none()
+            });
             if error.is_none() {
                 if let Err(e) = writer.flush() {
                     error = Some(e);
@@ -156,13 +146,11 @@ pub fn run_tcp(
     one_way_delay_ns: u64,
     configuration_name: &str,
 ) -> Result<RunReport, HarnessError> {
-    if !config.load.is_open() {
-        return Err(HarnessError::Config(
-            "TCP configurations require an open-loop load mode".into(),
-        ));
-    }
     let connections = connections.max(1);
     app.prepare();
+    // The schedule and payloads are drawn before the clock starts, so set-up is not
+    // charged to pacing.
+    let per_connection = open_loop_requests(factory, config)?.split_round_robin(connections);
 
     let clock = RunClock::new();
     let queue = RequestQueue::with_policy(config.admission);
@@ -181,15 +169,6 @@ pub fn run_tcp(
     let listener = TcpListener::bind("127.0.0.1:0").map_err(HarnessError::Io)?;
     let addr = listener.local_addr().map_err(HarnessError::Io)?;
     let accept_handle = spawn_server(listener, connections, &queue, clock, &buffers)?;
-
-    // --- build the global open-loop schedule and split it across connections -----------
-    let mut rng = tailbench_workloads::rng::seeded_rng(config.seed, 1);
-    let times = config
-        .load
-        .schedule(&mut rng, config.total_requests())
-        .ok_or_else(|| HarnessError::Internal("open-loop mode produced no schedule".into()))?;
-    let shaper = TrafficShaper::from_times(times, 0, || factory.next_request());
-    let per_connection = shaper.split_round_robin(connections);
 
     // --- client side ---------------------------------------------------------------------
     let mut clients = Vec::new();
@@ -291,23 +270,17 @@ pub fn run_cluster_tcp(
     one_way_delay_ns: u64,
     configuration_name: &str,
 ) -> Result<ClusterReport, HarnessError> {
-    if !config.load.is_open() {
-        return Err(HarnessError::Config(
-            "TCP configurations require an open-loop load mode".into(),
-        ));
-    }
     check_instances(apps, cluster)?;
     for app in apps {
         app.prepare();
     }
+    let requests = open_loop_requests(factory, config)?;
 
     let clock = RunClock::new();
     let width = cluster.fanout_width();
     let hedge = cluster.active_hedge();
     let tied = cluster.active_tied();
     let warmup = config.warmup_requests as u64;
-    let new_cluster_collector =
-        || ClusterCollector::new(cluster.shards, warmup).with_tags(config.tags.clone());
     let in_flight = InFlight::new(cluster);
 
     let mut queues = Vec::with_capacity(apps.len());
@@ -316,8 +289,7 @@ pub fn run_cluster_tcp(
     let mut server_handles = Vec::with_capacity(apps.len());
     let mut sender_handles = Vec::with_capacity(apps.len());
     let mut reader_streams = Vec::with_capacity(apps.len());
-    let mut leg_txs: Vec<crossbeam::channel::Sender<crate::request::Request>> =
-        Vec::with_capacity(apps.len());
+    let mut leg_txs: Vec<crossbeam::channel::Sender<Request>> = Vec::with_capacity(apps.len());
     for (i, app) in apps.iter().enumerate() {
         let queue = RequestQueue::with_policy(config.admission);
         observers.push(queue.observer());
@@ -339,7 +311,7 @@ pub fn run_cluster_tcp(
         stream.set_nodelay(true).map_err(HarnessError::Io)?;
         reader_streams.push(stream.try_clone().map_err(HarnessError::Io)?);
         // Sender thread: serializes this connection's legs off the router thread.
-        let (leg_tx, leg_rx) = unbounded::<crate::request::Request>();
+        let (leg_tx, leg_rx) = unbounded::<Request>();
         leg_txs.push(leg_tx);
         sender_handles.push(
             std::thread::Builder::new()
@@ -371,49 +343,41 @@ pub fn run_cluster_tcp(
     // With hedging or tied requests active, receivers detour through the hedge engine,
     // which owns the collector, forwards only each leg's first response and (when
     // hedging) reissues stragglers onto the alternate replica's connection.
-    let engine = if hedge.is_some() || tied {
-        let reissue: Box<dyn FnMut(usize, crate::request::Request) -> bool + Send> =
-            if hedge.is_some() {
-                let hedge_leg_txs = leg_txs.clone();
-                let inflight = in_flight.clone();
-                Box::new(move |instance: usize, request: crate::request::Request| {
-                    let sent = hedge_leg_txs
-                        .get(instance)
-                        .is_some_and(|tx| tx.send(request).is_ok());
-                    if sent {
-                        inflight.add(instance);
-                    }
-                    sent
-                })
-            } else {
-                // Tied-only runs never reissue; holding no sender handles here keeps the
-                // teardown acyclic even when a server sheds a tied copy at admission.
-                Box::new(|_, _| false)
-            };
+    let (engine_tx, engine_rx) = channel();
+    let engine_tx = (hedge.is_some() || tied).then_some(engine_tx);
+    let engine = if engine_tx.is_some() {
+        // Tied-only runs never reissue; holding no sender handles then keeps the
+        // teardown acyclic even when a server sheds a tied copy at admission.
+        let hedge_leg_txs = hedge.map_or_else(Vec::new, |_| leg_txs.clone());
+        let inflight = in_flight.clone();
+        let reissue = move |instance: usize, request: Request| {
+            let sent = hedge_leg_txs
+                .get(instance)
+                .is_some_and(|tx| tx.send(request).is_ok());
+            if sent {
+                inflight.add(instance);
+            }
+            sent
+        };
         // A tied loser is already on the wire when the winner responds: there is no
         // cross-network retraction, so the loser runs to completion server-side and
         // simply loses the first-response race here (see DESIGN.md).
-        let retract = Box::new(|_, _| false);
+        let retract = |_, _| false;
         Some(HedgeEngine::spawn(
-            hedge,
+            engine_rx,
             cluster.clone(),
-            width,
             clock,
-            new_cluster_collector(),
+            cluster_collector(config, cluster),
             reissue,
             retract,
         )?)
     } else {
         None
     };
-    let engine_tx = engine.as_ref().map(HedgeEngine::sender);
 
     let mut receiver_handles = Vec::with_capacity(apps.len());
     for (i, reader_stream) in reader_streams.into_iter().enumerate() {
-        let hedge_tx = engine_tx.clone();
-        let shard = i / cluster.replication;
-        let mut partial = new_cluster_collector();
-        let inflight = in_flight.clone();
+        let mut legs = LegShard::new(config, cluster, i, engine_tx.as_ref(), &in_flight);
         receiver_handles.push(
             std::thread::Builder::new()
                 .name(format!("tb-cluster-recv-{i}"))
@@ -422,101 +386,48 @@ pub fn run_cluster_tcp(
                     let mut scratch = Vec::new();
                     let error = loop {
                         match protocol::read_response_header(&mut reader, &mut scratch) {
-                            Ok(Some(header)) => {
-                                inflight.sub(i);
-                                let record =
-                                    record_from_header(&header, clock.now_ns(), one_way_delay_ns);
-                                match &hedge_tx {
-                                    Some(tx) => {
-                                        let _ = tx.send(HedgeMsg::Completed {
-                                            shard,
-                                            instance: i,
-                                            record,
-                                        });
-                                    }
-                                    None => {
-                                        let _ = partial.record_leg(shard, record, width);
-                                    }
-                                }
-                            }
+                            Ok(Some(header)) => legs.record(&record_from_header(
+                                &header,
+                                clock.now_ns(),
+                                one_way_delay_ns,
+                            )),
                             // Clean EOF: the server instance finished and shut down.
                             Ok(None) => break None,
                             // The server instance vanished mid-run.
                             Err(e) => break Some(e),
                         }
                     };
-                    (partial, error)
+                    (legs.partial, error)
                 })
                 .map_err(HarnessError::Io)?,
         );
     }
 
     // --- client-side router: pace the global schedule onto the shard connections ------
-    let mut rng = tailbench_workloads::rng::seeded_rng(config.seed, 1);
-    let times = config
-        .load
-        .schedule(&mut rng, config.total_requests())
-        .ok_or_else(|| HarnessError::Internal("open-loop mode produced no schedule".into()))?;
-    let shaper = TrafficShaper::from_times(times, 0, || factory.next_request());
     let max_ns = config.max_duration.as_nanos() as u64;
-    let mut pacing = PacingRecorder::new();
-    'pacing: for mut request in shaper.into_requests() {
-        let scheduled_ns = request.issued_ns;
-        if scheduled_ns > max_ns {
-            break;
+    let mut plan = Vec::with_capacity(width);
+    let pacing = pace(requests.into_requests(), clock, max_ns, |request| {
+        let load_of = |i| in_flight.load(i);
+        plan_legs(cluster, &request, config.seed, &load_of, &mut plan);
+        if let Some(tx) = &engine_tx {
+            // Announce the legs before any server can answer them.
+            let legs = plan.clone();
+            let _ = tx.send(HedgeMsg::Dispatched {
+                request: request.clone(),
+                legs,
+            });
         }
-        let now = clock.sleep_until_ns(scheduled_ns);
-        if now > max_ns {
-            break;
-        }
-        pacing.record(scheduled_ns, now);
-        request.issued_ns = now;
-        let legs = match cluster.fanout.route(&request.payload, cluster.shards) {
-            Route::Shard(shard) => shard..shard + 1,
-            Route::AllShards => 0..cluster.shards,
-        };
-        for shard in legs {
-            let primary =
-                cluster.route_replica(shard, request.id.0, config.seed, &|i| in_flight.load(i));
-            if tied {
-                let secondary = cluster.secondary_instance(shard, primary);
-                if let Some(tx) = &engine_tx {
-                    // Announce the tied pair before either server can answer it.
-                    let _ = tx.send(HedgeMsg::DispatchedTied {
-                        id: request.id.0,
-                        shard,
-                        primary,
-                        secondary,
-                    });
-                }
-                for i in [primary, secondary] {
-                    let delivered = leg_txs
-                        .get(i)
-                        .is_some_and(|tx| tx.send(request.clone()).is_ok());
-                    if !delivered {
-                        break 'pacing;
-                    }
-                    in_flight.add(i);
-                }
-            } else {
-                if let Some(tx) = &engine_tx {
-                    // Announce the leg before the server can possibly answer it.
-                    let _ = tx.send(HedgeMsg::Dispatched {
-                        request: request.clone(),
-                        shard,
-                        instance: primary,
-                    });
-                }
-                let delivered = leg_txs
-                    .get(primary)
-                    .is_some_and(|tx| tx.send(request.clone()).is_ok());
-                if !delivered {
-                    break 'pacing;
-                }
-                in_flight.add(primary);
+        for i in plan.iter().flat_map(|leg| leg.copies()) {
+            let delivered = leg_txs
+                .get(i)
+                .is_some_and(|tx| tx.send(request.clone()).is_ok());
+            if !delivered {
+                return false;
             }
+            in_flight.add(i);
         }
-    }
+        true
+    });
     if let Some(tx) = &engine_tx {
         let _ = tx.send(HedgeMsg::NoMoreDispatches);
     }
@@ -568,7 +479,7 @@ pub fn run_cluster_tcp(
             (collector, Some(hedge_stats))
         }
         None => {
-            let mut merged = new_cluster_collector();
+            let mut merged = cluster_collector(config, cluster);
             for partial in partials {
                 merged.merge(partial);
             }

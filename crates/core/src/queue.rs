@@ -6,19 +6,17 @@
 //! to the right place: into the worker's own statistics shard in the integrated
 //! configuration, or back to the originating connection in the TCP configurations.
 //!
-//! Unlike the original unbounded channel, the queue now carries an explicit
-//! [`AdmissionPolicy`] and keeps its own accounting: accepted/dropped counts, peak
-//! depth, and a sampled depth timeline, all surfaced through a [`QueueObserver`] into
-//! the run report.  Open-loop overload is therefore *visible* — either as drops (with
-//! `Drop`) or as measured queue growth and producer backpressure (with `Block`) —
-//! instead of silently buffered.
+//! Admission is the one the discrete-event simulator runs too: an [`AdmissionPolicy`]
+//! applied by a shared admission FIFO, whose ledger (accepted/dropped counts, peak
+//! depth, a sampled depth timeline) reaches the run report through a [`QueueObserver`],
+//! so open-loop overload shows as drops or as queue growth and producer backpressure.
 
 use crate::collector::RequestTags;
 use crate::error::HarnessError;
+use crate::policy::{Fifo, Offer, Queued};
 use crate::report::QueueSummary;
 use crate::request::{Request, RequestId, RequestRecord, WorkProfile};
 use crate::sync::{lock_recover, wait_recover};
-use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Interval between queue-depth timeline samples, in nanoseconds of run time.
@@ -89,9 +87,7 @@ impl AdmissionPolicy {
     }
 
     /// The capacity at which a shedding policy rejects arrivals, `None` for `Block`
-    /// (which backpressures instead of shedding).  The discrete-event simulator keys
-    /// off this: every `Some` policy is legal in virtual time because it never blocks
-    /// the producer.
+    /// (which backpressures instead of shedding, and so cannot run in virtual time).
     #[must_use]
     pub fn shed_capacity(&self) -> Option<usize> {
         match *self {
@@ -153,9 +149,8 @@ impl Default for AdmissionPolicy {
     }
 }
 
-/// Depth/admission accounting shared by the real-time queue and the discrete-event
-/// simulator's FIFO (both produce the same [`QueueSummary`], so reports are comparable
-/// across harness modes).  All updates happen under the owner's lock or on the
+/// Depth/admission accounting of the admission FIFO every mode shares, so the same
+/// [`QueueSummary`] comes out of each.  Updated under the owner's lock or on the
 /// simulator's single thread — no atomics on the hot path.
 #[derive(Debug, Clone)]
 pub(crate) struct DepthTracker {
@@ -171,12 +166,6 @@ pub(crate) struct DepthTracker {
     sample_every_ns: u64,
     next_sample_ns: u64,
     samples: Vec<(u64, u64)>,
-}
-
-impl Default for DepthTracker {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl DepthTracker {
@@ -331,6 +320,25 @@ pub struct QueuedRequest {
     pub completion: Completion,
 }
 
+impl Queued for QueuedRequest {
+    fn id(&self) -> u64 {
+        self.request.id.0
+    }
+
+    fn enqueued_ns(&self) -> u64 {
+        self.enqueued_ns
+    }
+}
+
+/// Told the id of every request shed after admission, for whoever waits for it.
+pub(crate) struct ShedSink(pub(crate) Box<dyn Fn(RequestId) + Send>);
+
+impl std::fmt::Debug for ShedSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ShedSink")
+    }
+}
+
 /// The outcome of one [`RequestQueue::push`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushOutcome {
@@ -344,7 +352,7 @@ pub enum PushOutcome {
 
 #[derive(Debug)]
 struct QueueState {
-    items: VecDeque<QueuedRequest>,
+    fifo: Fifo<QueuedRequest>,
     producers: usize,
     consumers: usize,
     /// Producers waiting on `not_full` and consumers waiting on `not_empty`.  A
@@ -353,7 +361,19 @@ struct QueueState {
     /// only when the other has a thread parked.
     parked_producers: usize,
     parked_consumers: usize,
-    tracker: DepthTracker,
+    /// Dropped with the last consumer: no copy can be shed after that.
+    on_shed: Option<ShedSink>,
+}
+
+impl QueueState {
+    /// Reports the copies `removed` shed after admission, emptying it.
+    fn report_shed(&self, removed: &mut Vec<QueuedRequest>) {
+        while let Some(item) = removed.pop() {
+            if let Some(sink) = &self.on_shed {
+                (sink.0)(item.request.id);
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -361,16 +381,6 @@ struct QueueShared {
     state: Mutex<QueueState>,
     not_empty: Condvar,
     not_full: Condvar,
-    policy: AdmissionPolicy,
-    /// Request class tags consulted by the `Priority` policy (`None` = untagged run,
-    /// every request is class 0).
-    tags: Option<Arc<RequestTags>>,
-}
-
-impl QueueShared {
-    fn class_of(&self, id: RequestId) -> u16 {
-        self.tags.as_ref().map_or(0, |tags| tags.class_of(id.0))
-    }
 }
 
 /// The shared request queue: a bounded MPMC FIFO with enqueue-time stamping, an
@@ -421,20 +431,28 @@ impl RequestQueue {
     /// tags the `Priority` policy consults (other policies ignore them).
     #[must_use]
     pub fn with_policy_and_tags(policy: AdmissionPolicy, tags: Option<Arc<RequestTags>>) -> Self {
+        Self::shedding_to(policy, tags, None)
+    }
+
+    /// Like [`RequestQueue::with_policy_and_tags`], telling `on_shed` about every
+    /// request shed after admission.
+    pub(crate) fn shedding_to(
+        policy: AdmissionPolicy,
+        tags: Option<Arc<RequestTags>>,
+        on_shed: Option<ShedSink>,
+    ) -> Self {
         RequestQueue {
             shared: Arc::new(QueueShared {
                 state: Mutex::new(QueueState {
-                    items: VecDeque::new(),
+                    fifo: Fifo::new(policy, tags),
                     producers: 1,
                     consumers: 0,
                     parked_producers: 0,
                     parked_consumers: 0,
-                    tracker: DepthTracker::new(),
+                    on_shed,
                 }),
                 not_empty: Condvar::new(),
                 not_full: Condvar::new(),
-                policy,
-                tags,
             }),
         }
     }
@@ -444,76 +462,36 @@ impl RequestQueue {
     pub fn push(&self, request: Request, enqueued_ns: u64, completion: Completion) -> PushOutcome {
         let shared = &*self.shared;
         let mut state = lock_recover(&shared.state);
-        if state.consumers == 0 {
-            // Every worker is gone (teardown, or a worker panic unwound its
-            // receiver): pushing would buffer into a queue nobody drains.
-            return PushOutcome::Closed;
-        }
-        let capacity = shared.policy.capacity();
-        if state.items.len() >= capacity {
-            match shared.policy {
-                AdmissionPolicy::Drop { .. } => {
-                    state.tracker.on_drop();
-                    return PushOutcome::Dropped;
-                }
-                AdmissionPolicy::DropDeadline { slo_ns, .. } => {
-                    // Make room by purging already-expired head-of-line requests
-                    // (they would be shed at dequeue anyway); if none have expired
-                    // yet, the arrival itself is shed.
-                    while state
-                        .items
-                        .front()
-                        .is_some_and(|item| enqueued_ns.saturating_sub(item.enqueued_ns) > slo_ns)
-                    {
-                        state.items.pop_front();
-                        state.tracker.on_shed_admitted();
-                    }
-                    if state.items.len() >= capacity {
-                        state.tracker.on_drop();
-                        return PushOutcome::Dropped;
-                    }
-                }
-                AdmissionPolicy::Priority { .. } => {
-                    let incoming = shared.class_of(request.id);
-                    let victim = priority_victim(
-                        state
-                            .items
-                            .iter()
-                            .map(|item| shared.class_of(item.request.id)),
-                        incoming,
-                    );
-                    let Some(victim) = victim else {
-                        state.tracker.on_drop();
-                        return PushOutcome::Dropped;
-                    };
-                    state.items.remove(victim);
-                    state.tracker.on_shed_admitted();
-                }
-                AdmissionPolicy::Block { .. } => {
-                    while state.items.len() >= capacity {
-                        if state.consumers == 0 {
-                            return PushOutcome::Closed;
-                        }
-                        state.parked_producers += 1;
-                        state = wait_recover(&shared.not_full, state);
-                        state.parked_producers -= 1;
-                    }
-                }
-            }
-        }
-        state.items.push_back(QueuedRequest {
+        let mut item = QueuedRequest {
             request,
             enqueued_ns,
             completion,
-        });
-        let depth = state.items.len() as u64;
-        state.tracker.on_push(enqueued_ns, depth);
-        let wake = state.parked_consumers > 0;
+        };
+        let mut removed = Vec::new();
+        let outcome = loop {
+            if state.consumers == 0 {
+                // Every worker is gone (teardown, or a worker panic unwound its
+                // receiver): pushing would buffer into a queue nobody drains.
+                return PushOutcome::Closed;
+            }
+            match state.fifo.offer(item, enqueued_ns, &mut removed) {
+                Offer::Admitted => break PushOutcome::Accepted,
+                Offer::Dropped => break PushOutcome::Dropped,
+                Offer::Full(back) => {
+                    item = back;
+                    state.parked_producers += 1;
+                    state = wait_recover(&shared.not_full, state);
+                    state.parked_producers -= 1;
+                }
+            }
+        };
+        state.report_shed(&mut removed);
+        let wake = outcome == PushOutcome::Accepted && state.parked_consumers > 0;
         drop(state);
         if wake {
             shared.not_empty.notify_one();
         }
-        PushOutcome::Accepted
+        outcome
     }
 
     /// The worker-side receiver.
@@ -544,7 +522,7 @@ impl RequestQueue {
     /// Current queue depth (requests waiting for a worker).
     #[must_use]
     pub fn depth(&self) -> usize {
-        lock_recover(&self.shared.state).items.len()
+        lock_recover(&self.shared.state).fifo.len()
     }
 
     /// Retracts a queued request by id (the tied-request cancellation path: the other
@@ -554,10 +532,9 @@ impl RequestQueue {
     /// an overload shed.
     pub fn cancel(&self, id: RequestId) -> bool {
         let mut state = lock_recover(&self.shared.state);
-        let Some(index) = state.items.iter().position(|item| item.request.id == id) else {
+        if !state.fifo.retract(id.0) {
             return false;
-        };
-        state.items.remove(index);
+        }
         let wake = state.parked_producers > 0;
         drop(state);
         if wake {
@@ -618,17 +595,11 @@ impl QueueReceiver {
     pub fn recv_at(&self, now_ns: &dyn Fn() -> u64) -> Result<QueuedRequest, QueueClosed> {
         let shared = &*self.shared;
         let mut state = lock_recover(&shared.state);
+        let mut removed = Vec::new();
         loop {
-            if let Some(item) = state.items.pop_front() {
-                if let AdmissionPolicy::DropDeadline { slo_ns, .. } = shared.policy {
-                    if now_ns().saturating_sub(item.enqueued_ns) > slo_ns {
-                        state.tracker.on_shed_admitted();
-                        if state.parked_producers > 0 {
-                            shared.not_full.notify_one();
-                        }
-                        continue;
-                    }
-                }
+            let item = state.fifo.pop_fresh(now_ns, &mut removed);
+            state.report_shed(&mut removed);
+            if let Some(item) = item {
                 let wake = state.parked_producers > 0;
                 drop(state);
                 if wake {
@@ -662,6 +633,9 @@ impl Drop for QueueReceiver {
         let mut state = lock_recover(&self.shared.state);
         state.consumers -= 1;
         let last = state.consumers == 0;
+        if last {
+            state.on_shed = None;
+        }
         drop(state);
         if last {
             // Unblock producers stuck in Block-on-full so they can observe Closed.
@@ -679,8 +653,8 @@ impl QueueObserver {
     /// Returns [`HarnessError::Internal`] naming the three counts if the ledger leaked.
     pub fn summary(&self) -> Result<QueueSummary, HarnessError> {
         let state = lock_recover(&self.shared.state);
-        state.tracker.check()?;
-        Ok(state.tracker.summary(self.shared.policy.label()))
+        state.fifo.tracker.check()?;
+        Ok(state.fifo.summary())
     }
 }
 
@@ -704,6 +678,7 @@ mod tests {
         assert!(observer.summary().is_ok());
         // A shed with nothing admitted: accepted + dropped no longer equals offered.
         lock_recover(&observer.shared.state)
+            .fifo
             .tracker
             .on_shed_admitted();
         let err = observer.summary().unwrap_err();

@@ -6,49 +6,47 @@
 //! as in a real run) but derives *service times* from a [`CostModel`] fed with the
 //! per-request [`WorkProfile`](crate::request::WorkProfile), and advances a virtual clock
 //! through a standard discrete-event loop.  Every server instance is a station with
-//! `worker_threads` servers and a FIFO request queue; a single server is a 1×1 cluster,
-//! so one loop serves both.  Queuing behaviour — the dominant component of tail latency
-//! at load — emerges from the same open-loop arrival process used by the real-time
-//! runners.
-//!
+//! `worker_threads` servers and a FIFO request queue; a single server is a 1×1 cluster.
 //! Arrivals are drawn from [`LoadMode::arrivals`](crate::traffic::LoadMode::arrivals) as
 //! the virtual clock reaches them, and a request's state lives only while it is in
 //! flight, so a run's memory is bounded by its requests in flight, not its length.
 //!
-//! The simulated FIFO shares the real-time queue's [`DepthTracker`] accounting, so a
-//! DES run reports the same queue summary (peak depth, drops under a `Drop` admission
-//! policy, sampled depth timeline) as a wall-clock run — deterministically, on the
-//! virtual clock.  A `Block` policy cannot defer fixed open-loop arrivals in virtual
-//! time, so the simulator treats it as unbounded (matching the default).  Virtual-time
-//! pacing is exact, so the pacing summary of a simulated run is empty by construction.
-//!
-//! Scenario support: arrivals may follow a precompiled phased trace
-//! ([`LoadMode::Trace`](crate::traffic::LoadMode)), service times are adjusted by the
-//! configuration's deterministic [`InterferencePlan`](crate::interference::InterferencePlan),
-//! and the router honours the cluster's hedged-request and tied-request policies
-//! ([`HedgePolicy`](crate::config::HedgePolicy)) — all on the virtual clock, so a fixed
-//! seed still pins exact percentiles.
+//! Routing, admission, hedged and tied requests are the wall-clock engines' own (the
+//! `policy` module) on the virtual clock, so a fixed seed pins exact percentiles and
+//! the queue summary a wall-clock run reports.  A `Block` policy cannot defer fixed
+//! arrivals in virtual time, so it is treated as unbounded; virtual-time pacing is
+//! exact, so the pacing summary is empty.  Service times follow the configuration's
+//! deterministic [`InterferencePlan`](crate::interference::InterferencePlan).
 
 use crate::app::{CostModel, RequestFactory, ServerApp};
-use crate::collector::{ClusterCollector, RequestTags};
-use crate::config::{BenchmarkConfig, ClusterConfig, Route};
+use crate::config::{BenchmarkConfig, ClusterConfig};
 use crate::error::HarnessError;
-use crate::integrated::{build_cluster_report, check_instances};
-use crate::queue::{priority_victim, AdmissionPolicy, DepthTracker};
-use crate::report::{ClusterReport, HedgeStats, QueueSummary};
+use crate::integrated::{build_cluster_report, check_instances, cluster_collector};
+use crate::policy::{plan_legs, Fifo, LegBook, Offer, Queued};
+use crate::queue::{AdmissionPolicy, DepthTracker};
+use crate::report::{ClusterReport, QueueSummary};
 use crate::request::{Request, RequestRecord};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use tailbench_workloads::rng::seeded_rng;
 
-/// One copy of request `id`'s leg on `shard` waiting in a station's FIFO queue (the
-/// payload stays in the [`Ring`]).
+/// One copy of request `id`'s leg on `shard` in a station's queue (the payload stays
+/// in the [`LegBook`]).
 #[derive(Debug)]
 struct QueuedLeg {
     id: u64,
     enqueued_ns: u64,
     shard: usize,
-    is_hedge: bool,
+}
+
+impl Queued for QueuedLeg {
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn enqueued_ns(&self) -> u64 {
+        self.enqueued_ns
+    }
 }
 
 /// A scheduled virtual-time event.  Min-heap by time; completions (rank 0) outrank
@@ -104,94 +102,14 @@ fn check_end_of_run<'a>(
     Ok(())
 }
 
-/// One simulated server instance: its busy-server count, FIFO wait queue and the
-/// queue-depth accounting that reports it.
-#[derive(Debug, Default)]
+/// One simulated server instance: its busy-server count and its admission FIFO.
+#[derive(Debug)]
 struct Station {
     busy: usize,
-    waiting: VecDeque<QueuedLeg>,
-    tracker: DepthTracker,
+    waiting: Fifo<QueuedLeg>,
 }
 
-impl Station {
-    /// Applies a shedding admission policy to one leg arriving at a full-or-not FIFO.
-    /// Returns `true` when the leg was queued; `false` when the arrival itself was shed
-    /// (counted as a drop).  Requests that were *admitted earlier* but shed now to make
-    /// room — expired head-of-line requests under `DropDeadline`, the evicted victim under
-    /// `Priority` — are reclassified in the tracker and appended to `removed` so the
-    /// caller can unwind per-leg hedging/tied bookkeeping.
-    fn enqueue_or_shed(
-        &mut self,
-        admission: &AdmissionPolicy,
-        tags: Option<&RequestTags>,
-        leg: QueuedLeg,
-        now: u64,
-        removed: &mut Vec<QueuedLeg>,
-    ) -> bool {
-        if let Some(capacity) = admission.shed_capacity() {
-            if self.waiting.len() >= capacity {
-                match *admission {
-                    AdmissionPolicy::DropDeadline { slo_ns, .. } => {
-                        self.shed_expired(slo_ns, now, removed);
-                        if self.waiting.len() >= capacity {
-                            self.tracker.on_drop();
-                            return false;
-                        }
-                    }
-                    AdmissionPolicy::Priority { .. } => {
-                        let class_of = |id: u64| tags.map_or(0, |t| t.class_of(id));
-                        let victim = priority_victim(
-                            self.waiting.iter().map(|q| class_of(q.id)),
-                            class_of(leg.id),
-                        );
-                        let Some(victim) = victim else {
-                            self.tracker.on_drop();
-                            return false;
-                        };
-                        if let Some(evicted) = self.waiting.remove(victim) {
-                            self.tracker.on_shed_admitted();
-                            removed.push(evicted);
-                        }
-                    }
-                    _ => {
-                        self.tracker.on_drop();
-                        return false;
-                    }
-                }
-            }
-        }
-        self.waiting.push_back(leg);
-        self.tracker.on_push(now, self.waiting.len() as u64);
-        true
-    }
-
-    /// Sheds the head-of-line legs that have waited longer than `slo_ns` at `now`, each
-    /// reclassified in the tracker and appended to `removed`.
-    fn shed_expired(&mut self, slo_ns: u64, now: u64, removed: &mut Vec<QueuedLeg>) {
-        let expired = |q: &mut QueuedLeg| now.saturating_sub(q.enqueued_ns) > slo_ns;
-        while let Some(leg) = self.waiting.pop_front_if(expired) {
-            self.tracker.on_shed_admitted();
-            removed.push(leg);
-        }
-    }
-
-    /// Pops the next serviceable leg, shedding expired head-of-line legs first under a
-    /// `DropDeadline` policy.
-    fn pop_fresh(
-        &mut self,
-        admission: &AdmissionPolicy,
-        now: u64,
-        removed: &mut Vec<QueuedLeg>,
-    ) -> Option<QueuedLeg> {
-        if let Some(slo_ns) = admission.slo_ns() {
-            self.shed_expired(slo_ns, now, removed);
-        }
-        self.waiting.pop_front()
-    }
-}
-
-/// Fallible station lookup: a missing instance is a routing bug surfaced as an
-/// internal error, never a panic mid-simulation.
+/// Station lookup: a missing instance is a routing bug, an error rather than a panic.
 fn station_mut(stations: &mut [Station], instance: usize) -> Result<&mut Station, HarnessError> {
     stations
         .get_mut(instance)
@@ -204,82 +122,15 @@ enum EventKind {
     Completion {
         instance: usize,
         shard: usize,
-        is_hedge: bool,
         record: RequestRecord,
     },
     /// Hedge deadline of request `id`'s leg on `shard`.
     HedgeCheck { id: u64, shard: usize },
 }
 
-/// Client-side state of one leg (request × shard).
-#[derive(Debug)]
-struct Leg {
-    /// A response was recorded; under hedging or tied requests the first one wins.
-    resolved: bool,
-    /// The leg's hedge check has fired, or none is due (unhedged and tied legs).
-    hedged: bool,
-    /// Copies currently admitted (queued or in service).  A leg whose copies were all
-    /// shed stays unresolved and surfaces as `unmerged` in the report.
-    outstanding: u8,
-    /// The instance the selector picked as primary; a hedge or tied copy goes to the
-    /// replica after it.
-    primary: usize,
-}
-
-/// The requests in flight, in id order: request `head + i` is `requests[i]` (its
-/// payload, held once for all copies), and its legs are the `width` entries of `legs`
-/// from `i * width` (a routed request's one leg sits at offset 0, whatever its shard).
-/// Ids are dense from 0, so lookups index and nothing allocates per request.  A request
-/// retires once all its legs are done, and the head advances past retired requests.
-#[derive(Debug, Default)]
-struct Ring {
-    head: u64,
-    width: usize,
-    requests: VecDeque<Request>,
-    legs: VecDeque<Leg>,
-    /// Retired requests with some but not all legs answered.
-    partial: u64,
-}
-
-impl Ring {
-    fn index(&self, id: u64) -> Option<usize> {
-        usize::try_from(id.checked_sub(self.head)?).ok()
-    }
-
-    fn request(&self, id: u64) -> Result<&Request, HarnessError> {
-        self.index(id)
-            .and_then(|i| self.requests.get(i))
-            .ok_or_else(|| HarnessError::Internal(format!("request {id} is not in flight")))
-    }
-
-    fn leg_mut(&mut self, id: u64, shard: usize) -> Result<&mut Leg, HarnessError> {
-        let offset = if self.width > 1 { shard } else { 0 };
-        self.index(id)
-            .filter(|_| offset < self.width)
-            .and_then(|i| self.legs.get_mut(i * self.width + offset))
-            .ok_or_else(|| HarnessError::Internal(format!("request {id} has no shard {shard}")))
-    }
-
-    /// Pops finished requests (no copy of any leg admitted, no hedge check due) off the
-    /// front, counting those with unanswered legs.
-    fn retire(&mut self) {
-        let done = |leg: &Leg| leg.outstanding == 0 && leg.hedged;
-        while !self.requests.is_empty()
-            && (0..self.width).all(|k| self.legs.get(k).is_some_and(done))
-        {
-            let legs = (0..self.width).filter_map(|_| self.legs.pop_front());
-            let answered = legs.filter(|leg| leg.resolved).count();
-            self.partial += u64::from(answered > 0 && answered < self.width);
-            self.requests.pop_front();
-            self.head += 1;
-        }
-    }
-}
-
-/// The state the event handlers share: the applications and their cost model, one
-/// station per instance, the event heap, and the scratch list of queued copies shed
-/// after admission.  The requests in flight live beside it in a [`Ring`], so a handler
-/// can read a payload from the ring while it changes the stations.
+/// The state the event handlers share, beside the [`LegBook`] of requests in flight (so
+/// a handler can read a payload from the book while it changes the stations); `removed`
+/// collects queued copies shed after admission.
 struct Sim<'a> {
     apps: &'a [Arc<dyn ServerApp>],
     cost_model: &'a dyn CostModel,
@@ -336,57 +187,55 @@ impl Sim<'_> {
         let completion = EventKind::Completion {
             instance,
             shard: copy.shard,
-            is_hedge: copy.is_hedge,
             record,
         };
         self.schedule(now + service_ns, 0, completion);
         Ok(())
     }
 
-    /// Admits one copy of `request` on `instance` at `now`: straight into service on an
-    /// idle server (an inclusive depth-1 transit, matching the real-time queue's
-    /// post-push sample), else through the station's admission policy.  Returns whether
-    /// the copy was admitted; copies of other requests it shed are left in `removed`.
+    /// Admits a copy of `request`'s leg on `shard` to `instance` at `now`: straight into
+    /// service on an idle server, else through the station's admission FIFO.  Returns
+    /// whether it was admitted; copies of other requests it shed are left in `removed`.
     fn admit(
         &mut self,
         instance: usize,
-        copy: QueuedLeg,
+        shard: usize,
         request: &Request,
         now: u64,
     ) -> Result<bool, HarnessError> {
+        let copy = QueuedLeg {
+            id: request.id.0,
+            enqueued_ns: now,
+            shard,
+        };
         let servers = self.config.worker_threads.max(1);
         let station = station_mut(&mut self.stations, instance)?;
         if station.busy < servers {
-            station.tracker.on_push(now, 1);
+            station.waiting.tracker.on_push(now, 1); // a depth-1 transit
             self.start_service(instance, copy, request, now)?;
             return Ok(true);
         }
-        Ok(station.enqueue_or_shed(
-            &self.config.admission,
-            self.config.tags.as_deref(),
-            copy,
-            now,
-            &mut self.removed,
-        ))
+        match station.waiting.offer(copy, now, &mut self.removed) {
+            Offer::Admitted => Ok(true),
+            Offer::Dropped => Ok(false),
+            Offer::Full(_) => Err(HarnessError::Internal(
+                "a simulated station blocked on a full queue".into(),
+            )),
+        }
     }
 
     /// Starts the next serviceable copy queued at `instance`, if any, once a server
     /// frees up at `now`.
-    fn serve_next(&mut self, ring: &Ring, instance: usize, now: u64) -> Result<(), HarnessError> {
+    fn serve_next(
+        &mut self,
+        book: &LegBook<Request>,
+        instance: usize,
+        now: u64,
+    ) -> Result<(), HarnessError> {
         let station = station_mut(&mut self.stations, instance)?;
-        if let Some(queued) = station.pop_fresh(&self.config.admission, now, &mut self.removed) {
-            let request = ring.request(queued.id)?;
+        if let Some(queued) = station.waiting.pop_fresh(|| now, &mut self.removed) {
+            let request = book.payload(queued.id)?;
             self.start_service(instance, queued, request, now)?;
-        }
-        Ok(())
-    }
-
-    /// Unwinds per-leg bookkeeping for queued copies that were shed after admission
-    /// (deadline purge or priority eviction pulled them back out of a station queue).
-    fn unwind_removed(&mut self, ring: &mut Ring) -> Result<(), HarnessError> {
-        while let Some(q) = self.removed.pop() {
-            let leg = ring.leg_mut(q.id, q.shard)?;
-            leg.outstanding = leg.outstanding.saturating_sub(1);
         }
         Ok(())
     }
@@ -433,23 +282,28 @@ pub fn run_cluster_simulated(
 
     let width = cluster.fanout_width();
     let hedge = cluster.active_hedge();
-    let tied = cluster.active_tied();
-    let mut collector = ClusterCollector::new(cluster.shards, config.warmup_requests as u64)
-        .with_tags(config.tags.clone());
-    let mut hedge_stats = HedgeStats::default();
+    let mut collector = cluster_collector(config, cluster);
+    let admission = if config.admission.shed_capacity().is_some() {
+        config.admission
+    } else {
+        AdmissionPolicy::unbounded()
+    };
     let mut sim = Sim {
         apps,
         cost_model,
         config,
-        stations: (0..apps.len()).map(|_| Station::default()).collect(),
+        stations: (0..apps.len())
+            .map(|_| Station {
+                busy: 0,
+                waiting: Fifo::new(admission, config.tags.clone()),
+            })
+            .collect(),
         events: BinaryHeap::new(),
         removed: Vec::new(),
         seq: 0,
     };
-    let mut ring = Ring {
-        width,
-        ..Ring::default()
-    };
+    let mut book = LegBook::new(cluster);
+    let mut plan = Vec::with_capacity(width);
 
     loop {
         // Pick the earlier of the next arrival and the next event; arrivals win ties so
@@ -460,52 +314,22 @@ pub fn run_cluster_simulated(
             Some(request) if next_event_time.is_none_or(|et| request.issued_ns <= et) => {
                 next_arrival = arrivals.next();
                 let (id, now) = (request.id.0, request.issued_ns);
-                let shards = match cluster.fanout.route(&request.payload, cluster.shards) {
-                    Route::Shard(shard) => shard..shard + 1,
-                    Route::AllShards => 0..cluster.shards,
-                };
-                for shard in shards {
-                    let primary = cluster.route_replica(shard, id, config.seed, &|i| {
-                        sim.stations.get(i).map_or(0, |s| s.busy + s.waiting.len())
-                    });
+                let load_of =
+                    |i: usize| sim.stations.get(i).map_or(0, |s| s.busy + s.waiting.len());
+                plan_legs(cluster, &request, config.seed, &load_of, &mut plan);
+                for leg in &plan {
+                    let shard = leg.shard;
                     if let Some(policy) = hedge {
-                        sim.schedule(
-                            now + policy.delay_ns,
-                            1,
-                            EventKind::HedgeCheck { id, shard },
-                        );
-                    } else if tied {
-                        hedge_stats.issued += 1;
+                        let check = EventKind::HedgeCheck { id, shard };
+                        sim.schedule(now + policy.delay_ns, 1, check);
                     }
-                    let copies: &[(usize, bool)] = if tied {
-                        &[
-                            (primary, false),
-                            (cluster.secondary_instance(shard, primary), true),
-                        ]
-                    } else {
-                        &[(primary, false)]
-                    };
-                    let mut outstanding = 0u8;
-                    for &(instance, is_hedge) in copies {
-                        let copy = QueuedLeg {
-                            id,
-                            enqueued_ns: now,
-                            shard,
-                            is_hedge,
-                        };
-                        outstanding += u8::from(sim.admit(instance, copy, &request, now)?);
+                    let mut admitted = 0u8;
+                    for instance in leg.copies() {
+                        admitted += u8::from(sim.admit(instance, shard, &request, now)?);
                     }
-                    ring.legs.push_back(Leg {
-                        resolved: false,
-                        hedged: hedge.is_none(),
-                        outstanding,
-                        primary,
-                    });
+                    book.open_leg(leg.primary, admitted);
                 }
-                ring.requests.push_back(request);
-                if !sim.removed.is_empty() {
-                    sim.unwind_removed(&mut ring)?;
-                }
+                book.open_request(request);
             }
             pending => {
                 next_arrival = pending;
@@ -517,88 +341,61 @@ pub fn run_cluster_simulated(
                     EventKind::Completion {
                         instance,
                         shard,
-                        is_hedge,
                         record,
                     } => {
                         let station = station_mut(&mut sim.stations, instance)?;
                         station.busy = station.busy.saturating_sub(1);
-                        let leg = ring.leg_mut(record.id.0, shard)?;
-                        leg.outstanding = leg.outstanding.saturating_sub(1);
-                        if !leg.resolved {
-                            leg.resolved = true;
-                            hedge_stats.wins += u64::from(is_hedge);
+                        let id = record.id.0;
+                        if let Some(first) = book.respond(id, shard, instance)? {
                             let _ = collector.record_leg(shard, record, width);
                             // Tied-request cancellation: the loser is retracted if it is
                             // still waiting in the sibling's queue (an in-service loser
                             // runs to completion, exactly like a hedge loser).
-                            if tied {
-                                let sibling = if instance == leg.primary {
-                                    cluster.secondary_instance(shard, leg.primary)
-                                } else {
-                                    leg.primary
-                                };
-                                let sib = station_mut(&mut sim.stations, sibling)?;
-                                if let Some(pos) = sib
-                                    .waiting
-                                    .iter()
-                                    .position(|q| q.id == record.id.0 && q.shard == shard)
-                                {
-                                    sib.waiting.remove(pos);
-                                    leg.outstanding = leg.outstanding.saturating_sub(1);
+                            if let Some(sibling) = first.retract {
+                                if station_mut(&mut sim.stations, sibling)?.waiting.retract(id) {
+                                    book.shed(id, shard)?;
                                 }
                             }
                         }
-                        sim.serve_next(&ring, instance, t)?;
+                        sim.serve_next(&book, instance, t)?;
                     }
                     EventKind::HedgeCheck { id, shard } => {
-                        let leg = ring.leg_mut(id, shard)?;
-                        leg.hedged = true;
-                        if !leg.resolved {
-                            let alt = cluster.secondary_instance(shard, leg.primary);
-                            let copy = QueuedLeg {
-                                id,
-                                enqueued_ns: t,
-                                shard,
-                                is_hedge: true,
-                            };
-                            if sim.admit(alt, copy, ring.request(id)?, t)? {
-                                hedge_stats.issued += 1;
-                                ring.leg_mut(id, shard)?.outstanding += 1;
+                        if let Some(alt) = book.hedge_due(id, shard)? {
+                            if sim.admit(alt, shard, book.payload(id)?, t)? {
+                                book.hedge_admitted(id, shard)?;
                             }
                         }
                     }
-                }
-                if !sim.removed.is_empty() {
-                    sim.unwind_removed(&mut ring)?;
                 }
                 // Retiring after events is enough: events end nearly every request, and
                 // one that an arrival ends (all its copies shed) retires at the next
                 // event or after the loop.
-                ring.retire();
+                book.retire();
             }
+        }
+        // Copies shed after admission will never respond.
+        while let Some(q) = sim.removed.pop() {
+            book.shed(q.id, q.shard)?;
         }
     }
 
-    ring.retire();
+    book.retire();
     let unmerged = collector.unmerged() as u64;
     check_end_of_run(
-        sim.stations.iter().map(|s| &s.tracker),
-        ring.requests.len(),
-        ring.partial,
+        sim.stations.iter().map(|s| &s.waiting.tracker),
+        book.in_flight(),
+        book.partial,
         unmerged,
     )?;
-    let queue_summaries: Vec<QueueSummary> = sim
-        .stations
-        .iter()
-        .map(|s| s.tracker.summary(config.admission.label()))
-        .collect();
+    let queue_summaries: Vec<QueueSummary> =
+        sim.stations.iter().map(|s| s.waiting.summary()).collect();
     let mut report = build_cluster_report(
         apps.first().map_or("", |a| a.name()),
         "simulated",
         config,
         cluster,
         &collector,
-        (hedge.is_some() || tied).then_some(hedge_stats),
+        book.hedge_stats(),
     );
     report.cluster.queue_depth = QueueSummary::aggregate(&queue_summaries);
     Ok(report)

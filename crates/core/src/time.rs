@@ -9,6 +9,7 @@
 //! inflate the very latencies it reports.
 
 use crate::report::LatencyStats;
+use crate::request::Request;
 use std::time::{Duration, Instant};
 use tailbench_histogram::LatencySummary;
 
@@ -126,6 +127,36 @@ impl PacingRecorder {
     pub fn stats(&self) -> LatencyStats {
         LatencyStats::from_summary(&self.errors)
     }
+}
+
+/// The open-loop pacer: hands each of `requests` to `issue` at its scheduled time on
+/// `clock`, stamped with the time it actually left (so pacing jitter is charged to the
+/// harness, not hidden), and records the pacing error.  Stops at the first request
+/// scheduled or released past `max_ns` (an arrival past the cap is not waited for) or
+/// when `issue` returns `false`.
+pub(crate) fn pace(
+    requests: Vec<Request>,
+    clock: RunClock,
+    max_ns: u64,
+    mut issue: impl FnMut(Request) -> bool,
+) -> PacingRecorder {
+    let mut pacing = PacingRecorder::new();
+    for mut request in requests {
+        let scheduled_ns = request.issued_ns;
+        if scheduled_ns > max_ns {
+            break;
+        }
+        let now = clock.sleep_until_ns(scheduled_ns);
+        if now > max_ns {
+            break;
+        }
+        pacing.record(scheduled_ns, now);
+        request.issued_ns = now;
+        if !issue(request) {
+            break;
+        }
+    }
+    pacing
 }
 
 #[cfg(test)]

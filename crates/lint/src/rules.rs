@@ -270,11 +270,12 @@ pub struct FileClasses {
 }
 
 /// Hot-path modules: panics here tear down a measurement mid-run.
-const HOT_FILES: [&str; 9] = [
+const HOT_FILES: [&str; 10] = [
     "crates/core/src/protocol.rs",
     "crates/core/src/queue.rs",
     "crates/core/src/hedge.rs",
     "crates/core/src/sim.rs",
+    "crates/core/src/policy.rs",
     "crates/core/src/worker.rs",
     "crates/core/src/pool.rs",
     "crates/core/src/net.rs",
@@ -299,6 +300,7 @@ pub fn classify(rel_path: &str) -> FileClasses {
     let histogram = path.starts_with("crates/histogram/src/");
     FileClasses {
         sim: path == "crates/core/src/sim.rs"
+            || path == "crates/core/src/policy.rs"
             || path.starts_with("crates/simarch/src/")
             || path.starts_with("crates/queueing/src/")
             || path == "crates/scenario/src/phase.rs",
@@ -975,6 +977,10 @@ mod tests {
     fn classification_table() {
         assert!(classify("crates/core/src/sim.rs").sim);
         assert!(classify("crates/core/src/sim.rs").hot);
+        // The mitigation core both clocks drive must itself read none.
+        assert!(classify("crates/core/src/policy.rs").sim);
+        assert!(classify("crates/core/src/policy.rs").hot);
+        assert!(!classify("crates/core/src/hedge.rs").sim);
         assert!(classify("crates/simarch/src/cache.rs").sim);
         assert!(classify("crates/scenario/src/phase.rs").sim);
         assert!(!classify("crates/scenario/src/lib.rs").sim);

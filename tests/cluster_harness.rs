@@ -158,3 +158,66 @@ fn simulated_and_integrated_cluster_share_structure() {
         assert!(report.p99_amplification() >= 1.0);
     }
 }
+
+/// A copy that an integrated queue sheds after admitting it — purged as expired to make
+/// room, or shed as expired at the head of the line — must reach the hedge engine's
+/// book.  Otherwise the engine waits for its response forever, keeps the queues open,
+/// and the run never returns.  Each mitigation overloads a 1 × 2 cluster into
+/// deadline-shedding queues on its own thread, under a deadline.
+#[test]
+fn integrated_mitigations_return_when_queues_shed_admitted_copies() {
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+    use tailbench::core::app::EchoApp;
+    use tailbench::core::{AdmissionPolicy, HedgePolicy};
+    let base = ClusterConfig::new(1, FanoutPolicy::Broadcast).with_replication(2);
+    let total = 3_000u64;
+    for (name, cluster) in [
+        (
+            "hedged",
+            base.clone().with_hedge(HedgePolicy::after_ns(100_000)),
+        ),
+        ("tied", base.with_tied(true)),
+    ] {
+        let (tx, rx) = channel();
+        let run = std::thread::spawn(move || {
+            let apps: Vec<Arc<dyn ServerApp>> = (0..2)
+                .map(|_| Arc::new(EchoApp::with_service_us(50)) as Arc<dyn ServerApp>)
+                .collect();
+            let config = BenchmarkConfig::new(60_000.0, total as usize)
+                .with_warmup(0)
+                .with_admission(AdmissionPolicy::DropDeadline {
+                    capacity: 1_000,
+                    slo_ns: 200_000,
+                });
+            let mut factory = || b"shed".to_vec();
+            let _ = tx.send(runner::execute_cluster(
+                &apps,
+                &mut factory,
+                &config,
+                &cluster,
+                None,
+            ));
+        });
+        let report = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{name}: the run did not return within 60 s"))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        run.join().expect("the run thread returned");
+        let queue = &report.cluster.queue_depth;
+        let hedge = report.hedge.expect("mitigated runs report hedge stats");
+        assert!(hedge.issued > 0, "{name}: no second copy was issued");
+        assert!(queue.dropped > 0, "{name}: the overload must shed");
+        // Every copy offered to a queue was accepted or dropped: one primary per
+        // request plus each second copy (a hedge copy is counted as issued only when
+        // its queue admits it, so the hedged ledger may hold more).
+        let offered = queue.accepted + queue.dropped;
+        if name == "tied" {
+            assert_eq!(hedge.issued, total, "one tied copy per request");
+            assert_eq!(offered, 2 * total, "{name}: the ledger leaked");
+        } else {
+            assert!(offered >= total + hedge.issued, "{name}: the ledger leaked");
+        }
+        assert!(report.cluster.requests <= total);
+    }
+}

@@ -11,6 +11,8 @@
 //! 2. Bounded-queue overload is reported (drop counts, peak depth, depth timeline) and
 //!    is bit-for-bit deterministic in DES mode.
 //! 3. The unified experiment layer carries the new fields end to end.
+//! 4. Pacing error measures the pacer, not the run's set-up: the schedule and its
+//!    payloads are drawn before the run clock starts.
 
 use std::sync::Arc;
 use tailbench::core::app::{EchoApp, InstructionRateModel};
@@ -194,4 +196,32 @@ fn experiment_layer_carries_queue_and_pacing_fields_end_to_end() {
     assert!(text.contains("\"queue\""), "{text}");
     // And the emitted JSON still passes the CI verification gate.
     assert!(tailbench::experiment::verify_output_text(&text).is_ok());
+}
+
+#[test]
+fn slow_payload_generation_is_not_charged_to_pacing() {
+    use std::time::Duration;
+    // A factory whose first call takes 50 ms: drawn after the clock started, it would
+    // make the first arrivals 50 ms late and have them issue in a burst.
+    let app: Arc<dyn ServerApp> = Arc::new(EchoApp::with_service_us(5));
+    for mode in [HarnessMode::Integrated, HarnessMode::loopback()] {
+        let mut first = true;
+        let mut factory = || {
+            if std::mem::take(&mut first) {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            b"pace".to_vec()
+        };
+        let config = BenchmarkConfig::new(1_000.0, 200)
+            .with_warmup(0)
+            .with_mode(mode);
+        let report = runner::execute(&app, &mut factory, &config, None).expect("run");
+        assert_eq!(report.pacing.count, 200);
+        assert!(
+            report.pacing.max_ns < 20_000_000,
+            "{}: pacing max {} ns includes the factory's set-up",
+            mode.name(),
+            report.pacing.max_ns
+        );
+    }
 }
