@@ -198,3 +198,38 @@ mod tests {
         assert!(slow.handle(b"x").work.instructions > fast.handle(b"x").work.instructions);
     }
 }
+
+/// Test doubles for the harness's failure paths.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    /// An echo server whose worker panics on the 21st request it handles.
+    #[derive(Debug, Default)]
+    pub(crate) struct PanicsOn21st(AtomicUsize);
+
+    impl ServerApp for PanicsOn21st {
+        fn name(&self) -> &str {
+            "panics"
+        }
+
+        fn handle(&self, payload: &[u8]) -> Response {
+            let served = self.0.fetch_add(1, Ordering::Relaxed) + 1;
+            assert!(served < 21, "request {served}: the application crashed");
+            Response::new(payload.to_vec())
+        }
+    }
+
+    /// Runs `run` on a thread of its own and returns what it returns, or `None` if it
+    /// has not returned within `secs` seconds (the thread is left behind).
+    pub(crate) fn within<T: Send + 'static>(
+        secs: u64,
+        run: impl FnOnce() -> T + Send + 'static,
+    ) -> Option<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(run()));
+        rx.recv_timeout(Duration::from_secs(secs)).ok()
+    }
+}

@@ -22,15 +22,17 @@ pub enum HarnessMode {
     /// loopback interface.
     Loopback {
         /// Number of client connections (the paper uses several client processes to
-        /// avoid client-side queuing; we use several connections, each with its own
-        /// sender and receiver thread).
+        /// avoid client-side queuing).  Each paces its round-robin share of the schedule
+        /// from a thread of its own and holds a socket to every server instance, so a
+        /// run has `connections × instances` sockets, each with a client receiver thread
+        /// and a server reader and writer thread.
         connections: usize,
     },
     /// Multi-machine configuration. We do not have a second machine, so this is the
     /// loopback transport plus an analytically added constant propagation delay per
     /// direction (see DESIGN.md); the kernel network-stack work is still really executed.
     Networked {
-        /// Number of client connections.
+        /// Number of client connections, as in [`HarnessMode::Loopback`].
         connections: usize,
         /// One-way propagation delay added to each request and each response, ns.
         one_way_delay_ns: u64,
@@ -642,11 +644,6 @@ impl BenchmarkConfig {
 
     /// Validates this configuration together with a cluster layout
     /// ([`BenchmarkConfig::validate`] plus the cluster-specific footguns).
-    ///
-    /// One footgun is documented rather than rejected: in the TCP modes the client
-    /// opens exactly one connection per server instance, so the `connections` field of
-    /// [`HarnessMode::Loopback`]/[`HarnessMode::Networked`] is **ignored** for cluster
-    /// runs — it only shapes single-server runs.
     ///
     /// # Errors
     ///

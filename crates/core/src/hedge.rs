@@ -7,20 +7,22 @@
 //! each leg's first response into the [`ClusterCollector`] it owns, handed back at
 //! [`HedgeEngine::join`].
 //!
-//! The router announces each request ([`HedgeMsg::Dispatched`], in id order from 0)
-//! before any server can see it.  Completions come from the workers (integrated) or the
-//! connection receivers (TCP); a copy that will never complete — shed at admission, or
-//! later from its queue by a deadline purge or a priority eviction — comes as
+//! Each request is announced ([`HedgeMsg::Dispatched`]) before any server can see it:
+//! by the integrated router in id order, by the TCP pacers each in its own id order, so
+//! a later id may come first and the book holds a slot for every id not yet announced
+//! until [`HedgeMsg::NoMoreDispatches`].  Completions come from the workers (integrated)
+//! or the socket receivers (TCP); a copy that will never complete — shed at admission,
+//! or later from its queue by a deadline purge or a priority eviction — comes as
 //! [`HedgeMsg::Cancelled`].  The hedge delay is fixed and messages are handled in
 //! order, so deadlines come due in the order they were armed.
 //!
 //! The engine returns once pacing has ended and every request has retired, dropping
-//! the reissue and retract paths (which hold the servers' queue or channel senders) so
-//! the servers can unwind, or once every sender to it is gone.  TCP cannot see a
-//! server-side shed: a TCP tied leg whose copy was shed never retires, and the book
-//! keeps it and every later request until the senders are gone — memory, not
-//! correctness.  Hedged TCP runs, which would wait for that copy, reject shedding
-//! admission policies up front.
+//! the reissue and retract paths (which hold the servers' queue senders; a TCP run then
+//! shuts its hedge sockets' write side) so the servers can unwind, or once every sender
+//! to it is gone.  TCP cannot see a server-side shed: a TCP tied leg whose copy was shed
+//! never retires, and the book keeps it and every later request until the senders are
+//! gone — memory, not correctness.  Hedged TCP runs, which would wait for that copy,
+//! reject shedding admission policies up front.
 
 use crate::collector::ClusterCollector;
 use crate::config::ClusterConfig;
@@ -138,7 +140,7 @@ fn run(
                     book.open_leg(leg.primary, leg.copies().count() as u8);
                     deadlines.extend(due.map(|due| (due, request.id.0, leg.shard)));
                 }
-                book.open_request(request);
+                book.open_request(request.id.0, request)?;
             }
             HedgeMsg::Completed {
                 shard,
@@ -154,7 +156,10 @@ fn run(
                 }
             }
             HedgeMsg::Cancelled { id, shard } => book.shed(id, shard)?,
-            HedgeMsg::NoMoreDispatches => no_more = true,
+            HedgeMsg::NoMoreDispatches => {
+                no_more = true;
+                book.close();
+            }
         }
     }
     Ok((book.hedge_stats().unwrap_or_default(), collector))

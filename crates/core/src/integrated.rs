@@ -72,10 +72,11 @@ pub(crate) fn queue_summary(observers: &[QueueObserver]) -> Result<QueueSummary,
 /// Closed-loop driver of the integrated configuration: every `LoadMode::Closed` run
 /// (a spec's `LoadSpec::Closed`, the coordinated-omission ablation, the benchmark's
 /// `int-closed` workload).  A single client issues a request, waits synchronously for
-/// its completion, sleeps for the think time and repeats.  Queuing never builds up —
-/// the measurement error the open-loop design avoids — so the run measures saturation
-/// throughput.  The client thread records completions into its own collector directly;
-/// the completion channel is created once and reused for every request.
+/// its answer, sleeps for the think time and repeats.  Queuing never builds up — the
+/// measurement error the open-loop design avoids — so the run measures saturation
+/// throughput.  Workers send each record to the client, which records it into its own
+/// collector; a request shed from the queue or lost with a panicking worker wakes the
+/// client empty-handed, so it counts as dropped and the next one is issued.
 ///
 /// # Errors
 ///
@@ -89,20 +90,24 @@ pub(crate) fn run_closed_loop(
 ) -> Result<RunReport, HarnessError> {
     app.prepare();
     let clock = RunClock::new();
-    let queue = RequestQueue::with_policy(config.admission);
+    let (answer_tx, answers) = crossbeam::channel::unbounded();
+    let shed = answer_tx.clone();
+    let sink = ShedSink(Box::new(move |_| {
+        let _ = shed.send(None);
+    }));
+    let queue = RequestQueue::shedding_to(config.admission, None, Some(sink));
     let observer = queue.observer();
     let pool = WorkerPool::spawn(
         interfered(app, config, 0, clock),
         queue.receiver(),
         clock,
         config.worker_threads,
-        shard_proto(config),
+        Answer(answer_tx),
         None,
     )?;
 
     let mut collector = shard_proto(config);
     let max_ns = config.max_duration.as_nanos() as u64;
-    let (done_tx, done_rx) = crossbeam::channel::unbounded();
     for i in 0..config.total_requests() as u64 {
         let issued_ns = clock.now_ns();
         if issued_ns > max_ns {
@@ -113,26 +118,50 @@ pub(crate) fn run_closed_loop(
             payload: factory.next_request(),
             issued_ns,
         };
-        if queue.push(request, issued_ns, Completion::Responder(done_tx.clone()))
-            != PushOutcome::Accepted
-        {
-            break;
-        }
-        if let Ok(completion) = done_rx.recv() {
-            let received = clock.now_ns();
-            collector.record(&completion.into_record(received));
+        match queue.push(request, issued_ns, Completion::Inline) {
+            PushOutcome::Accepted => {
+                if let Ok(Some(record)) = answers.recv() {
+                    let client_received_ns = clock.now_ns();
+                    collector.record(&RequestRecord {
+                        client_received_ns,
+                        ..record
+                    });
+                }
+            }
+            PushOutcome::Dropped => {}
+            PushOutcome::Closed => break,
         }
         if think_ns > 0 {
             clock.sleep_until_ns(clock.now_ns() + think_ns);
         }
     }
-    drop(done_tx);
     queue.close();
     pool.join()?;
 
     let mut report = build_report(app.name(), "integrated", config, &collector);
     report.queue_depth = observer.summary()?;
     Ok(report)
+}
+
+/// A closed-loop worker's line to the client: the record of each request it serves, or
+/// `None` if it panics, so the client never waits for an answer that cannot come.
+#[derive(Debug, Clone)]
+struct Answer(crossbeam::channel::Sender<Option<RequestRecord>>);
+
+impl Shard for Answer {
+    fn record(&mut self, record: &RequestRecord) {
+        let _ = self.0.send(Some(*record));
+    }
+
+    fn merge(&mut self, _: Self) {}
+}
+
+impl Drop for Answer {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.0.send(None);
+        }
+    }
 }
 
 /// Per-instance in-flight counts (copies sent minus responses and retractions): the
@@ -738,6 +767,45 @@ mod tests {
         let mut factory = || vec![0u8];
         let config = BenchmarkConfig::new(100.0, 10);
         assert!(run_cluster_integrated(&apps, &mut factory, &config, &cluster).is_err());
+    }
+
+    fn closed(requests: usize) -> BenchmarkConfig {
+        BenchmarkConfig::new(1_000.0, requests)
+            .with_warmup(0)
+            .with_load(LoadMode::Closed { think_ns: 0 })
+    }
+
+    #[test]
+    fn closed_loop_moves_on_past_a_shed_request() {
+        use crate::app::testing::within;
+        use crate::queue::AdmissionPolicy;
+        // A 1 ns budget sheds nearly every request at dequeue, so it never answers.
+        let shedding = closed(200).with_admission(AdmissionPolicy::DropDeadline {
+            capacity: 16,
+            slo_ns: 1,
+        });
+        let report = within(20, move || {
+            execute(&echo_app(), &mut || b"x".to_vec(), &shedding, None)
+        })
+        .expect("a shed request must not stall the closed loop")
+        .expect("closed-loop run");
+        let depth = &report.queue_depth;
+        assert!(depth.dropped > 0, "the 1 ns budget must shed");
+        assert_eq!(depth.accepted + depth.dropped, 200);
+        assert_eq!(report.requests, depth.accepted);
+    }
+
+    #[test]
+    fn closed_loop_fails_on_a_worker_panic() {
+        use crate::app::testing::{within, PanicsOn21st};
+        let app: Arc<dyn ServerApp> = Arc::new(PanicsOn21st::default());
+        let config = closed(200);
+        let err = within(15, move || {
+            execute(&app, &mut || b"x".to_vec(), &config, None)
+        })
+        .expect("a worker panic must not stall the closed loop")
+        .unwrap_err();
+        assert!(matches!(err, HarnessError::Internal(_)), "{err}");
     }
 
     #[test]

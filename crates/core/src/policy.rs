@@ -1,6 +1,6 @@
 //! The tail-mitigation core every harness mode shares, with no I/O and no clock (every
 //! method takes `now` from its caller): the simulator drives it from its event heap,
-//! the integrated and TCP routers and the hedge engine from their threads.
+//! the integrated router, the TCP pacers and the hedge engine from their threads.
 //!
 //! * [`plan_legs`] maps a request to its legs: shards, primary replica, tied replica.
 //! * [`Fifo`] is one instance's admission queue and depth ledger.
@@ -153,6 +153,11 @@ impl<T: Queued> Fifo<T> {
         index.and_then(|i| self.items.remove(i)).is_some()
     }
 
+    /// Hands back every queued copy: the last worker is gone, so none will be served.
+    pub(crate) fn abandon(&mut self) -> VecDeque<T> {
+        std::mem::take(&mut self.items)
+    }
+
     pub(crate) fn summary(&self) -> QueueSummary {
         self.tracker.summary(self.policy.label())
     }
@@ -167,7 +172,7 @@ impl<T: Queued> Fifo<T> {
 }
 
 /// Client-side state of one leg (request × shard).
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Leg {
     /// A response was recorded (the first one wins).
     resolved: bool,
@@ -178,6 +183,15 @@ struct Leg {
     /// The selector's pick; any other instance holds a hedge or tied copy.
     primary: usize,
 }
+
+/// A leg of a request no pacer has opened yet: nothing outstanding, yet not done until
+/// it opens or the book closes.
+const UNISSUED: Leg = Leg {
+    resolved: false,
+    hedge_pending: true,
+    outstanding: 0,
+    primary: usize::MAX,
+};
 
 /// A leg's first response: whether the hedge or tied copy won, and under tied requests
 /// the instance holding the other copy, for the caller to retract (and report as shed
@@ -192,7 +206,8 @@ pub(crate) struct FirstResponse {
 /// the `width` entries of `legs` from `i * width` (a routed request's one leg at offset
 /// 0).  Ids are dense from 0, so lookups index.  A request retires once no copy of any
 /// leg is outstanding and each leg is answered or past its hedge deadline; one retired
-/// with some but not all legs answered counts as `partial`.
+/// with some but not all legs answered counts as `partial`.  Several pacers may open
+/// requests out of id order: an id not opened yet holds a slot of [`UNISSUED`] legs.
 #[derive(Debug)]
 pub(crate) struct LegBook<P> {
     cluster: ClusterConfig,
@@ -233,9 +248,56 @@ impl<P> LegBook<P> {
         });
     }
 
-    /// Opens the next request (id `head + in_flight()`) with its payload.
-    pub(crate) fn open_request(&mut self, payload: P) {
-        self.payloads.push_back(payload);
+    /// Opens request `id` with its payload, its legs the `width` opened last.  An id
+    /// past the next one first holds a slot for each id in between; an id below it
+    /// fills its held slot.
+    pub(crate) fn open_request(&mut self, id: u64, payload: P) -> Result<(), HarnessError>
+    where
+        P: Default,
+    {
+        let next = self.head + self.payloads.len() as u64;
+        if id == next {
+            self.payloads.push_back(payload);
+            return Ok(());
+        }
+        let opened = self
+            .legs
+            .split_off(self.legs.len().saturating_sub(self.width));
+        if id > next {
+            for _ in next..id {
+                self.legs.extend(std::iter::repeat_n(UNISSUED, self.width));
+                self.payloads.push_back(P::default());
+            }
+            self.legs.extend(opened);
+            self.payloads.push_back(payload);
+            return Ok(());
+        }
+        let held = |i: usize| {
+            self.legs
+                .get(i * self.width)
+                .is_some_and(|l| l.primary == UNISSUED.primary)
+        };
+        let i = self
+            .index(id)
+            .filter(|&i| held(i))
+            .ok_or_else(|| HarnessError::Internal(format!("request {id} opened twice")))?;
+        for (slot, leg) in self.legs.range_mut(i * self.width..).zip(opened) {
+            *slot = leg;
+        }
+        if let Some(slot) = self.payloads.get_mut(i) {
+            *slot = payload;
+        }
+        Ok(())
+    }
+
+    /// No request opens any more: the slots still held were never issued, so they
+    /// retire, with no leg answered (never `partial`).
+    pub(crate) fn close(&mut self) {
+        for leg in self.legs.iter_mut() {
+            if leg.primary == UNISSUED.primary {
+                leg.hedge_pending = false;
+            }
+        }
     }
 
     fn index(&self, id: u64) -> Option<usize> {
@@ -342,8 +404,10 @@ mod tests {
     /// One transition of a [`LegBook`] and what it must answer.
     #[derive(Debug, Clone, Copy)]
     enum Step {
-        /// Opens the next request with one leg per `(primary, admitted copies)`.
-        Open(&'static [(usize, u8)]),
+        /// Opens request `id` with one leg per `(primary, admitted copies)`.
+        Open(u64, &'static [(usize, u8)]),
+        /// No request opens any more.
+        Close,
         Due(u64, usize, Option<usize>),
         HedgeAdmitted(u64, usize),
         Shed(u64, usize),
@@ -352,7 +416,7 @@ mod tests {
         /// Retires, then expects `(in flight, partial)`.
         Retire(usize, u64),
     }
-    use Step::{Due, HedgeAdmitted, Open, Respond, Retire, Shed};
+    use Step::{Close, Due, HedgeAdmitted, Open, Respond, Retire, Shed};
 
     const LOSS: Option<FirstResponse> = Some(FirstResponse {
         win: false,
@@ -365,12 +429,12 @@ mod tests {
         let hedged = pair.clone().with_hedge(HedgePolicy::after_ns(1_000));
         let tied = pair.clone().with_tied(true);
         let broadcast = ClusterConfig::new(2, FanoutPolicy::Broadcast);
-        let cases: [(&str, &ClusterConfig, &[Step], HedgeStats); 5] = [
+        let cases: [(&str, &ClusterConfig, &[Step], HedgeStats); 6] = [
             (
                 "a hedge fires, then the primary answers first",
                 &hedged,
                 &[
-                    Open(&[(0, 1)]),
+                    Open(0, &[(0, 1)]),
                     Retire(1, 0),
                     Due(0, 0, Some(1)),
                     HedgeAdmitted(0, 0),
@@ -385,7 +449,7 @@ mod tests {
                 "tied, the secondary answers first",
                 &tied,
                 &[
-                    Open(&[(0, 2)]),
+                    Open(0, &[(0, 2)]),
                     Respond(
                         0,
                         0,
@@ -405,7 +469,7 @@ mod tests {
                 "a copy shed after admission leaves the leg unresolved",
                 &hedged,
                 &[
-                    Open(&[(1, 1)]),
+                    Open(0, &[(1, 1)]),
                     Shed(0, 0),
                     Retire(1, 0),
                     Due(0, 0, Some(0)),
@@ -417,7 +481,7 @@ mod tests {
                 "a fan-out retired with a leg unanswered is partial",
                 &broadcast,
                 &[
-                    Open(&[(0, 1), (1, 1)]),
+                    Open(0, &[(0, 1), (1, 1)]),
                     Respond(0, 0, 0, LOSS),
                     Shed(0, 1),
                     Retire(0, 1),
@@ -428,9 +492,9 @@ mod tests {
                 "out-of-order responses retire in id order",
                 &pair,
                 &[
-                    Open(&[(0, 1)]),
-                    Open(&[(1, 1)]),
-                    Open(&[(0, 1)]),
+                    Open(0, &[(0, 1)]),
+                    Open(1, &[(1, 1)]),
+                    Open(2, &[(0, 1)]),
                     Respond(2, 0, 0, LOSS),
                     Respond(1, 0, 1, LOSS),
                     Retire(3, 0),
@@ -439,20 +503,36 @@ mod tests {
                 ],
                 HedgeStats::default(),
             ),
+            (
+                "out-of-order opens, and a slot never issued retires at close",
+                &broadcast,
+                &[
+                    Open(2, &[(0, 1), (1, 1)]),
+                    Retire(3, 0),
+                    Open(0, &[(0, 1), (1, 1)]),
+                    Respond(2, 0, 0, LOSS),
+                    Respond(2, 1, 1, LOSS),
+                    Respond(0, 0, 0, LOSS),
+                    Respond(0, 1, 1, LOSS),
+                    Retire(2, 0),
+                    Close,
+                    Retire(0, 0),
+                ],
+                HedgeStats::default(),
+            ),
         ];
         for (name, cluster, steps, stats) in cases {
             let mut book = LegBook::new(cluster);
-            let mut next_id = 0u64;
             for (n, &step) in steps.iter().enumerate() {
                 let at = format!("{name}, step {n} {step:?}");
                 match step {
-                    Open(legs) => {
+                    Open(id, legs) => {
                         for &(primary, admitted) in legs {
                             book.open_leg(primary, admitted);
                         }
-                        book.open_request(next_id);
-                        next_id += 1;
+                        book.open_request(id, id).unwrap();
                     }
+                    Close => book.close(),
                     Due(id, shard, alt) => {
                         assert_eq!(book.hedge_due(id, shard).unwrap(), alt, "{at}")
                     }

@@ -15,7 +15,7 @@ use crate::collector::RequestTags;
 use crate::error::HarnessError;
 use crate::policy::{Fifo, Offer, Queued};
 use crate::report::QueueSummary;
-use crate::request::{Request, RequestId, RequestRecord, WorkProfile};
+use crate::request::{Request, RequestId, WorkProfile};
 use crate::sync::{lock_recover, wait_recover};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -277,22 +277,6 @@ pub struct ServerCompletion {
     pub work: WorkProfile,
     /// Response payload to return to the client.
     pub response_payload: Vec<u8>,
-}
-
-impl ServerCompletion {
-    /// Converts this completion into a full [`RequestRecord`], given the time the client
-    /// received the response.
-    #[must_use]
-    pub fn into_record(self, client_received_ns: u64) -> RequestRecord {
-        RequestRecord {
-            id: self.id,
-            issued_ns: self.issued_ns,
-            enqueued_ns: self.enqueued_ns,
-            started_ns: self.started_ns,
-            completed_ns: self.completed_ns,
-            client_received_ns,
-        }
-    }
 }
 
 /// Where a worker should send a finished request.
@@ -633,10 +617,14 @@ impl Drop for QueueReceiver {
         let mut state = lock_recover(&self.shared.state);
         state.consumers -= 1;
         let last = state.consumers == 0;
+        // Copies left behind by a worker panic will never be served: dropping them
+        // drops their responders, so the connections waiting on them can wind down.
+        let abandoned = last.then(|| state.fifo.abandon());
         if last {
             state.on_shed = None;
         }
         drop(state);
+        drop(abandoned);
         if last {
             // Unblock producers stuck in Block-on-full so they can observe Closed.
             self.shared.not_full.notify_all();
@@ -705,23 +693,6 @@ mod tests {
         assert_eq!(a.enqueued_ns, 100);
         assert_eq!(b.request.id, RequestId(2));
         assert_eq!(q.depth(), 0);
-    }
-
-    #[test]
-    fn completion_converts_to_record() {
-        let c = ServerCompletion {
-            id: RequestId(5),
-            issued_ns: 10,
-            enqueued_ns: 20,
-            started_ns: 30,
-            completed_ns: 50,
-            work: WorkProfile::default(),
-            response_payload: vec![1, 2, 3],
-        };
-        let r = c.into_record(60);
-        assert_eq!(r.queue_ns(), 10);
-        assert_eq!(r.service_ns(), 20);
-        assert_eq!(r.sojourn_ns(), 50);
     }
 
     #[test]

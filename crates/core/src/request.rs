@@ -7,7 +7,7 @@
 //! through the harness.
 
 /// Identifier of a request within one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
 
 /// A work-characterization record emitted by an application for one request.
@@ -66,7 +66,7 @@ impl WorkProfile {
 }
 
 /// A request travelling through the harness.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Request {
     /// Unique identifier within the run.
     pub id: RequestId,

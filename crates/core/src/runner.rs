@@ -15,7 +15,7 @@ use crate::app::{CostModel, RequestFactory, ServerApp};
 use crate::config::{BenchmarkConfig, ClusterConfig, FanoutPolicy, HarnessMode};
 use crate::error::HarnessError;
 use crate::integrated::{run_closed_loop, run_cluster_integrated};
-use crate::net::{run_cluster_tcp, run_tcp};
+use crate::net::run_cluster_tcp;
 use crate::report::{ClusterReport, MultiRunReport, RunReport};
 use crate::sim::run_cluster_simulated;
 use crate::traffic::LoadMode;
@@ -60,11 +60,11 @@ impl RepeatPolicy {
 /// Runs one single-server measurement with the configured harness mode — the one
 /// low-level dispatcher behind every single-server entrypoint.
 ///
-/// A single server is a 1×1 cluster: simulated runs and open-loop integrated runs go
+/// A single server is a 1×1 cluster: simulated, open-loop integrated and TCP runs go
 /// through the cluster engines on one shard of one replica, and the report is that
 /// cluster's end-to-end view (which holds the one instance's full queue summary) under
-/// the mode's own label.  The closed-loop driver and the TCP modes, whose single-server
-/// clients pace per connection, keep engines of their own.
+/// the mode's own label.  Only the closed-loop driver, one client waiting on each
+/// response, keeps an engine of its own.
 ///
 /// `cost_model` is required by simulated mode and ignored by the real-time modes, so a
 /// caller that has a model can always pass `Some(model)` regardless of mode.  Most
@@ -95,20 +95,9 @@ pub fn execute(
             LoadMode::Closed { think_ns } => run_closed_loop(app, factory, config, think_ns),
             _ => run_cluster_integrated(apps, factory, config, &one_by_one).map(single_server),
         },
-        HarnessMode::Loopback { connections } => {
-            run_tcp(app, factory, config, *connections, 0, "loopback")
+        HarnessMode::Loopback { .. } | HarnessMode::Networked { .. } => {
+            run_cluster_tcp(apps, factory, config, &one_by_one).map(single_server)
         }
-        HarnessMode::Networked {
-            connections,
-            one_way_delay_ns,
-        } => run_tcp(
-            app,
-            factory,
-            config,
-            *connections,
-            *one_way_delay_ns,
-            "networked",
-        ),
         HarnessMode::Simulated => match cost_model {
             Some(model) => {
                 run_cluster_simulated(apps, factory, config, &one_by_one, model).map(single_server)
@@ -128,9 +117,9 @@ pub fn execute(
 /// `apps` holds one server application per cluster instance
 /// (`cluster.instances() = shards * replication`, shard-major order); each instance
 /// runs with its own queue and worker pool (or simulated station).  Simulated mode
-/// requires `cost_model`; the real-time modes ignore it.  In the TCP modes the client
-/// opens one connection per instance, so the `connections` field of the mode is not
-/// used (see [`BenchmarkConfig::validate_cluster`]).
+/// requires `cost_model`; the real-time modes ignore it.  In the TCP modes each of the
+/// mode's `connections` client connections paces its share of the schedule and holds a
+/// socket to every instance.
 ///
 /// # Errors
 ///
@@ -147,19 +136,9 @@ pub fn execute_cluster(
     config.validate_cluster(cluster)?;
     match &config.mode {
         HarnessMode::Integrated => run_cluster_integrated(apps, factory, config, cluster),
-        HarnessMode::Loopback { .. } => {
-            run_cluster_tcp(apps, factory, config, cluster, 0, "loopback")
+        HarnessMode::Loopback { .. } | HarnessMode::Networked { .. } => {
+            run_cluster_tcp(apps, factory, config, cluster)
         }
-        HarnessMode::Networked {
-            one_way_delay_ns, ..
-        } => run_cluster_tcp(
-            apps,
-            factory,
-            config,
-            cluster,
-            *one_way_delay_ns,
-            "networked",
-        ),
         HarnessMode::Simulated => match cost_model {
             Some(model) => run_cluster_simulated(apps, factory, config, cluster, model),
             None => Err(HarnessError::Config(

@@ -329,7 +329,7 @@ pub fn run_cluster_simulated(
                     }
                     book.open_leg(leg.primary, admitted);
                 }
-                book.open_request(request);
+                book.open_request(id, request)?;
             }
             pending => {
                 next_arrival = pending;

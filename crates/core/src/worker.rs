@@ -1,9 +1,9 @@
 //! Application worker threads.
 //!
 //! Worker threads pull requests off the shared [`RequestQueue`](crate::queue::RequestQueue),
-//! invoke the application, and either record the completion straight into their own
-//! [`Shard`] (integrated configuration — no cross-thread send on the critical path) or
-//! route it back to whoever waits for it (a TCP connection, the closed-loop client).
+//! invoke the application, and either record the completion into their own [`Shard`]
+//! (integrated configuration — the open loop's statistics or legs, the closed-loop
+//! client's answers) or route it back to the TCP connection that waits for it.
 //! The number of worker threads is the "threads" axis of the paper's multithreaded
 //! experiments (Fig. 4, Fig. 7).
 

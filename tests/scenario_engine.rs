@@ -191,12 +191,16 @@ fn golden_hedging_cuts_the_broadcast_tail_at_four_shards() {
 
 /// The wall-clock hedge engine (integrated and TCP cluster paths): an aggressive 1 µs
 /// trigger forces hedges on essentially every leg, and first-response-wins dedup must
-/// still deliver exactly one record per request — no double counting, no losses.
+/// still deliver exactly one record per request — no double counting, no losses.  With
+/// several TCP client connections the engine hears of requests out of id order; a tied
+/// run issues every leg's second copy up front instead.
 #[test]
 fn wall_clock_cluster_hedging_completes_and_dedups() {
-    for mode in [
-        HarnessMode::Integrated,
-        HarnessMode::Loopback { connections: 1 },
+    for (mode, tied) in [
+        (HarnessMode::Integrated, false),
+        (HarnessMode::Loopback { connections: 1 }, false),
+        (HarnessMode::Loopback { connections: 3 }, false),
+        (HarnessMode::Loopback { connections: 3 }, true),
     ] {
         let apps: Vec<Arc<dyn ServerApp>> = (0..4)
             .map(|_| Arc::new(EchoApp::with_service_us(20)) as Arc<dyn ServerApp>)
@@ -205,9 +209,15 @@ fn wall_clock_cluster_hedging_completes_and_dedups() {
             "wall-hedge",
             vec![LoadPhase::constant(1_500.0, Duration::from_millis(150))],
         )
-        .with_warmup_fraction(0.1)
-        .with_hedge(HedgePolicy::after_ns(1_000));
-        let cluster = ClusterConfig::new(2, FanoutPolicy::Broadcast).with_replication(2);
+        .with_warmup_fraction(0.1);
+        let scenario = if tied {
+            scenario
+        } else {
+            scenario.with_hedge(HedgePolicy::after_ns(1_000))
+        };
+        let cluster = ClusterConfig::new(2, FanoutPolicy::Broadcast)
+            .with_replication(2)
+            .with_tied(tied);
         let report = execute_cluster_scenario(
             &apps,
             vec![Box::new(|| b"wh".to_vec()) as Box<dyn RequestFactory>],
@@ -219,18 +229,19 @@ fn wall_clock_cluster_hedging_completes_and_dedups() {
             None,
         )
         .unwrap();
+        let run = format!("{mode:?}, tied {tied}");
         let stats = report.hedge.expect("hedge stats must be reported");
-        assert!(
-            stats.issued > 0,
-            "{}: a 1 us trigger must hedge",
-            mode.name()
-        );
+        assert!(stats.issued > 0, "{run}: every leg must get a second copy");
         assert!(stats.wins <= stats.issued);
         // Every measured request is recorded exactly once end-to-end, and each shard
         // records exactly one winning leg per request.
-        assert!(report.cluster.requests > 100, "{}", report.cluster.requests);
+        assert!(
+            report.cluster.requests > 100,
+            "{run}: {}",
+            report.cluster.requests
+        );
         for shard in &report.per_shard {
-            assert_eq!(shard.requests, report.cluster.requests, "{}", mode.name());
+            assert_eq!(shard.requests, report.cluster.requests, "{run}");
         }
     }
 }
