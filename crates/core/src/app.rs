@@ -12,7 +12,10 @@
 //! into simulated service times for the discrete-event simulation runner; the analytic
 //! microarchitecture model in `tailbench-simarch` is the primary implementation.
 
+use crate::error::HarnessError;
 use crate::request::{Response, WorkProfile};
+use std::sync::Arc;
+use tailbench_workloads::rng::derive_seed;
 
 /// The server side of a TailBench application.
 ///
@@ -151,6 +154,73 @@ impl ServerApp for EchoApp {
     }
 }
 
+/// A server whose service times are measured samples: the M/G/k queue of the paper's
+/// case study (§VII) when run simulated on one instance with `worker_threads = k`.
+///
+/// Each payload carries one sample in nanoseconds, drawn uniformly by the run's
+/// [`EmpiricalService::factory`], and [`ServerApp::handle`] reports it as the request's
+/// instruction count, which [`EmpiricalService::COST_MODEL`] replays one nanosecond per
+/// instruction.  The draw lives in the payload, so the cost model holds no state.
+#[derive(Debug, Clone)]
+pub struct EmpiricalService {
+    samples: Arc<[u64]>,
+}
+
+impl EmpiricalService {
+    /// The cost model that serves each request for exactly its sample.
+    pub const COST_MODEL: InstructionRateModel = InstructionRateModel {
+        ns_per_instruction: 1.0,
+    };
+
+    /// Creates a service from observed service times (nanoseconds).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HarnessError::Config`] if `samples` is empty.
+    pub fn new(samples: Vec<u64>) -> Result<Self, HarnessError> {
+        if samples.is_empty() {
+            return Err(HarnessError::Config(
+                "an empirical service needs at least one service-time sample".into(),
+            ));
+        }
+        Ok(EmpiricalService {
+            samples: samples.into(),
+        })
+    }
+
+    /// The request factory of a run seeded with `seed`: payload `n` is the sample at
+    /// index `derive_seed(root, n) % len` as little-endian bytes, a SplitMix64 stream
+    /// from a root derived from `seed` for this factory alone.
+    #[must_use]
+    pub fn factory(&self, seed: u64) -> impl RequestFactory {
+        let samples = Arc::clone(&self.samples);
+        let root = derive_seed(seed, 0xE3F1);
+        let mut drawn = 0u64;
+        move || {
+            let index = derive_seed(root, drawn) % samples.len() as u64;
+            drawn += 1;
+            samples[index as usize].to_le_bytes().to_vec()
+        }
+    }
+}
+
+impl ServerApp for EmpiricalService {
+    fn name(&self) -> &str {
+        "empirical"
+    }
+
+    fn handle(&self, payload: &[u8]) -> Response {
+        let sample = payload.get(..8).and_then(|b| b.try_into().ok());
+        Response::with_work(
+            Vec::new(),
+            WorkProfile {
+                instructions: sample.map_or(0, u64::from_le_bytes),
+                ..WorkProfile::default()
+            },
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,6 +259,32 @@ mod tests {
         };
         assert_eq!(m.service_time_ns(&p1, 1), 500);
         assert_eq!(m.service_time_ns(&p2, 4), 1_000);
+    }
+
+    #[test]
+    fn empirical_service_replays_its_samples_reproducibly() {
+        use crate::config::{BenchmarkConfig, HarnessMode};
+        assert!(matches!(
+            EmpiricalService::new(Vec::new()),
+            Err(HarnessError::Config(_))
+        ));
+        let service = EmpiricalService::new(vec![1_000, 5_000, 20_000]).unwrap();
+        let app: Arc<dyn ServerApp> = Arc::new(service.clone());
+        let run = |seed: u64| {
+            let config = BenchmarkConfig::new(50_000.0, 2_000)
+                .with_mode(HarnessMode::Simulated)
+                .with_seed(seed);
+            let mut factory = service.factory(seed);
+            let model = &EmpiricalService::COST_MODEL;
+            crate::runner::execute(&app, &mut factory, &config, Some(model)).unwrap()
+        };
+        let report = run(1);
+        assert_eq!(
+            (report.service.min_ns, report.service.max_ns),
+            (1_000, 20_000)
+        );
+        assert_eq!(format!("{report:?}"), format!("{:?}", run(1)));
+        assert_ne!(format!("{report:?}"), format!("{:?}", run(2)));
     }
 
     #[test]

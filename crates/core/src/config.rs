@@ -424,8 +424,9 @@ impl ClusterConfig {
     }
 
     /// A short name for reports, e.g. `cluster4x2-broadcast`.  Non-default mitigation
-    /// knobs append suffixes (`+least-loaded`, `+tied`) so report rows stay
-    /// distinguishable; the default round-robin untied name is unchanged.
+    /// knobs append suffixes (`+least-loaded`, `+tied`, `+hedge800ns` for an active
+    /// hedge) so report rows stay distinguishable; the default round-robin, untied,
+    /// unhedged name is unchanged.
     #[must_use]
     pub fn name(&self) -> String {
         let mut name = format!(
@@ -440,6 +441,9 @@ impl ClusterConfig {
         }
         if self.tied {
             name.push_str("+tied");
+        }
+        if let Some(hedge) = self.active_hedge() {
+            name.push_str(&format!("+hedge{}ns", hedge.delay_ns));
         }
         name
     }
@@ -957,10 +961,22 @@ mod tests {
             "cluster4x2-broadcast+tied"
         );
         assert_eq!(
-            base.with_selector(ReplicaSelector::PowerOfTwo)
+            base.clone()
+                .with_selector(ReplicaSelector::PowerOfTwo)
                 .with_tied(true)
                 .name(),
             "cluster4x2-broadcast+p2c+tied"
+        );
+        assert_eq!(
+            base.with_hedge(HedgePolicy::after_ns(800)).name(),
+            "cluster4x2-broadcast+hedge800ns"
+        );
+        // A hedge with no replica to hedge to is inactive and leaves the name alone.
+        assert_eq!(
+            ClusterConfig::new(4, FanoutPolicy::Broadcast)
+                .with_hedge(HedgePolicy::after_ns(800))
+                .name(),
+            "cluster4x1-broadcast"
         );
     }
 

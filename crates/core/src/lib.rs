@@ -17,8 +17,9 @@
 //!   and integrated ([`config::HarnessMode`], [`net`], [`integrated`]), plus a
 //!   **discrete-event simulation** runner that replaces wall-clock service times with a
 //!   microarchitectural cost model ([`sim`]);
-//! * a **repeated-run controller** re-randomizes seeds until 95% confidence intervals are
-//!   within 1% of each reported metric ([`runner::run_repeated`]);
+//! * **repeated runs** aggregate into 95% confidence intervals of each reported latency
+//!   metric ([`MultiRunReport`]; the experiment layer's `repeats` re-run a point with
+//!   fresh seeds);
 //! * a **cluster harness** runs N independent server instances behind a client-side
 //!   router that shards single-key requests or fans partition-aggregate requests out to
 //!   every shard and merges last-response-wins, reporting per-shard and end-to-end
@@ -74,7 +75,7 @@ pub mod time;
 pub mod traffic;
 pub mod worker;
 
-pub use app::{CostModel, RequestFactory, ServerApp};
+pub use app::{CostModel, EmpiricalService, RequestFactory, ServerApp};
 pub use collector::{ClusterCollector, RequestTags};
 pub use config::{BenchmarkConfig, ClusterConfig, FanoutPolicy, HarnessMode, HedgePolicy, Route};
 pub use error::HarnessError;
@@ -86,6 +87,6 @@ pub use report::{
     RunReport,
 };
 pub use request::{Request, RequestRecord, Response, WorkProfile};
-pub use runner::{execute, execute_cluster, measure_capacity, run_repeated, RepeatPolicy};
+pub use runner::{execute, execute_cluster, measure_capacity};
 pub use time::{PacingRecorder, RunClock};
 pub use traffic::{LoadMode, LoadTrace};

@@ -3,59 +3,23 @@
 //! [`execute`] runs a single measurement in whichever harness configuration the
 //! [`BenchmarkConfig`] selects, and [`execute_cluster`] does the same for a cluster
 //! layout; both validate the configuration on entry.  One level up, the declarative
-//! `tailbench_experiment::Experiment` API drives them.  [`run_repeated`] implements the paper's repeated-run
-//! methodology: it re-runs the measurement with fresh seeds (re-randomizing both request
-//! payloads and interarrival times) until the 95% confidence intervals of the reported
-//! latency metrics are within the target fraction of their means, or a run budget is
-//! exhausted.  [`measure_capacity`] estimates an application's saturation throughput,
-//! which the experiments use to express offered load as a fraction of capacity
-//! (paper Table I reports latencies "at 20% / 50% / 70% load").
+//! `tailbench_experiment::Experiment` API drives them, and its `repeats` re-run a point
+//! with fresh seeds for the paper's confidence intervals.  [`measure_capacity`]
+//! estimates an application's saturation throughput, which the experiments use to
+//! express offered load as a fraction of capacity (paper Table I reports latencies "at
+//! 20% / 50% / 70% load").
 
 use crate::app::{CostModel, RequestFactory, ServerApp};
 use crate::config::{BenchmarkConfig, ClusterConfig, FanoutPolicy, HarnessMode};
 use crate::error::HarnessError;
 use crate::integrated::{run_closed_loop, run_cluster_integrated};
 use crate::net::run_cluster_tcp;
-use crate::report::{ClusterReport, MultiRunReport, RunReport};
+use crate::report::{ClusterReport, RunReport};
 use crate::sim::run_cluster_simulated;
 use crate::traffic::LoadMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Policy for repeated runs.
-#[derive(Debug, Clone, Copy)]
-pub struct RepeatPolicy {
-    /// Minimum number of runs (the paper always performs several).
-    pub min_runs: usize,
-    /// Maximum number of runs (budget cap).
-    pub max_runs: usize,
-    /// Target relative half-width of the 95% confidence interval (0.01 = 1%).
-    pub target_fraction: f64,
-}
-
-impl Default for RepeatPolicy {
-    fn default() -> Self {
-        RepeatPolicy {
-            min_runs: 3,
-            max_runs: 10,
-            target_fraction: 0.01,
-        }
-    }
-}
-
-impl RepeatPolicy {
-    /// A cheap policy for tests and quick sweeps: exactly `runs` runs, no convergence
-    /// requirement beyond what those runs provide.
-    #[must_use]
-    pub fn fixed(runs: usize) -> Self {
-        RepeatPolicy {
-            min_runs: runs,
-            max_runs: runs,
-            target_fraction: 0.05,
-        }
-    }
-}
 
 /// Runs one single-server measurement with the configured harness mode — the one
 /// low-level dispatcher behind every single-server entrypoint.
@@ -146,47 +110,6 @@ pub fn execute_cluster(
             )),
         },
     }
-}
-
-/// Runs the measurement repeatedly with fresh seeds until the latency metrics converge
-/// (95% CI within `policy.target_fraction` of the mean) or `policy.max_runs` is reached.
-///
-/// `make_factory` is called once per run with that run's seed so request streams are
-/// re-randomized, as the methodology requires.
-///
-/// # Errors
-///
-/// Propagates the first error encountered by an individual run.
-pub fn run_repeated<F>(
-    app: &Arc<dyn ServerApp>,
-    mut make_factory: F,
-    config: &BenchmarkConfig,
-    policy: RepeatPolicy,
-    cost_model: Option<&dyn CostModel>,
-) -> Result<MultiRunReport, HarnessError>
-where
-    F: FnMut(u64) -> Box<dyn RequestFactory>,
-{
-    let mut runs = Vec::new();
-    for run_idx in 0..policy.max_runs.max(1) {
-        let seed = tailbench_workloads::rng::derive_seed(config.seed, run_idx as u64);
-        let run_config = config.clone().with_seed(seed);
-        let mut factory = make_factory(seed);
-        let report = execute(app, factory.as_mut(), &run_config, cost_model)?;
-        runs.push(report);
-        if runs.len() >= policy.min_runs.max(2) {
-            let interim =
-                MultiRunReport::from_runs(runs.clone(), policy.target_fraction, policy.min_runs);
-            if interim.converged {
-                return Ok(interim);
-            }
-        }
-    }
-    Ok(MultiRunReport::from_runs(
-        runs,
-        policy.target_fraction,
-        policy.min_runs,
-    ))
 }
 
 /// Estimates the application's saturation throughput (requests per second) with the
@@ -408,26 +331,6 @@ mod tests {
             assert_eq!(shard.queue, end_to_end.queue);
             assert_eq!(report.shard_union_sojourn, end_to_end.sojourn);
         }
-    }
-
-    #[test]
-    fn repeated_runs_aggregate() {
-        let app = echo();
-        let config = BenchmarkConfig::new(1_000.0, 150).with_warmup(20);
-        let multi = run_repeated(
-            &app,
-            |_seed| Box::new(|| vec![7u8]) as Box<dyn RequestFactory>,
-            &config,
-            RepeatPolicy {
-                min_runs: 2,
-                max_runs: 3,
-                target_fraction: 0.5,
-            },
-            None,
-        )
-        .unwrap();
-        assert!(multi.runs.len() >= 2);
-        assert!(multi.p95_ns() > 0.0);
     }
 
     #[test]

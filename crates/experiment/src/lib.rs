@@ -386,8 +386,8 @@ impl Experiment {
 
     /// Seeds for the repeats of one point: repeat 0 of a single-repeat point uses the
     /// point seed directly (exact compatibility with a direct runner call); multiple
-    /// repeats derive per-repeat seeds like `run_repeated` does, unless the policy
-    /// pins them.
+    /// repeats derive per-repeat seeds with `derive_seed(point_seed, repeat)`, unless
+    /// the policy pins them.
     fn repeat_seeds(&self, point_seed: u64) -> Vec<u64> {
         if self.spec.repeats == 1 {
             return vec![point_seed];
@@ -906,7 +906,8 @@ mod tests {
             panic!("repeats > 1 must aggregate");
         };
         assert_eq!(multi.runs.len(), 3);
-        assert!(multi.p95_ci.half_width >= 0.0);
+        assert!(multi.p95_ci.mean > 0.0 && multi.p95_ci.half_width >= 0.0);
+        assert!(multi.representative_run().is_some());
         // Derived seeds re-randomize arrivals, so runs differ.
         assert_ne!(multi.runs[0].sojourn.p99_ns, multi.runs[1].sojourn.p99_ns);
     }

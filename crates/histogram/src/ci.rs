@@ -2,8 +2,9 @@
 //!
 //! The TailBench methodology (§IV-C) performs repeated randomized runs and keeps adding
 //! runs until the 95% confidence interval of every reported latency metric is within 1%
-//! of its mean.  [`RunSeries`] implements that stopping rule; [`ConfidenceInterval`] is
-//! the underlying Student-t interval.
+//! of its mean.  [`RunSeries`] judges that criterion over a set of runs (the experiment
+//! layer runs a fixed number of repeats); [`ConfidenceInterval`] is the underlying
+//! Student-t interval.
 
 /// Two-sided Student-t critical values at 95% confidence for small sample sizes
 /// (degrees of freedom 1..=30). Larger samples fall back to the normal value 1.96.

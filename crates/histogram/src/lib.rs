@@ -11,8 +11,8 @@
 //!   within 1% of the actual").
 //! * [`LatencySummary`] — an adaptive recorder that stores exact samples for short runs
 //!   and transparently degrades to an [`HdrHistogram`] once a sample cap is exceeded.
-//! * [`ci`] — confidence-interval helpers used to decide when enough repeated runs have
-//!   been performed (the paper targets 95% confidence intervals within 1% of the mean).
+//! * [`ci`] — confidence-interval helpers that judge whether repeated runs have
+//!   converged (the paper targets 95% confidence intervals within 1% of the mean).
 //!
 //! # Example
 //!

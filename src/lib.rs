@@ -18,7 +18,7 @@
 //! * [`scenario`] — the scenario engine: phased load traces (bursts, ramps, diurnal
 //!   waves), multi-class clients, deterministic interference injection and hedged
 //!   requests.
-//! * [`queueing`] — the M/G/1 and M/G/k models used by the paper's case study.
+//! * [`queueing`] — closed-form M/G/1 and M/M/k models that check the simulator.
 //! * [`histogram`] / [`workloads`] — the statistical and workload-generation substrates.
 //!
 //! # Quick start
@@ -57,7 +57,7 @@ pub use tailbench_histogram as histogram;
 /// The in-tree static-analysis pass behind `tailbench lint` (re-export of
 /// [`tailbench_lint`]).
 pub use tailbench_lint as lint;
-/// The M/G/1 and M/G/k queueing models (re-export of [`tailbench_queueing`]).
+/// Closed-form M/G/1 and M/M/k queueing models (re-export of [`tailbench_queueing`]).
 pub use tailbench_queueing as queueing;
 /// The scenario engine: phased load traces, multi-class clients, interference
 /// injection and hedged requests (re-export of [`tailbench_scenario`]).

@@ -1,10 +1,11 @@
 //! Integration tests of the evaluation methodology: simulated runs agree qualitatively
-//! with real-time runs, the repeated-run controller converges, and the queueing model is
-//! consistent with the discrete-event harness.
+//! with real-time runs, and the discrete-event simulator matches closed-form queueing
+//! results within their sampling error.
 
 use std::sync::Arc;
 use tailbench::core::config::{BenchmarkConfig, HarnessMode};
-use tailbench::core::{runner, RepeatPolicy, RequestFactory, ServerApp};
+use tailbench::core::{runner, EmpiricalService, RequestFactory, RunReport, ServerApp};
+use tailbench::queueing::{mm1_sojourn_quantile_s, Mg1Model, MmkModel};
 use tailbench::simarch::{MachineConfig, SystemModel};
 
 fn masstree() -> (Arc<dyn ServerApp>, impl Fn(u64) -> Box<dyn RequestFactory>) {
@@ -92,59 +93,110 @@ fn idealized_memory_never_slows_a_simulated_run() {
     assert!(ideal.service.mean_ns <= real.service.mean_ns);
 }
 
-#[test]
-fn repeated_runs_converge_and_report_confidence_intervals() {
-    let (app, make_factory) = masstree();
-    let multi = runner::run_repeated(
-        &app,
-        |seed| make_factory(seed),
-        &BenchmarkConfig::new(2_000.0, 400).with_warmup(40),
-        RepeatPolicy {
-            min_runs: 3,
-            max_runs: 6,
-            target_fraction: 0.25,
-        },
-        None,
-    )
-    .expect("repeated runs");
-    assert!(multi.runs.len() >= 3);
-    assert!(multi.p95_ci.mean > 0.0);
-    assert!(multi.representative_run().is_some());
+/// Measured requests per closed-form check (a tenth more run as warmup).  Under the
+/// 262,144 samples a latency summary keeps exactly, so percentiles carry no histogram
+/// error.
+const QUEUE_REQUESTS: usize = 200_000;
+
+/// Mean service time of the closed-form checks: 100 µs, so rounding a sample to whole
+/// nanoseconds is negligible.
+const MEAN_SERVICE_S: f64 = 1e-4;
+
+/// Runs the core DES on one instance with `servers` workers under Poisson arrivals at
+/// `qps`, each request served for a service time drawn from `samples_ns`.
+fn simulate_queue(samples_ns: Vec<u64>, servers: usize, qps: f64) -> RunReport {
+    let service = EmpiricalService::new(samples_ns).expect("service samples");
+    let app: Arc<dyn ServerApp> = Arc::new(service.clone());
+    let config = BenchmarkConfig::new(qps, QUEUE_REQUESTS)
+        .with_mode(HarnessMode::Simulated)
+        .with_threads(servers)
+        .with_warmup(QUEUE_REQUESTS / 10)
+        .with_seed(1);
+    let mut factory = service.factory(1);
+    let model = &EmpiricalService::COST_MODEL;
+    runner::execute(&app, &mut factory, &config, Some(model)).expect("simulated queue")
+}
+
+/// Exponential service times: the midpoints of `n` equal-probability bins of the
+/// exponential distribution with mean `mean_s`.  A fixed grid, so a run's only error is
+/// its own sampling error.
+fn exponential_grid(mean_s: f64, n: usize) -> Vec<u64> {
+    (0..n)
+        .map(|i| (-(1.0 - (i as f64 + 0.5) / n as f64).ln() * mean_s * 1e9).round() as u64)
+        .collect()
+}
+
+fn assert_close(what: &str, simulated: f64, exact: f64, tolerance: f64) {
+    let error = simulated / exact - 1.0;
+    assert!(
+        error.abs() <= tolerance,
+        "{what}: simulated {simulated:.4e}, closed form {exact:.4e}, error {:+.2}% (tolerance {:.1}%)",
+        error * 100.0,
+        tolerance * 100.0
+    );
 }
 
 #[test]
-fn queueing_model_matches_the_simulated_harness_for_constant_service() {
-    // For near-deterministic service times the DES harness and the M/G/1 model must
-    // agree on the mean sojourn time at moderate load.
-    use tailbench::core::app::{EchoApp, InstructionRateModel};
-    use tailbench::queueing::{EmpiricalDistribution, MgkSimulation};
+fn simulated_sojourn_quantiles_match_mm1() {
+    // M/M/1 sojourn is exponential with rate μ − λ: the q quantile is −ln(1 − q)/(μ − λ).
+    // Tolerance: four standard deviations of the relative error over 30 seeds at this
+    // size (0.6 % at p50, 0.9 % at p95, 1.3 % at p99), rounded up to the next half
+    // percent; the grid's truncated tail, about −0.2 %, sits inside.  A 5 % longer
+    // service moves every quantile 10.6 %.
+    let lambda = 0.5 / MEAN_SERVICE_S;
+    let report = simulate_queue(exponential_grid(MEAN_SERVICE_S, 10_000), 1, lambda);
+    for (q, simulated_ns, tolerance) in [
+        (0.50, report.sojourn.p50_ns, 0.025),
+        (0.95, report.sojourn.p95_ns, 0.04),
+        (0.99, report.sojourn.p99_ns, 0.055),
+    ] {
+        let exact = mm1_sojourn_quantile_s(MEAN_SERVICE_S, lambda, q);
+        assert_close(
+            &format!("M/M/1 p{}", q * 100.0),
+            simulated_ns as f64 * 1e-9,
+            exact,
+            tolerance,
+        );
+    }
+}
 
-    let app: Arc<dyn ServerApp> = Arc::new(EchoApp {
-        spin_iters: 100_000,
-    });
-    let model = InstructionRateModel {
-        ns_per_instruction: 1.0,
-    }; // ~100 us per request
-    let mut factory = || vec![0u8];
-    let report = runner::execute(
-        &app,
-        &mut factory,
-        &BenchmarkConfig::new(5_000.0, 4_000)
-            .with_warmup(400)
-            .with_mode(HarnessMode::Simulated)
-            .with_seed(3),
-        Some(&model),
-    )
-    .unwrap();
+#[test]
+fn simulated_mean_sojourn_matches_pollaczek_khinchine() {
+    // Deterministic (M/D/1) and two-point (50 or 150 µs) service at ρ = 0.5.
+    // Tolerance: 1.5 %, four standard deviations of the relative error over 30 seeds at
+    // this size (0.26 % M/D/1, 0.34 % two-point), rounded up to the next half percent.  A 5 % longer service moves
+    // the means 8.6 % and 9.2 %.
+    let lambda = 0.5 / MEAN_SERVICE_S;
+    for samples in [vec![100_000], vec![50_000, 150_000]] {
+        let exact = Mg1Model::from_samples_ns(&samples).mean_sojourn_s(lambda);
+        let report = simulate_queue(samples.clone(), 1, lambda);
+        let what = format!("M/G/1 mean sojourn, service {samples:?} ns");
+        assert_close(&what, report.sojourn.mean_ns * 1e-9, exact, 0.015);
+    }
+}
 
-    let queue_model = MgkSimulation::new(EmpiricalDistribution::new(vec![100_010; 100]), 1);
-    let predicted = queue_model.run(5_000.0, 100_000, 3);
-    let ratio = report.sojourn.mean_ns / predicted.mean_ns();
-    assert!(
-        (0.7..1.3).contains(&ratio),
-        "harness mean {} vs model mean {} (ratio {ratio})",
-        report.sojourn.mean_ns,
-        predicted.mean_ns()
+#[test]
+fn simulated_waits_match_erlang_c() {
+    // M/M/4 at ρ = 0.5.  A wait is zero with probability 1 − C and otherwise exponential
+    // with rate kμ − λ, so the wait p95 gives P(wait) = 0.05·e^{(kμ − λ)·p95}; the
+    // report carries wait percentiles, not the share of zero waits.
+    // Tolerance: four standard deviations of the relative error over 30 seeds at this
+    // size (2.4 % mean wait, 2.7 % P(wait)), rounded up to the next whole percent.  A 5 % longer service moves
+    // them 27 % and 33 %.
+    let mmk = MmkModel {
+        servers: 4,
+        mean_service_s: MEAN_SERVICE_S,
+    };
+    let lambda = 0.5 * 4.0 / MEAN_SERVICE_S;
+    let report = simulate_queue(exponential_grid(MEAN_SERVICE_S, 10_000), 4, lambda);
+    let drain_rate = 4.0 / MEAN_SERVICE_S - lambda;
+    let p_wait = 0.05 * (drain_rate * report.queue.p95_ns as f64 * 1e-9).exp();
+    assert_close("M/M/4 P(wait)", p_wait, mmk.wait_probability(lambda), 0.11);
+    assert_close(
+        "M/M/4 mean wait",
+        report.queue.mean_ns * 1e-9,
+        mmk.mean_wait_s(lambda),
+        0.10,
     );
 }
 
