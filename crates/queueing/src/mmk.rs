@@ -92,6 +92,29 @@ mod tests {
     }
 
     #[test]
+    fn pooling_servers_cuts_waiting_at_fixed_utilization() {
+        // At the same per-server load, more servers behind one queue make waiting both
+        // rarer and shorter; at k = 1 the mean wait is ρ / (μ − λ).
+        let rho = 0.8;
+        let at = |servers: usize| {
+            let model = MmkModel {
+                servers,
+                mean_service_s: 1.0,
+            };
+            let lambda = rho * servers as f64;
+            assert!((model.utilization(lambda) - rho).abs() < 1e-12);
+            (model.wait_probability(lambda), model.mean_wait_s(lambda))
+        };
+        let (_, w1) = at(1);
+        assert!((w1 - rho / (1.0 - rho)).abs() < 1e-12);
+        let pooled: Vec<_> = [1, 2, 4, 8, 16].into_iter().map(at).collect();
+        for pair in pooled.windows(2) {
+            assert!(pair[1].0 < pair[0].0, "P(wait) {pooled:?}");
+            assert!(pair[1].1 < pair[0].1, "mean wait {pooled:?}");
+        }
+    }
+
+    #[test]
     fn saturation_is_certain_waiting_and_infinite_delay() {
         let mm4 = MmkModel {
             servers: 4,

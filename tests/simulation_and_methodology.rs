@@ -201,6 +201,51 @@ fn simulated_waits_match_erlang_c() {
 }
 
 #[test]
+fn simulated_tail_grows_sharply_near_saturation() {
+    // The knee of Fig. 8: the M/M/1 sojourn p95 is ln 20 / (μ − λ), so going from
+    // ρ = 0.5 to ρ = 0.9 multiplies the load by 1.8 and the tail by 5.
+    let samples = exponential_grid(MEAN_SERVICE_S, 10_000);
+    let p95_at = |rho: f64| {
+        simulate_queue(samples.clone(), 1, rho / MEAN_SERVICE_S)
+            .sojourn
+            .p95_ns
+    };
+    let growth = p95_at(0.9) as f64 / p95_at(0.5) as f64;
+    assert!(
+        (4.0..6.0).contains(&growth),
+        "p95 grew {growth:.2}x from rho 0.5 to 0.9; M/M/1 predicts 5x"
+    );
+}
+
+#[test]
+fn more_workers_cut_the_simulated_tail_at_fixed_utilization() {
+    // Fig. 8 compares one instance with n workers at the same per-worker load: pooling
+    // four servers behind one queue lets a long request be overtaken, so at ρ = 0.8 the
+    // M/M/4 tail is far below the M/M/1 tail of 15 mean service times.  The M/M/1 p95
+    // is first pinned to that closed form (seed 1 lands within 1.1 %), so a broken
+    // single-worker run cannot pass by being slow too.
+    let samples = exponential_grid(MEAN_SERVICE_S, 10_000);
+    let rho = 0.8;
+    let one = simulate_queue(samples.clone(), 1, rho / MEAN_SERVICE_S);
+    let four = simulate_queue(samples, 4, 4.0 * rho / MEAN_SERVICE_S);
+    assert_close(
+        "M/M/1 p95 at rho 0.8",
+        one.sojourn.p95_ns as f64 * 1e-9,
+        mm1_sojourn_quantile_s(MEAN_SERVICE_S, rho / MEAN_SERVICE_S, 0.95),
+        0.1,
+    );
+    for (what, one_ns, four_ns) in [
+        ("p95", one.sojourn.p95_ns, four.sojourn.p95_ns),
+        ("p99", one.sojourn.p99_ns, four.sojourn.p99_ns),
+    ] {
+        assert!(
+            2 * four_ns < one_ns,
+            "{what}: four workers {four_ns} ns, one worker {one_ns} ns"
+        );
+    }
+}
+
+#[test]
 fn closed_loop_underestimates_tail_latency() {
     use tailbench::core::LoadMode;
     let (app, make_factory) = masstree();
