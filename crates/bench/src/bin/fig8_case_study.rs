@@ -13,9 +13,7 @@
 //! degradation is synchronization, which an ideal memory system cannot fix).
 
 use std::sync::Arc;
-use tailbench_bench::{
-    build_app, capacity_qps, measure_service_samples, print_table, AppId, Scale,
-};
+use tailbench_bench::{build_app, measure_service_samples, print_table, AppId, Scale};
 use tailbench_core::config::{BenchmarkConfig, HarnessMode};
 use tailbench_core::{runner, EmpiricalService, ServerApp};
 use tailbench_simarch::{MachineConfig, SystemModel};
@@ -30,8 +28,12 @@ fn main() {
         let ideal = SystemModel::idealized_memory(MachineConfig::default());
 
         // --- Queueing-model series (time base: measured wall-clock service times) -----
-        let measured_capacity = capacity_qps(&bench, 1, requests.min(800));
+        // The model replays these samples, so its single-worker capacity is exactly
+        // 1 / their mean: each labelled load is then the model's true utilisation.
         let service_samples = measure_service_samples(&bench, requests.min(800), 0xF168);
+        let mean_service_ns =
+            service_samples.iter().sum::<u64>() as f64 / service_samples.len().max(1) as f64;
+        let model_capacity = 1e9 / mean_service_ns.max(1.0);
         let service = EmpiricalService::new(service_samples).expect("measured service samples");
         let model_app: Arc<dyn ServerApp> = Arc::new(service.clone());
         // 50k arrivals, the first 5k of them warmup.
@@ -52,7 +54,7 @@ fn main() {
             .sojourn
             .p95_ns as f64
         };
-        let model_norm = model_p95(1, measured_capacity * fractions[0], 1);
+        let model_norm = model_p95(1, model_capacity * fractions[0], 1);
 
         // --- Idealized-memory simulation series (time base: cost-model service times) --
         let sim_run = |threads: usize, per_thread_qps: f64| {
@@ -66,15 +68,14 @@ fn main() {
                 .expect("simulated run")
         };
         // Simulated single-thread capacity, from the cost-model mean service time.
-        let probe = sim_run(1, measured_capacity * 0.1);
+        let probe = sim_run(1, model_capacity * 0.1);
         let sim_capacity = 1e9 / probe.service.mean_ns.max(1.0);
         let sim_norm = sim_run(1, sim_capacity * fractions[0]).sojourn.p95_ns as f64;
 
         let mut rows = Vec::new();
         for threads in [1usize, 4] {
             for &fraction in &fractions {
-                let model_p95 =
-                    model_p95(threads, measured_capacity * fraction * threads as f64, 7);
+                let model_p95 = model_p95(threads, model_capacity * fraction * threads as f64, 7);
                 let sim_p95 = sim_run(threads, sim_capacity * fraction).sojourn.p95_ns as f64;
                 rows.push(vec![
                     format!("{:.0}%", fraction * 100.0),

@@ -258,12 +258,6 @@ impl StatsCollector {
         &self.sojourn
     }
 
-    /// The full service-time distribution (for CDF plots, e.g. paper Fig. 2).
-    #[must_use]
-    pub fn service_summary(&self) -> &LatencySummary {
-        &self.service
-    }
-
     /// Per-class sojourn statistics as `(class name, stats)` rows; empty without tags.
     #[must_use]
     pub fn class_breakdown(&self) -> Vec<(String, LatencyStats)> {

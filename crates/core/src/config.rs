@@ -576,8 +576,9 @@ impl BenchmarkConfig {
     ///
     /// Returns [`HarnessError::Config`] when the configuration cannot produce a valid
     /// measurement: zero worker threads, zero measured requests, an empty arrival
-    /// trace, zero client connections in a TCP mode, or closed-loop load under the
-    /// discrete-event simulator (which replays open-loop schedules only).
+    /// trace, zero client connections in a TCP mode, or closed-loop load in a TCP mode
+    /// (whose client cannot see a server-side shed or a dead worker, so it would wait
+    /// for an answer that never comes).
     pub fn validate(&self) -> Result<(), crate::error::HarnessError> {
         use crate::error::HarnessError;
         if self.worker_threads == 0 {
@@ -620,13 +621,16 @@ impl BenchmarkConfig {
                     self.mode.name()
                 )));
             }
-            HarnessMode::Simulated if !self.load.is_open() => {
-                return Err(HarnessError::Config(
-                    "closed-loop load cannot run under the discrete-event simulator: \
-                     the simulator replays precomputed open-loop schedules; use an \
-                     open-loop LoadMode (Poisson or trace) or a real-time harness mode"
-                        .into(),
-                ));
+            HarnessMode::Loopback { .. } | HarnessMode::Networked { .. }
+                if !self.load.is_open() =>
+            {
+                return Err(HarnessError::Config(format!(
+                    "closed-loop load cannot run in {} mode: a TCP client cannot see a \
+                     server-side shed or a dead worker, so a closed-loop client would \
+                     wait forever for an answer that never comes; use the integrated or \
+                     simulated mode",
+                    self.mode.name()
+                )));
             }
             HarnessMode::Simulated
                 if matches!(
@@ -652,9 +656,8 @@ impl BenchmarkConfig {
     /// # Errors
     ///
     /// Returns [`HarnessError::Config`] for any [`BenchmarkConfig::validate`] failure,
-    /// for a cluster without a shard or without a replica, for closed-loop load (cluster
-    /// runs are open-loop only), and for a hedge policy without a replica to hedge to
-    /// (`replication < 2`).
+    /// for a cluster without a shard or without a replica, and for a hedge policy
+    /// without a replica to hedge to (`replication < 2`).
     pub fn validate_cluster(
         &self,
         cluster: &ClusterConfig,
@@ -666,14 +669,6 @@ impl BenchmarkConfig {
                 "cluster has {} shard(s) x {} replica(s); both must be at least 1",
                 cluster.shards, cluster.replication
             )));
-        }
-        if !self.load.is_open() {
-            return Err(HarnessError::Config(
-                "cluster runs require an open-loop load mode: closed-loop arrivals \
-                 depend on per-connection response times and cannot be routed across \
-                 shards; use LoadMode::open_poisson or a trace"
-                    .into(),
-            ));
         }
         if cluster.hedge.is_some() && cluster.replication < 2 {
             return Err(HarnessError::Config(format!(
@@ -867,10 +862,14 @@ mod tests {
         let err = no_connections.validate().unwrap_err().to_string();
         assert!(err.contains("0 client connections"), "{err}");
 
-        let closed_sim = BenchmarkConfig::new(1_000.0, 100)
-            .with_mode(HarnessMode::Simulated)
-            .with_load(LoadMode::Closed { think_ns: 0 });
-        let err = closed_sim.validate().unwrap_err().to_string();
+        // A closed loop runs in the simulator and in-process, but not over TCP, whose
+        // client cannot see a shed or a dead worker.
+        let closed = BenchmarkConfig::new(1_000.0, 100).with_load(LoadMode::Closed { think_ns: 0 });
+        assert!(closed.validate().is_ok());
+        let closed_sim = closed.clone().with_mode(HarnessMode::Simulated);
+        assert!(closed_sim.validate().is_ok());
+        let closed_tcp = closed.with_mode(HarnessMode::Loopback { connections: 1 });
+        let err = closed_tcp.validate().unwrap_err().to_string();
         assert!(err.contains("closed-loop"), "{err}");
 
         let zero_capacity = BenchmarkConfig::new(1_000.0, 100)
@@ -1001,14 +1000,13 @@ mod tests {
     }
 
     #[test]
-    fn validate_cluster_rejects_closed_loop_and_unreplicated_hedge() {
+    fn validate_cluster_accepts_closed_loop_and_rejects_unreplicated_hedge() {
         let cluster = ClusterConfig::new(2, FanoutPolicy::Broadcast);
         let good = BenchmarkConfig::new(1_000.0, 100);
         assert!(good.validate_cluster(&cluster).is_ok());
 
         let closed = BenchmarkConfig::new(1_000.0, 100).with_load(LoadMode::Closed { think_ns: 0 });
-        let err = closed.validate_cluster(&cluster).unwrap_err().to_string();
-        assert!(err.contains("open-loop"), "{err}");
+        assert!(closed.validate_cluster(&cluster).is_ok());
 
         let hedged_unreplicated = cluster.with_hedge(HedgePolicy::after_ns(1_000));
         let err = good

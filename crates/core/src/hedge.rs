@@ -1,11 +1,11 @@
-//! Wall-clock hedged- and tied-request engine for the cluster router.
+//! Wall-clock driver of the [`LegBook`] for hedged and tied requests and closed loops.
 //!
-//! The simulator drives the shared [`LegBook`] from its event loop; the integrated and
-//! TCP configurations drive it from this thread.  It opens every request the router
-//! announces, reissues a copy to the shard's next replica once a leg's hedge delay
-//! expires unanswered, retracts a tied loser still queued on its replica, and records
-//! each leg's first response into the [`ClusterCollector`] it owns, handed back at
-//! [`HedgeEngine::join`].
+//! The simulator drives the shared [`LegBook`] from its event loop; the hedge engine
+//! thread, and the router of a closed-loop integrated run between its requests, drive
+//! it through a [`Driver`], which opens every request the router announces, reissues a
+//! copy to the shard's next replica once a leg's hedge delay expires unanswered,
+//! retracts a tied loser still queued on its replica, and records each leg's first
+//! response into the [`ClusterCollector`] it owns.
 //!
 //! Each request is announced ([`HedgeMsg::Dispatched`]) before any server can see it:
 //! by the integrated router in id order, by the TCP pacers each in its own id order, so
@@ -13,8 +13,9 @@
 //! until [`HedgeMsg::NoMoreDispatches`].  Completions come from the workers (integrated)
 //! or the socket receivers (TCP); a copy that will never complete — shed at admission,
 //! or later from its queue by a deadline purge or a priority eviction — comes as
-//! [`HedgeMsg::Cancelled`].  The hedge delay is fixed and messages are handled in
-//! order, so deadlines come due in the order they were armed.
+//! [`HedgeMsg::Cancelled`], and a thread that panics recording legs fails the run with
+//! [`HedgeMsg::Panicked`].  The hedge delay is fixed and messages are handled in order,
+//! so deadlines come due in the order they were armed.
 //!
 //! The engine returns once pacing has ended and every request has retired, dropping
 //! the reissue and retract paths (which hold the servers' queue senders; a TCP run then
@@ -53,6 +54,8 @@ pub(crate) enum HedgeMsg {
     },
     /// An announced copy was shed and will never complete.
     Cancelled { id: u64, shard: usize },
+    /// A thread recording `instance`'s responses panicked, maybe holding a copy.
+    Panicked { instance: usize },
     /// Pacing has ended: no further requests.
     NoMoreDispatches,
 }
@@ -76,9 +79,16 @@ impl HedgeEngine {
         reissue: impl FnMut(usize, Request) -> bool + Send + 'static,
         retract: impl FnMut(usize, u64) -> bool + Send + 'static,
     ) -> Result<Self, HarnessError> {
+        let mut driver = Driver::new(&cluster, clock, collector, reissue, retract);
         let handle = std::thread::Builder::new()
             .name("tb-hedge-engine".into())
-            .spawn(move || run(&rx, &cluster, clock, collector, reissue, retract))?;
+            .spawn(move || {
+                driver.drive(&rx, |d| d.no_more && d.book.in_flight() == 0)?;
+                Ok((
+                    driver.book.hedge_stats().unwrap_or_default(),
+                    driver.collector,
+                ))
+            })?;
         Ok(HedgeEngine { handle })
     }
 
@@ -86,8 +96,8 @@ impl HedgeEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`HarnessError::Internal`] if the engine panicked or met a copy of a
-    /// request its book does not hold.
+    /// Returns [`HarnessError::Internal`] if the engine panicked, met a copy of a
+    /// request its book does not hold, or heard that a thread recording legs panicked.
     pub(crate) fn join(self) -> Result<(HedgeStats, ClusterCollector), HarnessError> {
         self.handle
             .join()
@@ -95,74 +105,113 @@ impl HedgeEngine {
     }
 }
 
-/// The engine thread's body.
-fn run(
-    rx: &Receiver<HedgeMsg>,
-    cluster: &ClusterConfig,
+/// A run's leg book with the hedge deadlines it armed, the collector of first responses
+/// and the `reissue` and `retract` paths of [`HedgeEngine::spawn`].
+pub(crate) struct Driver {
+    pub(crate) book: LegBook<Request>,
+    /// (due_ns, id, shard), in the order they come due.
+    deadlines: VecDeque<(u64, u64, usize)>,
+    delay_ns: Option<u64>,
     clock: RunClock,
-    mut collector: ClusterCollector,
-    mut reissue: impl FnMut(usize, Request) -> bool,
-    mut retract: impl FnMut(usize, u64) -> bool,
-) -> Result<(HedgeStats, ClusterCollector), HarnessError> {
-    let width = cluster.fanout_width();
-    let delay_ns = cluster.active_hedge().map(|policy| policy.delay_ns);
-    let mut book: LegBook<Request> = LegBook::new(cluster);
-    // (due_ns, id, shard), in the order they come due.
-    let mut deadlines: VecDeque<(u64, u64, usize)> = VecDeque::new();
-    let mut no_more = false;
-    loop {
-        let now = clock.now_ns();
-        while let Some(&(_, id, shard)) = deadlines.front().filter(|d| d.0 <= now) {
-            deadlines.pop_front();
-            if let Some(alt) = book.hedge_due(id, shard)? {
-                if reissue(alt, book.payload(id)?.clone()) {
-                    book.hedge_admitted(id, shard)?;
-                }
-            }
+    pub(crate) collector: ClusterCollector,
+    reissue: Box<dyn FnMut(usize, Request) -> bool + Send>,
+    retract: Box<dyn FnMut(usize, u64) -> bool + Send>,
+    /// Pacing has ended: no further requests.
+    no_more: bool,
+    /// End each sojourn as the driver takes the response (a closed-loop client).
+    pub(crate) stamp_receipt: bool,
+}
+
+impl Driver {
+    pub(crate) fn new(
+        cluster: &ClusterConfig,
+        clock: RunClock,
+        collector: ClusterCollector,
+        reissue: impl FnMut(usize, Request) -> bool + Send + 'static,
+        retract: impl FnMut(usize, u64) -> bool + Send + 'static,
+    ) -> Self {
+        Driver {
+            book: LegBook::new(cluster),
+            deadlines: VecDeque::new(),
+            delay_ns: cluster.active_hedge().map(|policy| policy.delay_ns),
+            clock,
+            collector,
+            reissue: Box::new(reissue),
+            retract: Box::new(retract),
+            no_more: false,
+            stamp_receipt: false,
         }
-        book.retire();
-        if no_more && book.in_flight() == 0 {
-            break;
-        }
-        // Wait for the next message, or until the next deadline (with none, for good).
-        let wait = deadlines.front().map_or(Duration::MAX, |&(due, ..)| {
-            Duration::from_nanos(due.saturating_sub(clock.now_ns()).max(1))
-        });
-        let msg = match rx.recv_timeout(wait) {
-            Ok(msg) => msg,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        match msg {
-            HedgeMsg::Dispatched { request, legs } => {
-                let due = delay_ns.map(|delay| clock.now_ns() + delay);
-                for leg in &legs {
-                    book.open_leg(leg.primary, leg.copies().count() as u8);
-                    deadlines.extend(due.map(|due| (due, request.id.0, leg.shard)));
-                }
-                book.open_request(request.id.0, request)?;
-            }
-            HedgeMsg::Completed {
-                shard,
-                instance,
-                record,
-            } => {
-                let id = record.id.0;
-                if let Some(first) = book.respond(id, shard, instance)? {
-                    let _ = collector.record_leg(shard, record, width);
-                    if first.retract.is_some_and(|loser| retract(loser, id)) {
-                        book.shed(id, shard)?;
+    }
+
+    /// Handles messages from `rx`, and hedges as their deadlines come due, until `done`
+    /// holds or every sender to `rx` is gone.
+    pub(crate) fn drive(
+        &mut self,
+        rx: &Receiver<HedgeMsg>,
+        done: impl Fn(&Self) -> bool,
+    ) -> Result<(), HarnessError> {
+        loop {
+            let due = |&&(due, ..): &&(u64, u64, usize)| due <= self.clock.now_ns();
+            while let Some(&(_, id, shard)) = self.deadlines.front().filter(due) {
+                self.deadlines.pop_front();
+                if let Some(alt) = self.book.hedge_due(id, shard)? {
+                    if (self.reissue)(alt, self.book.payload(id)?.clone()) {
+                        self.book.hedge_admitted(id, shard)?;
                     }
                 }
             }
-            HedgeMsg::Cancelled { id, shard } => book.shed(id, shard)?,
-            HedgeMsg::NoMoreDispatches => {
-                no_more = true;
-                book.close();
+            self.book.retire();
+            if done(self) {
+                return Ok(());
+            }
+            // Wait for the next message, or until the next deadline (with none, for good).
+            let wait = self.deadlines.front().map_or(Duration::MAX, |&(due, ..)| {
+                Duration::from_nanos(due.saturating_sub(self.clock.now_ns()).max(1))
+            });
+            let msg = match rx.recv_timeout(wait) {
+                Ok(msg) => msg,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => return Ok(()),
+            };
+            match msg {
+                HedgeMsg::Dispatched { request, legs } => {
+                    let due = self.delay_ns.map(|delay| self.clock.now_ns() + delay);
+                    for leg in &legs {
+                        self.book.open_leg(leg.primary, leg.copies().count() as u8);
+                        self.deadlines
+                            .extend(due.map(|due| (due, request.id.0, leg.shard)));
+                    }
+                    self.book.open_request(request.id.0, request)?;
+                }
+                HedgeMsg::Completed {
+                    shard,
+                    instance,
+                    mut record,
+                } => {
+                    let id = record.id.0;
+                    if let Some(first) = self.book.respond(id, shard, instance)? {
+                        if self.stamp_receipt {
+                            record.client_received_ns = self.clock.now_ns();
+                        }
+                        let _ = self.collector.record_leg(shard, record, self.book.width);
+                        if first.retract.is_some_and(|loser| (self.retract)(loser, id)) {
+                            self.book.shed(id, shard)?;
+                        }
+                    }
+                }
+                HedgeMsg::Cancelled { id, shard } => self.book.shed(id, shard)?,
+                HedgeMsg::Panicked { instance } => {
+                    return Err(HarnessError::Internal(format!(
+                        "a thread recording instance {instance}'s responses panicked"
+                    )));
+                }
+                HedgeMsg::NoMoreDispatches => {
+                    self.no_more = true;
+                    self.book.close();
+                }
             }
         }
     }
-    Ok((book.hedge_stats().unwrap_or_default(), collector))
 }
 
 #[cfg(test)]

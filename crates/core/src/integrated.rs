@@ -9,14 +9,15 @@
 //! (merged at join — no channel or collector thread on the hot path), the request
 //! queue applies the configured admission policy and reports depth/drop accounting,
 //! and the pacing loop records its per-request issue error.  All three surface as
-//! first-class [`RunReport`] fields.  An open-loop single server runs as a 1×1 cluster
-//! through [`run_cluster_integrated`]; only the closed-loop driver is single-server.
+//! first-class [`RunReport`] fields.  Every run is a cluster run through
+//! [`run_cluster_integrated`], a single server being the 1×1 cluster, and a closed
+//! loop is that engine's client rather than an engine of its own.
 
 use crate::app::{RequestFactory, ServerApp};
 use crate::collector::{ClusterCollector, StatsCollector};
 use crate::config::{BenchmarkConfig, ClusterConfig, ReplicaSelector};
 use crate::error::HarnessError;
-use crate::hedge::{HedgeEngine, HedgeMsg};
+use crate::hedge::{Driver, HedgeEngine, HedgeMsg};
 use crate::interference::InterferedApp;
 use crate::policy::plan_legs;
 use crate::pool::BufferPool;
@@ -25,8 +26,8 @@ use crate::report::{
     ClusterReport, HedgeStats, LabeledLatency, LatencyStats, QueueSummary, RunReport,
 };
 use crate::request::{Request, RequestId, RequestRecord};
-use crate::time::{pace, RunClock};
-use crate::traffic::TrafficShaper;
+use crate::time::{pace, PacingRecorder, RunClock};
+use crate::traffic::{LoadMode, TrafficShaper};
 use crate::worker::{Shard, WorkerPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -54,11 +55,6 @@ pub(crate) fn interfered(
     }
 }
 
-/// The statistics-shard prototype for a run: warmup count plus tags.
-pub(crate) fn shard_proto(config: &BenchmarkConfig) -> StatsCollector {
-    StatsCollector::new(config.warmup_requests as u64).with_tags(config.tags.clone())
-}
-
 /// The run's queue summary over its instances' queues, each ledger checked at
 /// teardown: a leak fails the run with [`HarnessError::Internal`].
 pub(crate) fn queue_summary(observers: &[QueueObserver]) -> Result<QueueSummary, HarnessError> {
@@ -67,101 +63,6 @@ pub(crate) fn queue_summary(observers: &[QueueObserver]) -> Result<QueueSummary,
         .map(QueueObserver::summary)
         .collect::<Result<_, _>>()?;
     Ok(QueueSummary::aggregate(&summaries))
-}
-
-/// Closed-loop driver of the integrated configuration: every `LoadMode::Closed` run
-/// (a spec's `LoadSpec::Closed`, the coordinated-omission ablation, the benchmark's
-/// `int-closed` workload).  A single client issues a request, waits synchronously for
-/// its answer, sleeps for the think time and repeats.  Queuing never builds up — the
-/// measurement error the open-loop design avoids — so the run measures saturation
-/// throughput.  Workers send each record to the client, which records it into its own
-/// collector; a request shed from the queue or lost with a panicking worker wakes the
-/// client empty-handed, so it counts as dropped and the next one is issued.
-///
-/// # Errors
-///
-/// Returns [`HarnessError::Io`] if worker threads cannot be spawned and
-/// [`HarnessError::Internal`] if a worker panics or the queue's ledger leaks.
-pub(crate) fn run_closed_loop(
-    app: &Arc<dyn ServerApp>,
-    factory: &mut dyn RequestFactory,
-    config: &BenchmarkConfig,
-    think_ns: u64,
-) -> Result<RunReport, HarnessError> {
-    app.prepare();
-    let clock = RunClock::new();
-    let (answer_tx, answers) = crossbeam::channel::unbounded();
-    let shed = answer_tx.clone();
-    let sink = ShedSink(Box::new(move |_| {
-        let _ = shed.send(None);
-    }));
-    let queue = RequestQueue::shedding_to(config.admission, None, Some(sink));
-    let observer = queue.observer();
-    let pool = WorkerPool::spawn(
-        interfered(app, config, 0, clock),
-        queue.receiver(),
-        clock,
-        config.worker_threads,
-        Answer(answer_tx),
-        None,
-    )?;
-
-    let mut collector = shard_proto(config);
-    let max_ns = config.max_duration.as_nanos() as u64;
-    for i in 0..config.total_requests() as u64 {
-        let issued_ns = clock.now_ns();
-        if issued_ns > max_ns {
-            break;
-        }
-        let request = Request {
-            id: RequestId(i),
-            payload: factory.next_request(),
-            issued_ns,
-        };
-        match queue.push(request, issued_ns, Completion::Inline) {
-            PushOutcome::Accepted => {
-                if let Ok(Some(record)) = answers.recv() {
-                    let client_received_ns = clock.now_ns();
-                    collector.record(&RequestRecord {
-                        client_received_ns,
-                        ..record
-                    });
-                }
-            }
-            PushOutcome::Dropped => {}
-            PushOutcome::Closed => break,
-        }
-        if think_ns > 0 {
-            clock.sleep_until_ns(clock.now_ns() + think_ns);
-        }
-    }
-    queue.close();
-    pool.join()?;
-
-    let mut report = build_report(app.name(), "integrated", config, &collector);
-    report.queue_depth = observer.summary()?;
-    Ok(report)
-}
-
-/// A closed-loop worker's line to the client: the record of each request it serves, or
-/// `None` if it panics, so the client never waits for an answer that cannot come.
-#[derive(Debug, Clone)]
-struct Answer(crossbeam::channel::Sender<Option<RequestRecord>>);
-
-impl Shard for Answer {
-    fn record(&mut self, record: &RequestRecord) {
-        let _ = self.0.send(Some(*record));
-    }
-
-    fn merge(&mut self, _: Self) {}
-}
-
-impl Drop for Answer {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let _ = self.0.send(None);
-        }
-    }
 }
 
 /// Per-instance in-flight counts (copies sent minus responses and retractions): the
@@ -210,17 +111,29 @@ pub(crate) fn cluster_collector(
 }
 
 /// One instance's share of a cluster run's statistics (a worker's, or a TCP receiver's):
-/// the legs it served, in a partial cross-shard collector or, with hedging or tied
-/// requests active, sent to the hedge engine.  Recording a leg also retires it from the
-/// instance's in-flight count.
+/// the legs it served, in a partial cross-shard collector or, when the run keeps a leg
+/// book (hedged or tied requests, a closed loop), sent to whoever drives it.  Recording
+/// a leg also retires it from the instance's in-flight count.
 #[derive(Debug, Clone)]
 pub(crate) struct LegShard {
     pub(crate) partial: ClusterCollector,
-    engine: Option<Sender<HedgeMsg>>,
+    engine: EngineLine,
     shard: usize,
     width: usize,
-    instance: usize,
     in_flight: InFlight,
+}
+
+/// A leg shard's line to the leg book's driver; dropped by a panicking thread (a worker
+/// holding a copy) it says so, which ends the driver's wait and fails the run.
+#[derive(Debug, Clone)]
+struct EngineLine(Option<Sender<HedgeMsg>>, usize);
+
+impl Drop for EngineLine {
+    fn drop(&mut self) {
+        if let Some(tx) = self.0.as_ref().filter(|_| std::thread::panicking()) {
+            let _ = tx.send(HedgeMsg::Panicked { instance: self.1 });
+        }
+    }
 }
 
 impl LegShard {
@@ -233,10 +146,9 @@ impl LegShard {
     ) -> Self {
         LegShard {
             partial: cluster_collector(config, cluster),
-            engine: engine.cloned(),
+            engine: EngineLine(engine.cloned(), instance),
             shard: instance / cluster.replication,
             width: cluster.fanout_width(),
-            instance,
             in_flight: in_flight.clone(),
         }
     }
@@ -244,9 +156,9 @@ impl LegShard {
 
 impl Shard for LegShard {
     fn record(&mut self, record: &RequestRecord) {
-        self.in_flight.sub(self.instance);
-        let (shard, instance, record) = (self.shard, self.instance, *record);
-        if let Some(tx) = &self.engine {
+        let (shard, instance, record) = (self.shard, self.engine.1, *record);
+        self.in_flight.sub(instance);
+        if let Some(tx) = &self.engine.0 {
             let _ = tx.send(HedgeMsg::Completed {
                 shard,
                 instance,
@@ -274,11 +186,16 @@ impl Shard for LegShard {
 /// owns the collector, and the queues report every copy they shed after admitting it.
 /// Every leg but a request's last gets a payload copy from a shared buffer pool.
 ///
+/// Under `LoadMode::Closed` the router is one client that drives the engine's [`Driver`]
+/// itself: it issues a request, takes responses and sheds until every leg has its
+/// first response or no copy left to answer, waits the think time and issues the next.
+/// Each sojourn ends when the client takes the response; no pacing error is reported.
+///
 /// # Errors
 ///
-/// Returns [`HarnessError::Config`] if the load mode is closed-loop or `apps` does not
-/// hold exactly one application per instance, [`HarnessError::Io`] if a thread cannot
-/// be spawned and [`HarnessError::Internal`] if one panics or a queue's ledger leaks.
+/// Returns [`HarnessError::Config`] if `apps` does not hold exactly one application per
+/// instance, [`HarnessError::Io`] if a thread cannot be spawned and
+/// [`HarnessError::Internal`] if one panics or a queue's ledger leaks.
 pub fn run_cluster_integrated(
     apps: &[Arc<dyn ServerApp>],
     factory: &mut dyn RequestFactory,
@@ -289,7 +206,10 @@ pub fn run_cluster_integrated(
     for app in apps {
         app.prepare();
     }
-    let requests = open_loop_requests(factory, config)?;
+    let (requests, think_ns) = match config.load {
+        LoadMode::Closed { think_ns } => (None, think_ns),
+        _ => (Some(open_loop_requests(factory, config)?), 0),
+    };
 
     let clock = RunClock::new();
     let width = cluster.fanout_width();
@@ -301,7 +221,7 @@ pub fn run_cluster_integrated(
     let recycle = width > 1 || tied;
     let in_flight = InFlight::new(cluster);
     let (engine_tx, engine_rx) = channel();
-    let engine_tx = (hedge.is_some() || tied).then_some(engine_tx);
+    let engine_tx = (requests.is_none() || hedge.is_some() || tied).then_some(engine_tx);
     // A copy shed after admission leaves its instance's in-flight count and the book.
     let queues: Vec<RequestQueue> = (0..apps.len())
         .map(|i| {
@@ -318,11 +238,13 @@ pub fn run_cluster_integrated(
         .collect();
     let observers: Vec<_> = queues.iter().map(RequestQueue::observer).collect();
 
-    // With hedging or tied requests active, every completion goes to the hedge engine,
-    // which records only each leg's first response into the collector it owns, reissues
-    // hedge stragglers straight onto the alternate replica's queue, and retracts
-    // still-queued tied losers.
-    let engine = if engine_tx.is_some() {
+    // With hedging or tied requests active, or in a closed loop, every completion goes
+    // to the engine's driver, which records only each leg's first response into the
+    // collector it owns, reissues hedge stragglers straight onto the alternate replica's
+    // queue, and retracts still-queued tied losers.
+    let mut engine = None;
+    let mut client = None;
+    if engine_tx.is_some() {
         let queue_txs: Vec<_> = queues.iter().map(RequestQueue::sender).collect();
         let inflight = in_flight.clone();
         let reissue = move |instance: usize, request: Request| {
@@ -343,17 +265,18 @@ pub fn run_cluster_integrated(
             }
             cancelled
         };
-        Some(HedgeEngine::spawn(
-            engine_rx,
-            cluster.clone(),
-            clock,
-            cluster_collector(config, cluster),
-            reissue,
-            retract,
-        )?)
-    } else {
-        None
-    };
+        let collector = cluster_collector(config, cluster);
+        if requests.is_some() {
+            let cluster = cluster.clone();
+            let spawned =
+                HedgeEngine::spawn(engine_rx, cluster, clock, collector, reissue, retract);
+            engine = Some(spawned?);
+        } else {
+            let mut driver = Driver::new(cluster, clock, collector, reissue, retract);
+            driver.stamp_receipt = true;
+            client = Some((driver, engine_rx));
+        }
+    }
 
     let mut pools = Vec::with_capacity(apps.len());
     for (i, app) in apps.iter().enumerate() {
@@ -370,7 +293,7 @@ pub fn run_cluster_integrated(
 
     let max_ns = config.max_duration.as_nanos() as u64;
     let mut plan = Vec::with_capacity(width);
-    let pacing = pace(requests.into_requests(), clock, max_ns, |mut request| {
+    let mut issue = |mut request: Request| {
         let (id, now) = (request.id, request.issued_ns);
         let load_of = |i| in_flight.load(i);
         plan_legs(cluster, &request, config.seed, &load_of, &mut plan);
@@ -404,11 +327,39 @@ pub fn run_cluster_integrated(
             }
         }
         true
-    });
+    };
+    let mut pacing = PacingRecorder::new();
+    let mut closed = Ok(());
+    if let Some(requests) = requests {
+        pacing = pace(requests.into_requests(), clock, max_ns, issue);
+    } else if let Some((driver, rx)) = &mut client {
+        // Each payload is drawn before its request is stamped.
+        let (mut rng, total) = (seeded_rng(config.seed, 1), config.total_requests());
+        for mut request in config
+            .load
+            .arrivals(&mut rng, total, 0, || factory.next_request())
+        {
+            let i = request.id.0;
+            request.issued_ns = clock.now_ns();
+            if request.issued_ns > max_ns || !issue(request) {
+                break;
+            }
+            closed = driver.drive(rx, |d| d.book.settled(i));
+            if closed.is_err() {
+                break;
+            }
+            if think_ns > 0 {
+                clock.sleep_until_ns(clock.now_ns() + think_ns);
+            }
+        }
+    }
     if let Some(tx) = &engine_tx {
         let _ = tx.send(HedgeMsg::NoMoreDispatches);
     }
     drop(engine_tx);
+    // Dropping the client's driver drops its queue handles; the hedge and tied losers
+    // still queued are served, and their responses go unread.
+    let client = client.map(|(driver, _)| (driver.book.hedge_stats(), driver.collector));
 
     for queue in queues {
         queue.close();
@@ -419,12 +370,14 @@ pub fn run_cluster_integrated(
     for pool in pools {
         partials.merge(pool.join()?.stats.partial);
     }
-    let (stats, hedge_stats) = match engine {
-        Some(engine) => {
+    closed?;
+    let (stats, hedge_stats) = match (engine, client) {
+        (Some(engine), _) => {
             let (hedge_stats, collector) = engine.join()?;
             (collector, Some(hedge_stats))
         }
-        None => (partials, None),
+        (None, Some((hedge_stats, collector))) => (collector, hedge_stats),
+        (None, None) => (partials, None),
     };
     let mut report = build_cluster_report(
         apps[0].name(),
@@ -798,14 +751,17 @@ mod tests {
     #[test]
     fn closed_loop_fails_on_a_worker_panic() {
         use crate::app::testing::{within, PanicsOn21st};
-        let app: Arc<dyn ServerApp> = Arc::new(PanicsOn21st::default());
-        let config = closed(200);
-        let err = within(15, move || {
-            execute(&app, &mut || b"x".to_vec(), &config, None)
-        })
-        .expect("a worker panic must not stall the closed loop")
-        .unwrap_err();
-        assert!(matches!(err, HarnessError::Internal(_)), "{err}");
+        // With two workers, the one that survives still holds a line to the client.
+        for threads in [1, 2] {
+            let app: Arc<dyn ServerApp> = Arc::new(PanicsOn21st::default());
+            let config = closed(200).with_threads(threads);
+            let err = within(15, move || {
+                execute(&app, &mut || b"x".to_vec(), &config, None)
+            })
+            .expect("a worker panic must not stall the closed loop")
+            .unwrap_err();
+            assert!(matches!(err, HarnessError::Internal(_)), "{threads}: {err}");
+        }
     }
 
     #[test]

@@ -211,7 +211,7 @@ pub(crate) struct FirstResponse {
 #[derive(Debug)]
 pub(crate) struct LegBook<P> {
     cluster: ClusterConfig,
-    width: usize,
+    pub(crate) width: usize,
     hedged: bool,
     tied: bool,
     head: u64,
@@ -384,6 +384,16 @@ impl<P> LegBook<P> {
             self.payloads.pop_front();
             self.head += 1;
         }
+    }
+
+    /// Whether request `id` retired, or was opened and each leg has its first response or
+    /// no copy left to answer and no hedge to come (hedge and tied losers may run on).
+    pub(crate) fn settled(&self, id: u64) -> bool {
+        let settled = |leg: &Leg| leg.resolved || (leg.outstanding == 0 && !leg.hedge_pending);
+        self.index(id).is_none_or(|i| {
+            let mut legs = self.legs.iter().skip(i * self.width).take(self.width);
+            i < self.payloads.len() && legs.all(settled)
+        })
     }
 
     pub(crate) fn in_flight(&self) -> usize {

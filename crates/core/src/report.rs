@@ -168,8 +168,7 @@ pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Renders labelled latency distributions as one Markdown percentile table — used by
-/// [`RunReport::breakdown_markdown`], the cluster report's per-shard view and the
-/// scenario figure binaries.
+/// [`RunReport::breakdown_markdown`] and the scenario figure binaries.
 #[must_use]
 pub fn percentile_table(label_header: &str, rows: &[(String, LatencyStats)]) -> String {
     let ms = |ns: f64| format!("{:.3} ms", ns / 1e6);
@@ -352,19 +351,6 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// The per-shard sojourn distributions as a Markdown percentile table (rendered by
-    /// the shared [`percentile_table`] helper).
-    #[must_use]
-    pub fn per_shard_markdown(&self) -> String {
-        let rows: Vec<(String, LatencyStats)> = self
-            .per_shard
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| (format!("shard {i}"), shard.sojourn))
-            .collect();
-        percentile_table("shard", &rows)
-    }
-
     /// The largest per-shard p99 sojourn, ns.
     #[must_use]
     pub fn max_shard_p99_ns(&self) -> u64 {

@@ -12,11 +12,10 @@
 use crate::app::{CostModel, RequestFactory, ServerApp};
 use crate::config::{BenchmarkConfig, ClusterConfig, FanoutPolicy, HarnessMode};
 use crate::error::HarnessError;
-use crate::integrated::{run_closed_loop, run_cluster_integrated};
+use crate::integrated::run_cluster_integrated;
 use crate::net::run_cluster_tcp;
 use crate::report::{ClusterReport, RunReport};
 use crate::sim::run_cluster_simulated;
-use crate::traffic::LoadMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,11 +23,10 @@ use std::time::Instant;
 /// Runs one single-server measurement with the configured harness mode — the one
 /// low-level dispatcher behind every single-server entrypoint.
 ///
-/// A single server is a 1×1 cluster: simulated, open-loop integrated and TCP runs go
-/// through the cluster engines on one shard of one replica, and the report is that
-/// cluster's end-to-end view (which holds the one instance's full queue summary) under
-/// the mode's own label.  Only the closed-loop driver, one client waiting on each
-/// response, keeps an engine of its own.
+/// A single server is a 1×1 cluster: every run goes through the mode's cluster engine on
+/// one shard of one replica, closed loops included, and the report is that cluster's
+/// end-to-end view (which holds the one instance's full queue summary) under the mode's
+/// own label.
 ///
 /// `cost_model` is required by simulated mode and ignored by the real-time modes, so a
 /// caller that has a model can always pass `Some(model)` regardless of mode.  Most
@@ -55,10 +53,9 @@ pub fn execute(
         ..report.cluster
     };
     match &config.mode {
-        HarnessMode::Integrated => match config.load {
-            LoadMode::Closed { think_ns } => run_closed_loop(app, factory, config, think_ns),
-            _ => run_cluster_integrated(apps, factory, config, &one_by_one).map(single_server),
-        },
+        HarnessMode::Integrated => {
+            run_cluster_integrated(apps, factory, config, &one_by_one).map(single_server)
+        }
         HarnessMode::Loopback { .. } | HarnessMode::Networked { .. } => {
             run_cluster_tcp(apps, factory, config, &one_by_one).map(single_server)
         }

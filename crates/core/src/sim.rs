@@ -7,9 +7,9 @@
 //! per-request [`WorkProfile`](crate::request::WorkProfile), and advances a virtual clock
 //! through a standard discrete-event loop.  Every server instance is a station with
 //! `worker_threads` servers and a FIFO request queue; a single server is a 1×1 cluster.
-//! Arrivals are drawn from [`LoadMode::arrivals`](crate::traffic::LoadMode::arrivals) as
-//! the virtual clock reaches them, and a request's state lives only while it is in
-//! flight, so a run's memory is bounded by its requests in flight, not its length.
+//! Arrivals are drawn from [`LoadMode::arrivals`] as the virtual clock reaches them (a
+//! closed loop's as its client issues them), and a request's state lives only while it
+//! is in flight, so a run's memory is bounded by its requests in flight, not its length.
 //!
 //! Routing, admission, hedged and tied requests are the wall-clock engines' own (the
 //! `policy` module) on the virtual clock, so a fixed seed pins exact percentiles and
@@ -26,6 +26,7 @@ use crate::policy::{plan_legs, Fifo, LegBook, Offer, Queued};
 use crate::queue::{AdmissionPolicy, DepthTracker};
 use crate::report::{ClusterReport, QueueSummary};
 use crate::request::{Request, RequestRecord};
+use crate::traffic::LoadMode;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 use tailbench_workloads::rng::seeded_rng;
@@ -251,12 +252,14 @@ impl Sim<'_> {
 /// last-response-wins in the cross-shard collector.  When the cluster configures an
 /// active hedge policy, a leg whose primary has not completed within the trigger delay
 /// is reissued to the shard's next replica and the first response wins (the loser still
-/// occupies its server — hedging is not cancellation).
+/// occupies its server — hedging is not cancellation).  Under `LoadMode::Closed` one
+/// client issues each request `think_ns` after the virtual time its last one settled:
+/// every leg answered, or left with no copy to answer.
 ///
 /// # Errors
 ///
-/// Returns [`HarnessError::Config`] if the load mode is closed-loop or `apps` does not
-/// hold exactly one application per instance.
+/// Returns [`HarnessError::Config`] if `apps` does not hold exactly one application per
+/// instance.
 pub fn run_cluster_simulated(
     apps: &[Arc<dyn ServerApp>],
     factory: &mut dyn RequestFactory,
@@ -269,15 +272,15 @@ pub fn run_cluster_simulated(
         app.prepare();
     }
 
+    let think_ns = match config.load {
+        LoadMode::Closed { think_ns } => Some(think_ns),
+        _ => None,
+    };
     let mut rng = seeded_rng(config.seed, 1);
+    let total = config.total_requests();
     let mut arrivals = config
         .load
-        .arrivals(&mut rng, config.total_requests(), 0, || {
-            factory.next_request()
-        })
-        .ok_or_else(|| {
-            HarnessError::Config("the simulated runner requires an open-loop load mode".into())
-        })?;
+        .arrivals(&mut rng, total, 0, || factory.next_request());
     let mut next_arrival = arrivals.next();
 
     let width = cluster.fanout_width();
@@ -310,9 +313,9 @@ pub fn run_cluster_simulated(
         // that a request arriving exactly when a server frees up still observes the
         // queue state before the completion is processed (a conservative FIFO choice).
         let next_event_time = sim.events.peek().map(|e| e.time_ns);
-        match next_arrival.take() {
+        let now = match next_arrival.take() {
             Some(request) if next_event_time.is_none_or(|et| request.issued_ns <= et) => {
-                next_arrival = arrivals.next();
+                next_arrival = think_ns.map_or_else(|| arrivals.next(), |_| None);
                 let (id, now) = (request.id.0, request.issued_ns);
                 let load_of =
                     |i: usize| sim.stations.get(i).map_or(0, |s| s.busy + s.waiting.len());
@@ -330,6 +333,7 @@ pub fn run_cluster_simulated(
                     book.open_leg(leg.primary, admitted);
                 }
                 book.open_request(id, request)?;
+                now
             }
             pending => {
                 next_arrival = pending;
@@ -371,11 +375,20 @@ pub fn run_cluster_simulated(
                 // one that an arrival ends (all its copies shed) retires at the next
                 // event or after the loop.
                 book.retire();
+                t
             }
-        }
+        };
         // Copies shed after admission will never respond.
         while let Some(q) = sim.removed.pop() {
             book.shed(q.id, q.shard)?;
+        }
+        // The closed-loop client issues its next request once its last one settled.
+        let last = arrivals.next_id.saturating_sub(1);
+        if let Some(think) = think_ns.filter(|_| next_arrival.is_none() && book.settled(last)) {
+            next_arrival = arrivals.next();
+            next_arrival
+                .iter_mut()
+                .for_each(|r| r.issued_ns = now + think);
         }
     }
 

@@ -40,12 +40,6 @@ impl RunClock {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// The epoch instant (for interop with APIs that want an [`Instant`]).
-    #[must_use]
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
     /// Waits until `target_ns` nanoseconds past the epoch: sleeps coarsely while the
     /// deadline is far, then yields the CPU on every check of the final approach, so any
     /// thread that is runnable meanwhile (a worker the caller just woke, a server thread

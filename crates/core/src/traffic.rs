@@ -88,9 +88,9 @@ pub enum LoadMode {
     /// scenario engine's phased load traces).  Shares the open-loop property of
     /// [`LoadMode::Open`]; only the schedule source differs.
     Trace(Arc<LoadTrace>),
-    /// Closed-loop arrivals: each client thread waits for the previous response plus an
-    /// optional think time before issuing the next request.  Provided only to reproduce
-    /// the coordinated-omission measurement error.
+    /// Closed-loop arrivals: one client issues each request the think time after every
+    /// leg of its last one was answered (or has no copy left to answer).  Integrated and
+    /// simulated runs only, to show the coordinated-omission error, never for results.
     Closed {
         /// Think time inserted between receiving a response and issuing the next
         /// request, in nanoseconds.
@@ -160,23 +160,27 @@ impl LoadMode {
         }
     }
 
-    /// The open-loop request stream, drawn lazily: request `i` carries id
-    /// `first_id + i`, the `i`-th timestamp of [`LoadMode::schedule`] and the `i`-th
-    /// payload of `next_payload`.  The discrete-event simulator consumes it as its
-    /// virtual clock advances, so only requests in flight are held in memory.  Returns
-    /// `None` for closed-loop modes.
+    /// The request stream, drawn lazily: request `i` carries id `first_id + i`, the
+    /// `i`-th timestamp of [`LoadMode::schedule`] and the `i`-th payload of
+    /// `next_payload`.  The discrete-event simulator consumes it as its virtual clock
+    /// advances, so only requests in flight are held in memory.  A closed loop's
+    /// requests carry no timestamp (0): its client stamps each as it issues it.
     pub fn arrivals<'a, F>(
         &'a self,
         rng: &'a mut SuiteRng,
         count: usize,
         first_id: u64,
         next_payload: F,
-    ) -> Option<Arrivals<ArrivalTimes<'a>, F>>
+    ) -> Arrivals<ArrivalTimes<'a>, F>
     where
         F: FnMut() -> Vec<u8>,
     {
-        let times = self.arrival_times(rng, count)?;
-        Some(Arrivals::new(times, first_id, next_payload))
+        let unstamped = ArrivalTimes {
+            left: count,
+            source: TimeSource::Unstamped,
+        };
+        let times = self.arrival_times(rng, count).unwrap_or(unstamped);
+        Arrivals::new(times, first_id, next_payload)
     }
 }
 
@@ -199,6 +203,8 @@ enum TimeSource<'a> {
     },
     /// A precompiled trace's timestamps.
     Trace(std::slice::Iter<'a, u64>),
+    /// None: a closed loop stamps each request as it is issued.
+    Unstamped,
 }
 
 impl Iterator for ArrivalTimes<'_> {
@@ -212,6 +218,7 @@ impl Iterator for ArrivalTimes<'_> {
                 Some(*t)
             }
             TimeSource::Trace(times) => times.next().copied(),
+            TimeSource::Unstamped => Some(0),
         }
     }
 
@@ -227,7 +234,7 @@ impl Iterator for ArrivalTimes<'_> {
 #[derive(Debug)]
 pub struct Arrivals<T, F> {
     times: T,
-    next_id: u64,
+    pub(crate) next_id: u64,
     next_payload: F,
 }
 
@@ -299,11 +306,9 @@ impl TrafficShaper {
     where
         F: FnMut() -> Vec<u8>,
     {
-        // An open-loop mode always yields arrivals.
         let load = LoadMode::Open(process.clone());
-        let arrivals = load.arrivals(rng, count, first_id, next_payload);
         TrafficShaper {
-            schedule: arrivals.map_or_else(Vec::new, Iterator::collect),
+            schedule: load.arrivals(rng, count, first_id, next_payload).collect(),
         }
     }
 
@@ -561,7 +566,7 @@ mod tests {
             let shaped = TrafficShaper::from_times(times, first_id, counting()).into_requests();
 
             let mut rng = seeded_rng(seed, 1);
-            let arrivals = load.arrivals(&mut rng, count, first_id, counting()).unwrap();
+            let arrivals = load.arrivals(&mut rng, count, first_id, counting());
             proptest::prop_assert_eq!(arrivals.size_hint(), (reference.len(), Some(reference.len())));
             let streamed: Vec<Request> = arrivals.collect();
             proptest::prop_assert_eq!(&streamed, &shaped);

@@ -2,8 +2,8 @@
 //!
 //! Worker threads pull requests off the shared [`RequestQueue`](crate::queue::RequestQueue),
 //! invoke the application, and either record the completion into their own [`Shard`]
-//! (integrated configuration — the open loop's statistics or legs, the closed-loop
-//! client's answers) or route it back to the TCP connection that waits for it.
+//! (integrated configuration — the legs they served, or a message to whoever drives
+//! the run's leg book) or route it back to the TCP connection that waits for it.
 //! The number of worker threads is the "threads" axis of the paper's multithreaded
 //! experiments (Fig. 4, Fig. 7).
 

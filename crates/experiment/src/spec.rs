@@ -172,7 +172,8 @@ pub enum LoadSpec {
     /// Open-loop Poisson arrivals at a fraction of the measured capacity (the runner
     /// probes capacity per app/threads/topology/mode combination and caches it).
     FractionOfCapacity(f64),
-    /// Closed-loop arrivals (coordinated-omission reproduction only).
+    /// Closed-loop arrivals: one client, each request a think time after the last one
+    /// was answered (integrated or simulated; the coordinated-omission comparison only).
     Closed {
         /// Think time between response and next request, ns.
         think_ns: u64,
@@ -492,7 +493,7 @@ impl ExperimentSpec {
     /// # Errors
     ///
     /// Returns [`HarnessError::Config`] with an actionable message for each rejected
-    /// footgun (empty axes, closed-loop clusters, hedging without replication,
+    /// footgun (empty axes, closed-loop load over TCP, hedging without replication,
     /// unsupported hedge percentiles, malformed fault windows, …).
     pub fn validate(&self) -> Result<(), HarnessError> {
         let fail = |msg: String| Err(HarnessError::Config(format!("spec '{}': {msg}", self.name)));
@@ -547,16 +548,15 @@ impl ExperimentSpec {
                 }
             }
             LoadSpec::Closed { .. } => {
-                if self.topology.is_some() {
+                if modes
+                    .iter()
+                    .any(|&m| m != HarnessMode::Integrated && m != HarnessMode::Simulated)
+                {
                     return fail(
-                        "closed-loop load cannot drive a cluster (open-loop only); \
-                         remove the topology or use an open load model"
+                        "closed-loop load cannot run in a loopback or networked mode: a TCP \
+                         client cannot see a server-side shed or a dead worker, so it would \
+                         wait for ever; use the integrated or simulated mode"
                             .into(),
-                    );
-                }
-                if any_simulated {
-                    return fail(
-                        "closed-loop load cannot run under the discrete-event simulator".into(),
                     );
                 }
                 if !self.interference.is_empty() {
@@ -1197,13 +1197,13 @@ mod tests {
         let closed_cluster = ExperimentSpec::new("x", "xapian")
             .with_topology(TopologySpec::sharded(2))
             .with_load(LoadSpec::Closed { think_ns: 0 });
-        assert!(closed_cluster.validate().is_err());
+        assert!(closed_cluster.validate().is_ok());
 
         // Closed-loop DES.
         let closed_sim = ExperimentSpec::new("x", "xapian")
             .with_mode(HarnessMode::Simulated)
             .with_load(LoadSpec::Closed { think_ns: 0 });
-        assert!(closed_sim.validate().is_err());
+        assert!(closed_sim.validate().is_ok());
 
         // Bad fault window.
         let bad_fault = ExperimentSpec::new("x", "xapian").with_fault(FaultSpec {

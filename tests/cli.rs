@@ -195,21 +195,33 @@ fn validate_rejects_an_unknown_spec_key_with_exit_2() {
 
 #[test]
 fn validate_rejects_specs_run_would_reject_or_rewrite_with_exit_2() {
-    let base = r#"{"name": "zero", "app": "xapian", "mode": MODE, "load": {"qps": 100.0},
+    let base = r#"{"name": "zero", "app": "xapian", "mode": MODE, "load": LOAD,
                    "threads": 1, "requests": 10, "seed": 1 TOPOLOGY}"#;
-    for (mode, topology, expected) in [
+    let qps = r#"{"qps": 100.0}"#;
+    for (mode, load, topology, expected) in [
         (
             r#""integrated""#,
+            qps,
             r#", "topology": {"shards": 0, "replication": 0, "fanout": "auto"}"#,
             "0 shard(s) x 0 replica(s)",
         ),
         (
             r#"{"loopback": {"connections": 0}}"#,
+            qps,
             "",
             "0 client connections",
         ),
+        (
+            r#"{"loopback": {"connections": 1}}"#,
+            r#"{"closed": {"think_ns": 0}}"#,
+            "",
+            "closed-loop load cannot run in a loopback or networked mode",
+        ),
     ] {
-        let text = base.replace("MODE", mode).replace("TOPOLOGY", topology);
+        let text = base
+            .replace("MODE", mode)
+            .replace("LOAD", load)
+            .replace("TOPOLOGY", topology);
         let path = temp_file("zero.json", &text);
         let output = tailbench(&["validate", path.to_str().unwrap()]);
         let _ = std::fs::remove_file(&path);

@@ -315,4 +315,39 @@ fn closed_loop_under_reports_burst_sojourn_vs_open_loop() {
         open.sojourn.p95_ns,
         closed.sojourn.p95_ns
     );
+
+    // The same comparison on the virtual clock, where it is exact and repeatable: the
+    // closed-loop client never queues behind itself, so its tail is the service time.
+    let model = cost_model();
+    let simulate = || {
+        let open = execute_scenario(
+            &app,
+            vec![Box::new(|| b"co".to_vec()) as Box<dyn RequestFactory>],
+            &scenario,
+            HarnessMode::Simulated,
+            1,
+            0xC0,
+            Some(&model),
+        )
+        .unwrap();
+        let config = closed_config.clone().with_mode(HarnessMode::Simulated);
+        let closed = runner::execute(&app, &mut || b"co".to_vec(), &config, Some(&model)).unwrap();
+        (format!("{open:?}"), format!("{closed:?}"), open, closed)
+    };
+    let (open_text, closed_text, open, closed) = simulate();
+    assert!(
+        open.sojourn.p95_ns > 3 * closed.sojourn.p95_ns,
+        "simulated open-loop burst p95 ({} ns) must dwarf the closed loop's ({} ns)",
+        open.sojourn.p95_ns,
+        closed.sojourn.p95_ns
+    );
+    let (open_again, closed_again, ..) = simulate();
+    assert_eq!(
+        open_text, open_again,
+        "a simulated open-loop rerun must repeat"
+    );
+    assert_eq!(
+        closed_text, closed_again,
+        "a simulated closed-loop rerun must repeat"
+    );
 }

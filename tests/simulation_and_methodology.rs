@@ -286,3 +286,80 @@ fn closed_loop_underestimates_tail_latency() {
         closed.sojourn.p95_ns
     );
 }
+
+/// Runs the core DES closed loop: one client against one instance with one worker,
+/// each request served for a service time drawn from `samples_ns`, the next issued
+/// `think_ns` after the last one was answered.
+fn simulate_closed_loop(samples_ns: Vec<u64>, think_ns: u64) -> RunReport {
+    use tailbench::core::LoadMode;
+    let service = EmpiricalService::new(samples_ns).expect("service samples");
+    let app: Arc<dyn ServerApp> = Arc::new(service.clone());
+    let config = BenchmarkConfig::new(1.0, QUEUE_REQUESTS)
+        .with_load(LoadMode::Closed { think_ns })
+        .with_mode(HarnessMode::Simulated)
+        .with_warmup(QUEUE_REQUESTS / 10)
+        .with_seed(1);
+    let mut factory = service.factory(1);
+    let model = &EmpiricalService::COST_MODEL;
+    runner::execute(&app, &mut factory, &config, Some(model)).expect("simulated closed loop")
+}
+
+#[test]
+fn simulated_closed_loop_is_exact() {
+    // One client never queues behind itself: every sojourn is its service time.  The
+    // response-time law for one client gives the throughput, X = 1 / (E[S] + Z).
+    // Tolerance: over M measured requests the run spans ΣS + (M − 1)Z, so X is off
+    // by the sampling error of the mean service, σ / (√M (E[S] + Z)) = 0.11 % for
+    // exponential service (σ = E[S] = Z = 100 µs, M = 200,000), plus a bias of at most
+    // 1/M; four standard deviations, rounded up to the next half percent.  Applying the
+    // think time twice moves X −33 %, omitting it +100 %.
+    let samples = exponential_grid(MEAN_SERVICE_S, 10_000);
+    let mean_service_ns = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
+    let think_ns = 100_000;
+    let report = simulate_closed_loop(samples.clone(), think_ns);
+    let again = simulate_closed_loop(samples, think_ns);
+    assert_eq!(format!("{report:?}"), format!("{again:?}"), "same seed");
+    assert_eq!(report.requests, QUEUE_REQUESTS as u64);
+    assert_eq!(report.sojourn, report.service, "one client cannot queue");
+    assert_eq!(report.queue.max_ns, 0);
+    assert_close(
+        "closed-loop throughput",
+        report.achieved_qps,
+        1e9 / (mean_service_ns + think_ns as f64),
+        0.005,
+    );
+}
+
+#[test]
+fn simulated_closed_loops_through_hedged_and_tied_clusters_return() {
+    use tailbench::core::config::{ClusterConfig, FanoutPolicy};
+    use tailbench::core::{HedgePolicy, LoadMode};
+    let service = EmpiricalService::new(exponential_grid(MEAN_SERVICE_S, 1_000)).unwrap();
+    let apps: Vec<Arc<dyn ServerApp>> = (0..4)
+        .map(|_| Arc::new(service.clone()) as Arc<dyn ServerApp>)
+        .collect();
+    let pair = ClusterConfig::new(2, FanoutPolicy::Broadcast).with_replication(2);
+    let requests = 2_000;
+    let config = BenchmarkConfig::new(1.0, requests)
+        .with_load(LoadMode::Closed { think_ns: 10_000 })
+        .with_mode(HarnessMode::Simulated)
+        .with_warmup(0)
+        .with_seed(2);
+    for cluster in [
+        pair.clone().with_hedge(HedgePolicy::after_ns(70_000)),
+        pair.with_tied(true),
+    ] {
+        let mut factory = service.factory(2);
+        let model = &EmpiricalService::COST_MODEL;
+        let report = runner::execute_cluster(&apps, &mut factory, &config, &cluster, Some(model))
+            .expect("simulated closed-loop cluster");
+        let name = cluster.name();
+        let hedge = report.hedge.expect("hedge or tied counters");
+        let depth = &report.cluster.queue_depth;
+        // Every leg's first copy and every extra copy were offered to a queue.
+        let offered = 2 * requests as u64 + hedge.issued;
+        assert_eq!(depth.accepted + depth.dropped, offered, "{name}");
+        assert!(hedge.issued > 0, "{name}");
+        assert_eq!(report.cluster.requests, requests as u64, "{name}");
+    }
+}
