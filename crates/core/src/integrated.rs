@@ -765,6 +765,29 @@ mod tests {
     }
 
     #[test]
+    fn hedged_and_tied_runs_fail_on_a_worker_panic() {
+        use crate::app::testing::{within, PanicsOn21st};
+        use crate::config::{FanoutPolicy, HedgePolicy};
+        // Replica 1 panics holding a copy the engine waits for; its line to the engine
+        // must end that wait, or the engine keeps replica 0's queue open for ever.
+        let pair = ClusterConfig::new(1, FanoutPolicy::Broadcast).with_replication(2);
+        for cluster in [
+            pair.clone().with_hedge(HedgePolicy::after_ns(1_000_000)),
+            pair.with_tied(true),
+        ] {
+            let apps: Vec<Arc<dyn ServerApp>> = vec![echo_app(), Arc::new(PanicsOn21st::default())];
+            let config = BenchmarkConfig::new(2_000.0, 200).with_warmup(0);
+            let name = cluster.name();
+            let err = within(15, move || {
+                run_cluster_integrated(&apps, &mut || b"x".to_vec(), &config, &cluster)
+            })
+            .expect("a worker panic must not stall the engine")
+            .unwrap_err();
+            assert!(matches!(err, HarnessError::Internal(_)), "{name}: {err}");
+        }
+    }
+
+    #[test]
     fn closed_loop_mode_completes() {
         let app = echo_app();
         let mut factory = || b"x".to_vec();
