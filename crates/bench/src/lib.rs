@@ -1,22 +1,17 @@
 //! Presentation and profiling helpers shared by the table/figure binaries.
 //!
-//! Every table and figure of the paper's evaluation is regenerated by a binary in
-//! `src/bin/`.  As of the unified experiment layer, application construction, capacity
-//! probing and load sweeps live in `tailbench_experiment` (the registry +
-//! `Experiment::run()`); the four headline binaries (`fig3`, `fig6`, `fig9`, `fig11`)
-//! are thin shims over its named presets, and the remaining binaries drive inline
-//! `ExperimentSpec`s.  This crate keeps what is genuinely presentation- and
-//! profiling-specific — direct service-time sampling, work-profile aggregation and
-//! table printing — and re-exports the registry names so existing imports keep
-//! working.
+//! The binaries in `src/bin/` regenerate the tables and figures that are not named
+//! presets; the five preset figures (`fig3`, `fig6`, `fig9`, `fig11`, `fig12`) run with
+//! `tailbench preset <name>`.  Application construction, capacity probing and load
+//! sweeps live in `tailbench_experiment` (the registry + `Experiment::run()`), and the
+//! binaries drive inline `ExperimentSpec`s.  This crate keeps what is genuinely
+//! presentation- and profiling-specific — direct service-time sampling, work-profile
+//! aggregation and table printing — and re-exports the registry names the binaries use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use tailbench_experiment::{
-    build_app, build_replicated_search_cluster, build_search_cluster, capacity_qps, format_latency,
-    AppId, BenchApp, Scale, SearchCluster,
-};
+pub use tailbench_experiment::{build_app, capacity_qps, format_latency, AppId, BenchApp, Scale};
 
 /// Times `n` direct invocations of the application's request handler and returns the
 /// per-request service times in nanoseconds (no queuing, no harness — the raw

@@ -198,7 +198,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// the router reissues the leg to the shard's next replica and takes whichever response
 /// arrives first.  The loser is not cancelled (it merely wastes server capacity), so
 /// hedging trades extra load for a shorter tail — exactly the trade-off the
-/// `fig11_hedging` binary sweeps.
+/// `fig11` preset sweeps.
 ///
 /// The delay is configured in nanoseconds; callers that want a *percentile* trigger
 /// (e.g. "hedge at the leg p95") measure an unhedged run first and pass that
@@ -576,9 +576,10 @@ impl BenchmarkConfig {
     ///
     /// Returns [`HarnessError::Config`] when the configuration cannot produce a valid
     /// measurement: zero worker threads, zero measured requests, an empty arrival
-    /// trace, zero client connections in a TCP mode, or closed-loop load in a TCP mode
-    /// (whose client cannot see a server-side shed or a dead worker, so it would wait
-    /// for an answer that never comes).
+    /// trace, a queue of capacity 0 or a deadline queue with a zero budget, zero client
+    /// connections in a TCP mode, closed-loop load in a TCP mode (whose client cannot
+    /// see a server-side shed or a dead worker, so it would wait for an answer that
+    /// never comes), or a bounded `Block` queue in the simulator.
     pub fn validate(&self) -> Result<(), crate::error::HarnessError> {
         use crate::error::HarnessError;
         if self.worker_threads == 0 {
@@ -606,8 +607,18 @@ impl BenchmarkConfig {
         }
         if self.admission.capacity() == 0 {
             return Err(HarnessError::Config(
-                "queue admission capacity is 0: every request would be rejected \
-                 (Drop) or deadlock the producer (Block); use a capacity >= 1"
+                "queue capacity is 0: every request would be rejected (Drop) or \
+                 deadlock the producer (Block); use a capacity >= 1"
+                    .into(),
+            ));
+        }
+        if matches!(
+            self.admission,
+            crate::queue::AdmissionPolicy::DropDeadline { slo_ns: 0, .. }
+        ) {
+            return Err(HarnessError::Config(
+                "drop-deadline slo_ns is 0: every request would be shed the moment a \
+                 worker picked it up; use a positive queueing-delay budget"
                     .into(),
             ));
         }
@@ -625,10 +636,10 @@ impl BenchmarkConfig {
                 if !self.load.is_open() =>
             {
                 return Err(HarnessError::Config(format!(
-                    "closed-loop load cannot run in {} mode: a TCP client cannot see a \
-                     server-side shed or a dead worker, so a closed-loop client would \
-                     wait forever for an answer that never comes; use the integrated or \
-                     simulated mode",
+                    "closed-loop load cannot run in a loopback or networked mode ({} \
+                     here): a TCP client cannot see a server-side shed or a dead worker, \
+                     so a closed-loop client would wait forever for an answer that never \
+                     comes; use the integrated or simulated mode",
                     self.mode.name()
                 )));
             }
@@ -656,8 +667,9 @@ impl BenchmarkConfig {
     /// # Errors
     ///
     /// Returns [`HarnessError::Config`] for any [`BenchmarkConfig::validate`] failure,
-    /// for a cluster without a shard or without a replica, and for a hedge policy
-    /// without a replica to hedge to (`replication < 2`).
+    /// for a cluster without a shard or without a replica, for a hedge policy or tied
+    /// requests without a second replica (`replication < 2`), for tied requests
+    /// together with a hedge policy, and for a hedged TCP run with a shedding queue.
     pub fn validate_cluster(
         &self,
         cluster: &ClusterConfig,
@@ -688,7 +700,7 @@ impl BenchmarkConfig {
         }
         if cluster.tied && cluster.hedge.is_some() {
             return Err(HarnessError::Config(
-                "tied requests and hedging are both configured: they are alternative \
+                "tied requests and hedging are mutually exclusive: they are alternative \
                  mitigations for the same leg (tied issues the second copy up front, \
                  hedging issues it after a delay); configure at most one"
                     .into(),

@@ -7,10 +7,12 @@
 //! retracts a tied loser still queued on its replica, and records each leg's first
 //! response into the [`ClusterCollector`] it owns.
 //!
-//! Each request is announced ([`HedgeMsg::Dispatched`]) before any server can see it:
-//! by the integrated router in id order, by the TCP pacers each in its own id order, so
-//! a later id may come first and the book holds a slot for every id not yet announced
-//! until [`HedgeMsg::NoMoreDispatches`].  Completions come from the workers (integrated)
+//! Each request is opened in the book before any server can see it: a closed-loop
+//! client opens its own with [`Driver::dispatch`]; routers whose book lives on the
+//! engine thread announce theirs ([`HedgeMsg::Dispatched`]), the integrated router in id
+//! order, the TCP pacers each in its own id order, so a later id may come first and the
+//! book holds a slot for every id not yet announced until
+//! [`HedgeMsg::NoMoreDispatches`].  Completions come from the workers (integrated)
 //! or the socket receivers (TCP); a copy that will never complete — shed at admission,
 //! or later from its queue by a deadline purge or a priority eviction — comes as
 //! [`HedgeMsg::Cancelled`], and a thread that panics recording legs fails the run with
@@ -143,6 +145,23 @@ impl Driver {
         }
     }
 
+    /// Opens `request` with its `legs` in the book, arming each leg's hedge deadline.
+    /// Call it before any copy can reach a server, so no response finds the book
+    /// without its request.
+    pub(crate) fn dispatch(
+        &mut self,
+        request: Request,
+        legs: &[LegPlan],
+    ) -> Result<(), HarnessError> {
+        let due = self.delay_ns.map(|delay| self.clock.now_ns() + delay);
+        for leg in legs {
+            self.book.open_leg(leg.primary, leg.copies().count() as u8);
+            self.deadlines
+                .extend(due.map(|due| (due, request.id.0, leg.shard)));
+        }
+        self.book.open_request(request.id.0, request)
+    }
+
     /// Handles messages from `rx`, and hedges as their deadlines come due, until `done`
     /// holds or every sender to `rx` is gone.
     pub(crate) fn drive(
@@ -174,15 +193,7 @@ impl Driver {
                 Err(RecvTimeoutError::Disconnected) => return Ok(()),
             };
             match msg {
-                HedgeMsg::Dispatched { request, legs } => {
-                    let due = self.delay_ns.map(|delay| self.clock.now_ns() + delay);
-                    for leg in &legs {
-                        self.book.open_leg(leg.primary, leg.copies().count() as u8);
-                        self.deadlines
-                            .extend(due.map(|due| (due, request.id.0, leg.shard)));
-                    }
-                    self.book.open_request(request.id.0, request)?;
-                }
+                HedgeMsg::Dispatched { request, legs } => self.dispatch(request, &legs)?,
                 HedgeMsg::Completed {
                     shard,
                     instance,

@@ -293,17 +293,26 @@ pub fn run_cluster_integrated(
 
     let max_ns = config.max_duration.as_nanos() as u64;
     let mut plan = Vec::with_capacity(width);
-    let mut issue = |mut request: Request| {
+    // Issues one request's copies; a closed-loop client passes its driver, which opens
+    // the request itself instead of announcing it to the engine.
+    let mut issue = |mut request: Request, client: Option<&mut Driver>| {
         let (id, now) = (request.id, request.issued_ns);
         let load_of = |i| in_flight.load(i);
         plan_legs(cluster, &request, config.seed, &load_of, &mut plan);
-        if let Some(tx) = &engine_tx {
-            // Announce the legs before any server can answer them; only a hedge copy
-            // needs the payload.
-            let payload = hedge.map_or_else(Vec::new, |_| request.payload.clone());
-            let legs = plan.clone();
-            let request = Request { payload, ..request };
-            let _ = tx.send(HedgeMsg::Dispatched { request, legs });
+        // Open the legs before any server can answer them; only a hedge copy needs
+        // the payload.
+        let payload = hedge.map_or_else(Vec::new, |_| request.payload.clone());
+        let opened = Request { payload, ..request };
+        match (client, &engine_tx) {
+            (Some(driver), _) => driver.dispatch(opened, &plan)?,
+            (None, Some(tx)) => {
+                let legs = plan.clone();
+                let _ = tx.send(HedgeMsg::Dispatched {
+                    request: opened,
+                    legs,
+                });
+            }
+            (None, None) => {}
         }
         let copies: usize = plan.iter().map(|leg| leg.copies().count()).sum();
         let targets = plan
@@ -323,15 +332,16 @@ pub fn run_cluster_integrated(
                         let _ = tx.send(HedgeMsg::Cancelled { id: id.0, shard });
                     }
                 }
-                PushOutcome::Closed => return false,
+                PushOutcome::Closed => return Ok(false),
             }
         }
-        true
+        Ok(true)
     };
     let mut pacing = PacingRecorder::new();
     let mut closed = Ok(());
     if let Some(requests) = requests {
-        pacing = pace(requests.into_requests(), clock, max_ns, issue);
+        let open = |request| matches!(issue(request, None), Ok(true));
+        pacing = pace(requests.into_requests(), clock, max_ns, open);
     } else if let Some((driver, rx)) = &mut client {
         // Each payload is drawn before its request is stamped.
         let (mut rng, total) = (seeded_rng(config.seed, 1), config.total_requests());
@@ -341,10 +351,14 @@ pub fn run_cluster_integrated(
         {
             let i = request.id.0;
             request.issued_ns = clock.now_ns();
-            if request.issued_ns > max_ns || !issue(request) {
+            if request.issued_ns > max_ns {
                 break;
             }
-            closed = driver.drive(rx, |d| d.book.settled(i));
+            closed = match issue(request, Some(driver)) {
+                Ok(true) => driver.drive(rx, |d| d.book.settled(i)),
+                Ok(false) => break,
+                Err(e) => Err(e),
+            };
             if closed.is_err() {
                 break;
             }
@@ -511,6 +525,12 @@ mod tests {
         Arc::new(EchoApp::with_service_us(20))
     }
 
+    /// One worker's saturation throughput for `app` in this build: the echo spin loop
+    /// is many times shorter optimised than not, so load levels are set against it.
+    fn capacity_qps(app: &Arc<dyn ServerApp>) -> f64 {
+        crate::runner::measure_capacity(app, &mut || b"x".to_vec(), 1, 200)
+    }
+
     #[test]
     fn integrated_run_produces_complete_report() {
         let app = echo_app();
@@ -563,18 +583,19 @@ mod tests {
     fn higher_load_increases_tail_latency() {
         let app = echo_app();
         let mut factory = || b"x".to_vec();
-        // Echo spins ~tens of microseconds; 1k QPS is light, 20k QPS is heavy for one thread.
+        // A tenth of one worker's capacity is light, three times it is overload.
+        let capacity = capacity_qps(&app);
         let low = execute(
             &app,
             &mut factory,
-            &BenchmarkConfig::new(500.0, 300).with_seed(1),
+            &BenchmarkConfig::new(0.1 * capacity, 300).with_seed(1),
             None,
         )
         .expect("integrated run");
         let high = execute(
             &app,
             &mut factory,
-            &BenchmarkConfig::new(15_000.0, 300).with_seed(1),
+            &BenchmarkConfig::new(3.0 * capacity, 300).with_seed(1),
             None,
         )
         .expect("integrated run");
@@ -593,9 +614,9 @@ mod tests {
         use crate::queue::AdmissionPolicy;
         let app = echo_app();
         let mut factory = || b"x".to_vec();
-        // ~20 us service at 25k QPS: far beyond one thread's capacity, with a 16-deep
-        // queue every burst beyond 16 is shed and counted.
-        let config = BenchmarkConfig::new(25_000.0, 600)
+        // Three times one thread's capacity: with a 16-deep queue every burst beyond 16
+        // is shed and counted.
+        let config = BenchmarkConfig::new(3.0 * capacity_qps(&app), 600)
             .with_warmup(0)
             .with_seed(11)
             .with_admission(AdmissionPolicy::Drop { capacity: 16 });

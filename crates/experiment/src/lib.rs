@@ -67,6 +67,7 @@
 
 pub mod capacity;
 mod codec;
+mod grid;
 pub mod json;
 pub mod output;
 pub mod presets;
@@ -77,28 +78,20 @@ pub use capacity::{capacity_qps, cluster_capacity_qps};
 pub use output::{
     format_latency, verify_output_text, ExperimentOutput, ExperimentPoint, PointCoords, PointReport,
 };
-pub use registry::{
-    build_app, build_replicated_search_cluster, build_search_cluster, AppBuilder, AppId, BenchApp,
-    ClusterApp, Registry, SearchCluster,
-};
+pub use registry::{build_app, AppBuilder, AppId, BenchApp, ClusterApp, Registry};
 pub use spec::{
     ExperimentSpec, FaultSpec, HedgeSpec, LoadSpec, MitigationSpec, Scale, ScenarioSpec,
     SeedPolicy, SweepAxis, TopologySpec,
 };
 
+use grid::GridPoint;
 use spec::SUPPORTED_HEDGE_PERCENTILES;
 use std::collections::BTreeMap;
 use tailbench_core::app::CostModel;
-use tailbench_core::config::{
-    BenchmarkConfig, ClusterConfig, HarnessMode, HedgePolicy, ReplicaSelector,
-};
+use tailbench_core::config::ClusterConfig;
 use tailbench_core::error::HarnessError;
-use tailbench_core::interference::{FaultEvent, InterferencePlan};
-use tailbench_core::queue::AdmissionPolicy;
 use tailbench_core::report::{ClusterReport, LatencyStats, MultiRunReport, RunReport};
 use tailbench_core::runner;
-use tailbench_core::traffic::LoadMode;
-use tailbench_scenario::Scenario;
 use tailbench_workloads::rng::derive_seed;
 
 impl BenchApp {
@@ -131,22 +124,6 @@ impl ClusterApp {
             factory_builder: Box::new(factory_builder),
         }
     }
-}
-
-/// One resolved sweep-grid point (before measurement).
-#[derive(Debug, Clone)]
-struct GridPoint {
-    app: String,
-    mode: HarnessMode,
-    threads: usize,
-    shards: Option<usize>,
-    fraction: Option<f64>,
-    qps: Option<f64>,
-    hedge: Option<Option<HedgeSpec>>,
-    selector: ReplicaSelector,
-    tied: bool,
-    queue: Option<AdmissionPolicy>,
-    mitigation: Option<String>,
 }
 
 /// The unified experiment runner: a spec plus the registry it resolves workloads from.
@@ -203,7 +180,7 @@ impl Experiment {
     pub fn run(&self) -> Result<ExperimentOutput, HarnessError> {
         self.spec.validate()?;
         let scale = self.spec.scale.unwrap_or_else(Scale::from_env);
-        let grid = self.grid();
+        let grid = self.spec.grid();
         let single_point = grid.len() == 1;
 
         // Resolve every grid app up front: a typo in an App axis must fail in
@@ -241,15 +218,7 @@ impl Experiment {
             }
             let model: Option<&dyn CostModel> = cost_models.get(&point.app).map(AsRef::as_ref);
 
-            // Sweep points are decorrelated by deriving a per-point seed — except on a
-            // mitigation axis, where the rows are a controlled comparison and must face
-            // the identical arrival trace (and the identical fault schedule): there the
-            // root seed is shared, so any difference between rows is the policy itself.
-            let point_seed = if single_point || point.mitigation.is_some() {
-                self.spec.seed
-            } else {
-                derive_seed(self.spec.seed, index as u64)
-            };
+            let point_seed = self.spec.point_seed(index, point, single_point);
 
             let measured = match self.spec.topology {
                 None => self.run_single_point(
@@ -281,159 +250,6 @@ impl Experiment {
         })
     }
 
-    /// Expands the sweep axes into the Cartesian grid, in spec order.
-    fn grid(&self) -> Vec<GridPoint> {
-        let (fraction, qps) = match self.spec.load {
-            LoadSpec::FractionOfCapacity(fraction) => (Some(fraction), None),
-            LoadSpec::Qps(qps) => (None, Some(qps)),
-            _ => (None, None),
-        };
-        let base = GridPoint {
-            app: self.spec.app.clone(),
-            mode: self.spec.mode,
-            threads: self.spec.threads,
-            shards: self.spec.topology.map(|t| t.shards),
-            fraction,
-            qps,
-            hedge: self.spec.topology.and_then(|t| t.hedge).map(Some),
-            selector: self.spec.topology.map(|t| t.selector).unwrap_or_default(),
-            tied: self.spec.topology.is_some_and(|t| t.tied),
-            queue: self.spec.queue,
-            mitigation: None,
-        };
-        let mut grid = vec![base];
-        for axis in &self.spec.sweep {
-            let mut next = Vec::with_capacity(grid.len() * axis.len());
-            for point in &grid {
-                match axis {
-                    SweepAxis::App(apps) => {
-                        for app in apps {
-                            let mut p = point.clone();
-                            p.app = app.clone();
-                            next.push(p);
-                        }
-                    }
-                    SweepAxis::Mode(modes) => {
-                        for mode in modes {
-                            let mut p = point.clone();
-                            p.mode = *mode;
-                            next.push(p);
-                        }
-                    }
-                    SweepAxis::LoadFraction(fractions) => {
-                        for fraction in fractions {
-                            let mut p = point.clone();
-                            p.fraction = Some(*fraction);
-                            p.qps = None;
-                            next.push(p);
-                        }
-                    }
-                    SweepAxis::Qps(rates) => {
-                        for qps in rates {
-                            let mut p = point.clone();
-                            p.qps = Some(*qps);
-                            p.fraction = None;
-                            next.push(p);
-                        }
-                    }
-                    SweepAxis::Threads(threads) => {
-                        for t in threads {
-                            let mut p = point.clone();
-                            p.threads = *t;
-                            next.push(p);
-                        }
-                    }
-                    SweepAxis::Shards(shards) => {
-                        for s in shards {
-                            let mut p = point.clone();
-                            p.shards = Some(*s);
-                            next.push(p);
-                        }
-                    }
-                    SweepAxis::Hedge(hedges) => {
-                        for hedge in hedges {
-                            let mut p = point.clone();
-                            p.hedge = Some(*hedge);
-                            next.push(p);
-                        }
-                    }
-                    SweepAxis::Mitigation(policies) => {
-                        for policy in policies {
-                            // Each mitigation point is exactly one policy on top of a
-                            // reset baseline, so rows compare single policies.
-                            let mut p = point.clone();
-                            p.hedge = Some(None);
-                            p.selector = ReplicaSelector::RoundRobin;
-                            p.tied = false;
-                            p.queue = self.spec.queue;
-                            match policy {
-                                MitigationSpec::Baseline => {}
-                                MitigationSpec::Hedge(hedge) => p.hedge = Some(Some(*hedge)),
-                                MitigationSpec::Tied => p.tied = true,
-                                MitigationSpec::Selector(selector) => p.selector = *selector,
-                                MitigationSpec::Queue(queue) => p.queue = Some(*queue),
-                            }
-                            p.mitigation = Some(policy.name());
-                            next.push(p);
-                        }
-                    }
-                }
-            }
-            grid = next;
-        }
-        grid
-    }
-
-    /// Seeds for the repeats of one point: repeat 0 of a single-repeat point uses the
-    /// point seed directly (exact compatibility with a direct runner call); multiple
-    /// repeats derive per-repeat seeds with `derive_seed(point_seed, repeat)`, unless
-    /// the policy pins them.
-    fn repeat_seeds(&self, point_seed: u64) -> Vec<u64> {
-        if self.spec.repeats == 1 {
-            return vec![point_seed];
-        }
-        (0..self.spec.repeats)
-            .map(|k| match self.spec.seed_policy {
-                SeedPolicy::Fixed => point_seed,
-                SeedPolicy::Derive => derive_seed(point_seed, k as u64),
-            })
-            .collect()
-    }
-
-    /// Builds the interference plan for a point, resolving fraction windows against
-    /// the nominal span (`total_requests / qps` for steady loads, the trace span for
-    /// scenarios).
-    fn interference_plan(&self, nominal_span_ns: f64) -> InterferencePlan {
-        let events = self
-            .spec
-            .interference
-            .iter()
-            .map(|fault| FaultEvent {
-                target: fault.target,
-                start_ns: (fault.start_frac * nominal_span_ns) as u64,
-                end_ns: (fault.end_frac * nominal_span_ns) as u64,
-                kind: fault.kind,
-            })
-            .collect();
-        InterferencePlan { events }
-    }
-
-    /// The core `Scenario` for a scenario-load point (with the point's admission
-    /// policy, which a mitigation axis may have overridden).
-    fn build_scenario(&self, scenario: &ScenarioSpec, queue: Option<AdmissionPolicy>) -> Scenario {
-        let span_ns: u64 = scenario.phases.iter().map(|p| p.duration_ns).sum();
-        let mut built = Scenario::new(self.spec.name.clone(), scenario.phases.clone())
-            .with_warmup_fraction(scenario.warmup_fraction)
-            .with_interference(self.interference_plan(span_ns as f64));
-        if let Some(queue) = queue {
-            built = built.with_admission(queue);
-        }
-        if !scenario.classes.is_empty() {
-            built = built.with_classes(scenario.classes.clone());
-        }
-        built
-    }
-
     /// Per-class factories for a scenario run (one per class, decorrelated streams).
     fn class_factories(
         seed: u64,
@@ -447,33 +263,6 @@ impl Experiment {
                 .map(|i| factory(derive_seed(seed, i as u64)))
                 .collect()
         }
-    }
-
-    /// The steady-load benchmark config for one point (everything except scenarios).
-    fn steady_config(
-        &self,
-        point: &GridPoint,
-        offered_qps: Option<f64>,
-        seed: u64,
-    ) -> BenchmarkConfig {
-        let requests = self.spec.requests;
-        let mut config = BenchmarkConfig::new(offered_qps.unwrap_or(1.0).max(1.0), requests)
-            .with_mode(point.mode)
-            .with_threads(point.threads)
-            .with_warmup(self.spec.warmup_requests())
-            .with_seed(seed);
-        if let LoadSpec::Closed { think_ns } = self.spec.load {
-            config = config.with_load(LoadMode::Closed { think_ns });
-        }
-        if let Some(queue) = point.queue {
-            config = config.with_admission(queue);
-        }
-        if !self.spec.interference.is_empty() {
-            let total = config.total_requests() as f64;
-            let span_ns = offered_qps.map_or(0.0, |qps| total / qps * 1e9);
-            config = config.with_interference(self.interference_plan(span_ns));
-        }
-        config
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -512,12 +301,12 @@ impl Experiment {
             (None, None) => None,
         };
 
-        let seeds = self.repeat_seeds(point_seed);
+        let seeds = self.spec.repeat_seeds(point_seed);
         let mut runs: Vec<RunReport> = Vec::with_capacity(seeds.len());
         for seed in &seeds {
             let report = match &self.spec.load {
                 LoadSpec::Scenario(scenario_spec) => {
-                    let scenario = self.build_scenario(scenario_spec, point.queue);
+                    let scenario = self.spec.build_scenario(scenario_spec, point.queue);
                     let factories =
                         Self::class_factories(*seed, scenario.class_count(), |s| built.factory(s));
                     tailbench_scenario::execute_scenario(
@@ -531,7 +320,7 @@ impl Experiment {
                     )?
                 }
                 _ => {
-                    let config = self.steady_config(point, offered_qps, *seed);
+                    let config = self.spec.steady_config(point, offered_qps, *seed);
                     let mut factory = built.factory(*seed);
                     runner::execute(&built.app, factory.as_mut(), &config, model)?
                 }
@@ -573,8 +362,9 @@ impl Experiment {
         capacities: &mut BTreeMap<String, f64>,
         baselines: &mut BTreeMap<String, LatencyStats>,
     ) -> Result<ExperimentPoint, HarnessError> {
-        let shards = point.shards.unwrap_or(topology.shards).max(1);
-        let replication = topology.replication.max(1);
+        let fanout = topology.fanout.unwrap_or(builder.default_fanout());
+        let base_cluster = ExperimentSpec::cluster_config(point, topology, fanout, None);
+        let (shards, replication) = (base_cluster.shards, base_cluster.replication);
         let cluster_key = (point.app.clone(), shards, replication);
         if !clusters.contains_key(&cluster_key) {
             clusters.insert(
@@ -583,11 +373,6 @@ impl Experiment {
             );
         }
         let built = &clusters[&cluster_key];
-        let fanout = topology.fanout.unwrap_or(builder.default_fanout());
-        let base_cluster = ClusterConfig::new(shards, fanout)
-            .with_replication(replication)
-            .with_selector(point.selector)
-            .with_tied(point.tied);
 
         let mut capacity = None;
         let offered_qps = match (point.qps, point.fraction) {
@@ -651,14 +436,10 @@ impl Experiment {
                 Some(percentile_stat(&legs, p).max(1))
             }
         };
-        let hedged_cluster = match hedge_delay_ns {
-            Some(delay_ns) => base_cluster
-                .clone()
-                .with_hedge(HedgePolicy::after_ns(delay_ns)),
-            None => base_cluster.clone(),
-        };
+        let hedged_cluster =
+            ExperimentSpec::cluster_config(point, topology, fanout, hedge_delay_ns);
 
-        let seeds = self.repeat_seeds(point_seed);
+        let seeds = self.spec.repeat_seeds(point_seed);
         let mut runs: Vec<ClusterReport> = Vec::with_capacity(seeds.len());
         for seed in &seeds {
             runs.push(self.execute_cluster_once(
@@ -705,7 +486,7 @@ impl Experiment {
     ) -> Result<ClusterReport, HarnessError> {
         match &self.spec.load {
             LoadSpec::Scenario(scenario_spec) => {
-                let scenario = self.build_scenario(scenario_spec, point.queue);
+                let scenario = self.spec.build_scenario(scenario_spec, point.queue);
                 let factories =
                     Self::class_factories(seed, scenario.class_count(), |s| built.factory(s));
                 tailbench_scenario::execute_cluster_scenario(
@@ -720,7 +501,7 @@ impl Experiment {
                 )
             }
             _ => {
-                let config = self.steady_config(point, offered_qps, seed);
+                let config = self.spec.steady_config(point, offered_qps, seed);
                 let mut factory = built.factory(seed);
                 runner::execute_cluster(&built.instances, factory.as_mut(), &config, cluster, model)
             }
@@ -773,8 +554,9 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use tailbench_core::app::{EchoApp, InstructionRateModel};
-    use tailbench_core::config::FanoutPolicy;
+    use tailbench_core::config::{FanoutPolicy, HarnessMode, ReplicaSelector};
     use tailbench_core::interference::{FaultKind, FaultTarget};
+    use tailbench_core::queue::AdmissionPolicy;
     use tailbench_scenario::{ClientClass, LoadPhase, PhaseShape};
 
     /// A fixed-cost echo workload with a deterministic cost model: service time is

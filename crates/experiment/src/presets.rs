@@ -3,8 +3,7 @@
 //! Each preset is a plain [`ExperimentSpec`] — exactly what a user could write into a
 //! JSON spec file and run with `tailbench run <file>`; `tailbench preset <name>`
 //! resolves the name through [`preset`] and `tailbench export <name>` prints the JSON.
-//! The `fig*` binaries in `tailbench_bench` are now thin shims over these presets, so
-//! figure logic lives in one place.
+//! No other entrypoint runs these figures, so their logic lives in one place.
 
 use crate::spec::{
     ExperimentSpec, FaultSpec, HedgeSpec, LoadSpec, MitigationSpec, Scale, ScenarioSpec, SweepAxis,

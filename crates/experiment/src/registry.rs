@@ -447,45 +447,6 @@ fn build_xapian_cluster(shards: usize, replication: usize, scale: Scale) -> Clus
     }
 }
 
-/// A web-search partition-aggregate cluster: one xapian leaf per shard over a shared
-/// corpus, plus a query-factory builder.  Kept for the `bench` crate's historical API;
-/// new code should go through [`Registry`] + `ExperimentSpec` topologies.
-pub struct SearchCluster {
-    /// One leaf application per shard (document-partitioned, global doc ids).
-    pub leaves: Vec<Arc<dyn ServerApp>>,
-    factory_builder: Box<dyn Fn(u64) -> Box<dyn RequestFactory> + Send + Sync>,
-}
-
-impl SearchCluster {
-    /// Builds a query factory seeded for one run.
-    #[must_use]
-    pub fn factory(&self, seed: u64) -> Box<dyn RequestFactory> {
-        (self.factory_builder)(seed)
-    }
-}
-
-/// Builds `shards` xapian leaf nodes over one shared corpus at the given scale.
-#[must_use]
-pub fn build_search_cluster(shards: usize, scale: Scale) -> SearchCluster {
-    build_replicated_search_cluster(shards, 1, scale)
-}
-
-/// Builds a replicated search cluster: `shards * replication` xapian leaves in
-/// shard-major order (replicas of a shard index the same document partition), the
-/// layout `ClusterConfig::with_replication` expects.
-#[must_use]
-pub fn build_replicated_search_cluster(
-    shards: usize,
-    replication: usize,
-    scale: Scale,
-) -> SearchCluster {
-    let cluster = build_xapian_cluster(shards, replication, scale);
-    SearchCluster {
-        leaves: cluster.instances,
-        factory_builder: cluster.factory_builder,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -109,8 +109,7 @@ pub struct TopologySpec {
     /// How the router picks a replica within a shard (default round-robin).
     pub selector: ReplicaSelector,
     /// Tied requests: dispatch every request to two replicas up front, first response
-    /// wins, the loser is retracted.  Requires `replication >= 2`; mutually exclusive
-    /// with hedging.
+    /// wins, the loser is retracted.  Requires `replication >= 2` and no hedge.
     pub tied: bool,
 }
 
@@ -488,52 +487,26 @@ impl ExperimentSpec {
         self.sweep.iter().map(SweepAxis::len).product::<usize>()
     }
 
-    /// Checks the spec for inconsistencies before anything is built or run.
+    /// Checks the spec before anything is built or run: first the shape of the input
+    /// (names, rates, axis values, fault windows, scenario phases, hedge triggers),
+    /// then every run of every grid point with the harness's own rules
+    /// (`BenchmarkConfig::validate` / `validate_cluster`), on the configs
+    /// `Experiment::run` would build.  So `validate` says "no" exactly where `run`
+    /// would, before any point is measured.
     ///
     /// # Errors
     ///
     /// Returns [`HarnessError::Config`] with an actionable message for each rejected
-    /// footgun (empty axes, closed-loop load over TCP, hedging without replication,
-    /// unsupported hedge percentiles, malformed fault windows, …).
+    /// input; a harness rule's message names the spec and the failing point's
+    /// coordinates.
     pub fn validate(&self) -> Result<(), HarnessError> {
         let fail = |msg: String| Err(HarnessError::Config(format!("spec '{}': {msg}", self.name)));
         if self.app.is_empty() && !self.sweep.iter().any(|a| matches!(a, SweepAxis::App(_))) {
             return fail("no app selected: set `app` or add an `App` sweep axis".into());
         }
-        if self.threads == 0 {
-            return fail("threads is 0; use with_threads(n) with n >= 1".into());
-        }
         if self.repeats == 0 {
             return fail("repeats is 0; a point needs at least one run".into());
         }
-        if let Some(topology) = self.topology {
-            if topology.shards == 0 || topology.replication == 0 {
-                return fail(format!(
-                    "topology has {} shard(s) x {} replica(s); both must be >= 1",
-                    topology.shards, topology.replication
-                ));
-            }
-        }
-        // Every harness mode a grid point can run under: the base mode and any Mode axis.
-        let modes: Vec<HarnessMode> = std::iter::once(self.mode)
-            .chain(self.sweep.iter().flat_map(|a| match a {
-                SweepAxis::Mode(modes) => modes.clone(),
-                _ => Vec::new(),
-            }))
-            .collect();
-        if modes.iter().any(|m| {
-            matches!(
-                m,
-                HarnessMode::Loopback { connections: 0 }
-                    | HarnessMode::Networked { connections: 0, .. }
-            )
-        }) {
-            return fail(
-                "a loopback or networked mode has 0 client connections; use connections >= 1"
-                    .into(),
-            );
-        }
-        let any_simulated = modes.contains(&HarnessMode::Simulated);
         match &self.load {
             LoadSpec::Qps(qps) => {
                 if !qps.is_finite() || *qps <= 0.0 {
@@ -548,17 +521,6 @@ impl ExperimentSpec {
                 }
             }
             LoadSpec::Closed { .. } => {
-                if modes
-                    .iter()
-                    .any(|&m| m != HarnessMode::Integrated && m != HarnessMode::Simulated)
-                {
-                    return fail(
-                        "closed-loop load cannot run in a loopback or networked mode: a TCP \
-                         client cannot see a server-side shed or a dead worker, so it would \
-                         wait for ever; use the integrated or simulated mode"
-                            .into(),
-                    );
-                }
                 if !self.interference.is_empty() {
                     return fail(
                         "interference windows are fractions of the nominal span, which \
@@ -611,52 +573,6 @@ impl ExperimentSpec {
                 }
             }
         }
-        if matches!(
-            self.load,
-            LoadSpec::Qps(_) | LoadSpec::FractionOfCapacity(_)
-        ) && self.requests == 0
-        {
-            return fail("requests is 0; configure at least one measured request".into());
-        }
-        let mitigations: Vec<&MitigationSpec> = self
-            .sweep
-            .iter()
-            .filter_map(|a| match a {
-                SweepAxis::Mitigation(values) => Some(values.iter()),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        let queues_in_play = self
-            .queue
-            .iter()
-            .chain(mitigations.iter().filter_map(|m| match m {
-                MitigationSpec::Queue(queue) => Some(queue),
-                _ => None,
-            }));
-        for queue in queues_in_play {
-            if queue.capacity() == 0 {
-                return fail(
-                    "queue capacity is 0: every request would be rejected (drop) or \
-                     deadlock the producer (block); use a capacity >= 1"
-                        .into(),
-                );
-            }
-            if matches!(queue, AdmissionPolicy::DropDeadline { slo_ns: 0, .. }) {
-                return fail(
-                    "drop-deadline slo_ns is 0: every request would be shed the moment \
-                     a worker picked it up; use a positive queueing-delay budget"
-                        .into(),
-                );
-            }
-            if matches!(queue, AdmissionPolicy::Block { .. }) && any_simulated {
-                return fail(
-                    "a block queue cannot backpressure the simulator's fixed virtual-time \
-                     arrivals; use a drop queue (or no queue) for simulated points"
-                        .into(),
-                );
-            }
-        }
         // The largest instance count any grid point can reach, for fault-target bounds.
         let max_instances = match self.topology {
             None => 1,
@@ -696,101 +612,33 @@ impl ExperimentSpec {
                 }
             }
         }
-        let hedges_in_axes: Vec<&HedgeSpec> = self
-            .sweep
-            .iter()
-            .filter_map(|a| match a {
-                SweepAxis::Hedge(values) => Some(values.iter().flatten()),
-                _ => None,
-            })
-            .flatten()
-            .chain(mitigations.iter().filter_map(|m| match m {
-                MitigationSpec::Hedge(hedge) => Some(hedge),
-                _ => None,
-            }))
-            .collect();
-        let any_hedge = self.topology.and_then(|t| t.hedge).is_some() || !hedges_in_axes.is_empty();
-        if any_hedge {
-            let Some(topology) = self.topology else {
-                return fail(
-                    "hedging requires a topology (hedges are a cluster-router policy)".into(),
-                );
-            };
-            if topology.replication < 2 {
-                return fail(format!(
-                    "hedging requires replication >= 2 (got {}): the copy needs a \
-                     replica to go to",
-                    topology.replication
-                ));
-            }
-        }
-        let any_tied = self.topology.is_some_and(|t| t.tied)
-            || mitigations
+        let hedges = self.sweep.iter().flat_map(|axis| match axis {
+            SweepAxis::Hedge(values) => values.iter().flatten().copied().collect(),
+            SweepAxis::Mitigation(values) => values
                 .iter()
-                .any(|m| matches!(m, MitigationSpec::Tied));
-        if any_tied {
-            let Some(topology) = self.topology else {
-                return fail(
-                    "tied requests require a topology (they are a cluster-router policy)".into(),
-                );
-            };
-            if topology.replication < 2 {
-                return fail(format!(
-                    "tied requests require replication >= 2 (got {}): the second copy \
-                     needs a replica to go to",
-                    topology.replication
-                ));
-            }
-        }
-        if self.topology.is_some_and(|t| t.tied) && any_hedge {
-            return fail(
-                "tied requests and hedging are mutually exclusive on the base topology: \
-                 tied dispatches the second copy up front, hedging on a trigger delay"
-                    .into(),
-            );
-        }
-        if !mitigations.is_empty() && self.topology.is_none() {
-            return fail(
-                "a Mitigation axis requires a topology (mitigations are cluster-router \
-                 and per-instance queue policies; add TopologySpec::sharded)"
-                    .into(),
-            );
-        }
-        // Mirror the core harness rule: a hedged TCP cluster run cannot use a shedding
-        // admission policy (a server-side shed is invisible to the client-side hedge
-        // engine, which would wait forever for the dropped leg).
-        let any_tcp = modes.iter().any(|m| {
-            matches!(
-                m,
-                HarnessMode::Loopback { .. } | HarnessMode::Networked { .. }
-            )
+                .filter_map(|m| match m {
+                    MitigationSpec::Hedge(hedge) => Some(*hedge),
+                    _ => None,
+                })
+                .collect(),
+            _ => Vec::new(),
         });
-        if any_hedge && any_tcp && self.queue.is_some_and(|q| q.shed_capacity().is_some()) {
-            return fail(
-                "hedged TCP cluster points cannot use a shedding admission policy \
-                 (a server-side shed is invisible to the client-side hedge engine); \
-                 drop the queue, the hedge, or the TCP mode"
-                    .into(),
-            );
-        }
         for hedge in self
             .topology
             .and_then(|t| t.hedge)
-            .iter()
-            .chain(hedges_in_axes)
+            .into_iter()
+            .chain(hedges)
         {
             match hedge {
                 HedgeSpec::DelayNs(0) => {
                     return fail("hedge delay_ns must be non-zero".into());
                 }
-                HedgeSpec::Percentile(p) => {
-                    if !SUPPORTED_HEDGE_PERCENTILES.iter().any(|s| s == p) {
-                        return fail(format!(
-                            "hedge percentile {p} unsupported; use one of {SUPPORTED_HEDGE_PERCENTILES:?}"
-                        ));
-                    }
+                HedgeSpec::Percentile(p) if !SUPPORTED_HEDGE_PERCENTILES.contains(&p) => {
+                    return fail(format!(
+                        "hedge percentile {p} unsupported; use one of {SUPPORTED_HEDGE_PERCENTILES:?}"
+                    ));
                 }
-                HedgeSpec::DelayNs(_) => {}
+                _ => {}
             }
         }
         for axis in &self.sweep {
@@ -798,10 +646,14 @@ impl ExperimentSpec {
                 return fail(format!("sweep axis '{}' has no values", axis.label()));
             }
             match axis {
-                SweepAxis::Shards(_) if self.topology.is_none() => {
-                    return fail(
-                        "a Shards axis requires a topology (add TopologySpec::sharded)".into(),
-                    );
+                SweepAxis::Shards(_) | SweepAxis::Hedge(_) | SweepAxis::Mitigation(_)
+                    if self.topology.is_none() =>
+                {
+                    return fail(format!(
+                        "a {} axis requires a topology (shards, hedging, tied requests and \
+                         the other mitigations are cluster policies; add TopologySpec::sharded)",
+                        axis.label()
+                    ));
                 }
                 SweepAxis::App(apps) if apps.iter().any(String::is_empty) => {
                     return fail("App axis contains an empty name".into());
@@ -811,12 +663,6 @@ impl ExperimentSpec {
                 }
                 SweepAxis::Qps(v) if v.iter().any(|q| !q.is_finite() || *q <= 0.0) => {
                     return fail("Qps axis values must be finite and positive".into());
-                }
-                SweepAxis::Threads(v) if v.contains(&0) => {
-                    return fail("Threads axis values must be >= 1".into());
-                }
-                SweepAxis::Shards(v) if v.contains(&0) => {
-                    return fail("Shards axis values must be >= 1".into());
                 }
                 SweepAxis::LoadFraction(_) | SweepAxis::Qps(_)
                     if matches!(self.load, LoadSpec::Closed { .. } | LoadSpec::Scenario(_)) =>
@@ -830,7 +676,7 @@ impl ExperimentSpec {
                 _ => {}
             }
         }
-        Ok(())
+        self.validate_points()
     }
 }
 

@@ -230,7 +230,8 @@ impl Scenario {
         }
     }
 
-    /// Builds the [`BenchmarkConfig`] that plays `compiled` back under `mode`.
+    /// Builds the [`BenchmarkConfig`] that plays `compiled` back under `mode` with
+    /// `threads` workers, unclamped, so the runner rejects a zero.
     #[must_use]
     pub fn benchmark_config(
         &self,
@@ -241,20 +242,22 @@ impl Scenario {
     ) -> BenchmarkConfig {
         let measured = compiled.times.len().saturating_sub(compiled.warmup);
         let span = self.span();
-        BenchmarkConfig::new(1.0, measured)
-            .with_load(LoadMode::trace(LoadTrace::from_times(
-                compiled.times.clone(),
-            )))
-            .with_mode(mode)
-            .with_threads(threads)
-            .with_warmup(compiled.warmup)
-            .with_seed(seed)
-            .with_interference(self.interference.clone())
-            .with_tags(Arc::clone(&compiled.tags))
-            .with_admission(self.admission)
-            // Real-time runs need headroom above the trace span (pacing can only ever
-            // fall behind, never ahead).
-            .with_max_duration(span * 2 + Duration::from_secs(60))
+        BenchmarkConfig {
+            worker_threads: threads,
+            ..BenchmarkConfig::new(1.0, measured)
+        }
+        .with_load(LoadMode::trace(LoadTrace::from_times(
+            compiled.times.clone(),
+        )))
+        .with_mode(mode)
+        .with_warmup(compiled.warmup)
+        .with_seed(seed)
+        .with_interference(self.interference.clone())
+        .with_tags(Arc::clone(&compiled.tags))
+        .with_admission(self.admission)
+        // Real-time runs need headroom above the trace span (pacing can only ever
+        // fall behind, never ahead).
+        .with_max_duration(span * 2 + Duration::from_secs(60))
     }
 }
 

@@ -80,7 +80,7 @@ fn main() -> Result<(), HarnessError> {
          the per-shard p99.  In this noise-free simulation the legs decorrelate only\n\
          through partition skew and queue divergence, so the amplification shown is a\n\
          lower bound that grows with load and fan-out; on real hosts independent\n\
-         per-leaf noise amplifies the effect (compare fig9_fanout_tail's integrated\n\
+         per-leaf noise amplifies the effect (compare the fig9 preset's integrated\n\
          rows, which reach 1.5x and beyond)."
     );
     Ok(())

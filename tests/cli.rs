@@ -196,37 +196,57 @@ fn validate_rejects_an_unknown_spec_key_with_exit_2() {
 #[test]
 fn validate_rejects_specs_run_would_reject_or_rewrite_with_exit_2() {
     let base = r#"{"name": "zero", "app": "xapian", "mode": MODE, "load": LOAD,
-                   "threads": 1, "requests": 10, "seed": 1 TOPOLOGY}"#;
+                   "threads": 1, "requests": REQUESTS, "seed": 1 TOPOLOGY}"#;
     let qps = r#"{"qps": 100.0}"#;
-    for (mode, load, topology, expected) in [
+    let closed = r#"{"closed": {"think_ns": 0}}"#;
+    // One phase 1 ns long: its trace holds no arrival.
+    let empty_scenario = r#"{"scenario": {"phases": [{"duration_ns": 1,
+                             "shape": {"constant": {"qps": 1.0}}}], "warmup_fraction": 0.1}}"#;
+    for (mode, load, requests, topology, expected) in [
         (
             r#""integrated""#,
             qps,
+            "10",
             r#", "topology": {"shards": 0, "replication": 0, "fanout": "auto"}"#,
             "0 shard(s) x 0 replica(s)",
         ),
         (
             r#"{"loopback": {"connections": 0}}"#,
             qps,
+            "10",
             "",
             "0 client connections",
         ),
         (
             r#"{"loopback": {"connections": 1}}"#,
-            r#"{"closed": {"think_ns": 0}}"#,
+            closed,
+            "10",
             "",
             "closed-loop load cannot run in a loopback or networked mode",
+        ),
+        (r#""integrated""#, closed, "0", "", "measure_requests is 0"),
+        (
+            r#""integrated""#,
+            empty_scenario,
+            "10",
+            "",
+            "measure_requests is 0",
         ),
     ] {
         let text = base
             .replace("MODE", mode)
             .replace("LOAD", load)
+            .replace("REQUESTS", requests)
             .replace("TOPOLOGY", topology);
         let path = temp_file("zero.json", &text);
         let output = tailbench(&["validate", path.to_str().unwrap()]);
+        // `run` must refuse the same spec the same way, before measuring anything.
+        let ran = tailbench(&["run", path.to_str().unwrap(), "--quiet"]);
         let _ = std::fs::remove_file(&path);
         assert_eq!(output.status.code(), Some(2), "{text}");
         assert!(stderr(&output).contains(expected), "{}", stderr(&output));
+        assert_eq!(ran.status.code(), Some(2), "{text}: {}", stderr(&ran));
+        assert!(stderr(&ran).contains(expected), "{}", stderr(&ran));
     }
 }
 
