@@ -284,7 +284,7 @@ impl ClusterConfig {
     #[must_use]
     pub fn new(shards: usize, fanout: FanoutPolicy) -> Self {
         ClusterConfig {
-            shards: shards.max(1),
+            shards,
             replication: 1,
             fanout,
             hedge: None,
@@ -296,7 +296,7 @@ impl ClusterConfig {
     /// Sets the replication factor.
     #[must_use]
     pub fn with_replication(mut self, replication: usize) -> Self {
-        self.replication = replication.max(1);
+        self.replication = replication;
         self
     }
 
@@ -506,7 +506,7 @@ impl BenchmarkConfig {
     /// Sets the number of worker threads.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.worker_threads = threads.max(1);
+        self.worker_threads = threads;
         self
     }
 
@@ -754,9 +754,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_clamps_to_one() {
+    fn zero_threads_is_kept_and_rejected() {
         let c = BenchmarkConfig::new(100.0, 100).with_threads(0);
-        assert_eq!(c.worker_threads, 1);
+        assert_eq!(c.worker_threads, 0);
+        let err = c.validate().unwrap_err().to_string();
+        assert!(err.contains("worker_threads is 0"), "{err}");
     }
 
     #[test]
@@ -827,10 +829,13 @@ mod tests {
         assert_eq!(c.instance(3, 1), 7);
         assert_eq!(c.name(), "cluster4x2-broadcast");
 
-        let single = ClusterConfig::new(0, FanoutPolicy::ycsb());
-        assert_eq!(single.shards, 1, "shard count clamps to one");
-        assert_eq!(single.fanout_width(), 1);
-        assert_eq!(single.name(), "cluster1x1-hash-key");
+        let shardless = ClusterConfig::new(0, FanoutPolicy::ycsb());
+        assert_eq!(shardless.shards, 0, "the shard count is kept as given");
+        let err = BenchmarkConfig::new(1_000.0, 100)
+            .validate_cluster(&shardless)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("0 shard(s) x 1 replica(s)"), "{err}");
     }
 
     #[test]

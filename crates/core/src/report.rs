@@ -5,6 +5,7 @@
 //! queuing time distributions.  [`MultiRunReport`] aggregates repeated runs and carries
 //! the confidence intervals mandated by the methodology (§IV-C).
 
+use crate::config::HarnessMode;
 use std::fmt;
 use tailbench_histogram::{ConfidenceInterval, LatencySummary, RunSeries};
 
@@ -351,6 +352,16 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
+    /// The report of a single server run as this 1×1 cluster: the end-to-end view
+    /// (which holds the one instance's full queue summary) under `mode`'s own label.
+    #[must_use]
+    pub fn single_server(self, mode: HarnessMode) -> RunReport {
+        RunReport {
+            configuration: mode.name().to_string(),
+            ..self.cluster
+        }
+    }
+
     /// The largest per-shard p99 sojourn, ns.
     #[must_use]
     pub fn max_shard_p99_ns(&self) -> u64 {

@@ -1,8 +1,10 @@
 //! The top-level benchmark runner.
 //!
-//! [`execute`] runs a single measurement in whichever harness configuration the
-//! [`BenchmarkConfig`] selects, and [`execute_cluster`] does the same for a cluster
-//! layout; both validate the configuration on entry.  One level up, the declarative
+//! [`execute_cluster`] runs one measurement of a cluster layout in whichever harness
+//! mode the [`BenchmarkConfig`] selects, after validating the configuration; it holds
+//! the one dispatch on the mode.  A single server is the 1×1 cluster, so [`execute`]
+//! is `execute_cluster` on one shard of one replica, relabelled with
+//! [`ClusterReport::single_server`].  One level up, the declarative
 //! `tailbench_experiment::Experiment` API drives them, and its `repeats` re-run a point
 //! with fresh seeds for the paper's confidence intervals.  [`measure_capacity`]
 //! estimates an application's saturation throughput, which the experiments use to
@@ -20,13 +22,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Runs one single-server measurement with the configured harness mode — the one
-/// low-level dispatcher behind every single-server entrypoint.
+/// Runs one single-server measurement with the configured harness mode.
 ///
-/// A single server is a 1×1 cluster: every run goes through the mode's cluster engine on
-/// one shard of one replica, closed loops included, and the report is that cluster's
-/// end-to-end view (which holds the one instance's full queue summary) under the mode's
-/// own label.
+/// A single server is a 1×1 cluster: this is [`execute_cluster`] on one shard of one
+/// replica, closed loops included, and the report is that cluster's end-to-end view
+/// (which holds the one instance's full queue summary) under the mode's own label.
 ///
 /// `cost_model` is required by simulated mode and ignored by the real-time modes, so a
 /// caller that has a model can always pass `Some(model)` regardless of mode.  Most
@@ -36,8 +36,9 @@ use std::time::Instant;
 ///
 /// # Errors
 ///
-/// Returns [`HarnessError::Config`] if [`BenchmarkConfig::validate`] rejects the
-/// configuration or simulated mode is selected without a cost model, and
+/// Returns [`HarnessError::Config`] if [`BenchmarkConfig::validate_cluster`] (which
+/// runs [`BenchmarkConfig::validate`] first) rejects the configuration or simulated
+/// mode is selected without a cost model, and
 /// [`HarnessError::Io`] if a TCP configuration fails to set up its sockets.
 pub fn execute(
     app: &Arc<dyn ServerApp>,
@@ -45,35 +46,19 @@ pub fn execute(
     config: &BenchmarkConfig,
     cost_model: Option<&dyn CostModel>,
 ) -> Result<RunReport, HarnessError> {
-    config.validate()?;
-    let apps = std::slice::from_ref(app);
     let one_by_one = ClusterConfig::new(1, FanoutPolicy::Broadcast);
-    let single_server = |report: ClusterReport| RunReport {
-        configuration: config.mode.name().to_string(),
-        ..report.cluster
-    };
-    match &config.mode {
-        HarnessMode::Integrated => {
-            run_cluster_integrated(apps, factory, config, &one_by_one).map(single_server)
-        }
-        HarnessMode::Loopback { .. } | HarnessMode::Networked { .. } => {
-            run_cluster_tcp(apps, factory, config, &one_by_one).map(single_server)
-        }
-        HarnessMode::Simulated => match cost_model {
-            Some(model) => {
-                run_cluster_simulated(apps, factory, config, &one_by_one, model).map(single_server)
-            }
-            None => Err(HarnessError::Config(
-                "simulated mode requires a cost model; pass Some(cost_model) to \
-                 runner::execute (the Experiment API supplies one from its registry)"
-                    .into(),
-            )),
-        },
-    }
+    execute_cluster(
+        std::slice::from_ref(app),
+        factory,
+        config,
+        &one_by_one,
+        cost_model,
+    )
+    .map(|report| report.single_server(config.mode))
 }
 
 /// Runs one cluster measurement with the configured harness mode — the one low-level
-/// dispatcher behind every cluster entrypoint.
+/// dispatcher behind every entrypoint, single-server ones included.
 ///
 /// `apps` holds one server application per cluster instance
 /// (`cluster.instances() = shards * replication`, shard-major order); each instance
@@ -103,7 +88,9 @@ pub fn execute_cluster(
         HarnessMode::Simulated => match cost_model {
             Some(model) => run_cluster_simulated(apps, factory, config, cluster, model),
             None => Err(HarnessError::Config(
-                "simulated cluster runs require a cost model; pass Some(cost_model)".into(),
+                "simulated mode requires a cost model; pass Some(cost_model) (the \
+                 Experiment API supplies one from its registry)"
+                    .into(),
             )),
         },
     }

@@ -2,11 +2,12 @@
 //!
 //! [`ExperimentSpec::validate`] and `Experiment::run` reach a point's
 //! [`BenchmarkConfig`] and [`ClusterConfig`] through the functions here, so a spec is
-//! checked by the harness's own rules (`BenchmarkConfig::validate` /
-//! `validate_cluster`) on the very configs a run would execute.
+//! checked by the harness's own rules (`validate_cluster`, which runs
+//! `BenchmarkConfig::validate` first) on the very configs a run would execute.
 
-use crate::spec::{ExperimentSpec, HedgeSpec, LoadSpec, MitigationSpec, ScenarioSpec, SeedPolicy};
-use crate::spec::{SweepAxis, TopologySpec};
+use crate::spec::{
+    ExperimentSpec, HedgeSpec, LoadSpec, MitigationSpec, ScenarioSpec, SeedPolicy, SweepAxis,
+};
 use tailbench_core::config::{
     BenchmarkConfig, ClusterConfig, FanoutPolicy, HarnessMode, HedgePolicy, ReplicaSelector,
 };
@@ -252,19 +253,24 @@ impl ExperimentSpec {
         config
     }
 
-    /// The cluster layout of one point of a topology spec, hedged after
-    /// `hedge_delay_ns` when that is set.  Shards and replication are the spec's own,
-    /// unclamped, so the harness sees (and rejects) exactly what the spec says.
+    /// The cluster layout of one point, hedged after `hedge_delay_ns` when that is
+    /// set.  A spec without a topology runs its single server as the 1×1 broadcast
+    /// cluster.  A topology's shards and replication are the spec's own, unclamped, so
+    /// the harness sees (and rejects) exactly what the spec says; `default_fanout`
+    /// stands in for an `"auto"` fan-out.
     pub(crate) fn cluster_config(
+        &self,
         point: &GridPoint,
-        topology: TopologySpec,
-        fanout: FanoutPolicy,
+        default_fanout: FanoutPolicy,
         hedge_delay_ns: Option<u64>,
     ) -> ClusterConfig {
+        let Some(topology) = self.topology else {
+            return ClusterConfig::new(1, FanoutPolicy::Broadcast);
+        };
         ClusterConfig {
             shards: point.shards.unwrap_or(topology.shards),
             replication: topology.replication,
-            fanout,
+            fanout: topology.fanout.unwrap_or(default_fanout),
             hedge: hedge_delay_ns.map(HedgePolicy::after_ns),
             selector: point.selector,
             tied: point.tied,
@@ -282,11 +288,8 @@ impl ExperimentSpec {
         let grid = self.grid();
         for (index, point) in grid.iter().enumerate() {
             let offered_qps = point.qps.or(point.fraction.map(|_| 1.0));
-            let cluster = self.topology.map(|topology| {
-                let delay_ns = point.hedge.flatten().map(|_| 1);
-                let fanout = topology.fanout.unwrap_or(FanoutPolicy::Broadcast);
-                ExperimentSpec::cluster_config(point, topology, fanout, delay_ns)
-            });
+            let delay_ns = point.hedge.flatten().map(|_| 1);
+            let cluster = self.cluster_config(point, FanoutPolicy::Broadcast, delay_ns);
             let seeds = self.repeat_seeds(self.point_seed(index, point, grid.len() == 1));
             for seed in seeds {
                 let config = match &self.load {
@@ -297,11 +300,7 @@ impl ExperimentSpec {
                     }
                     _ => self.steady_config(point, offered_qps, seed),
                 };
-                let checked = match &cluster {
-                    Some(cluster) => config.validate_cluster(cluster),
-                    None => config.validate(),
-                };
-                checked.map_err(|e| match e {
+                config.validate_cluster(&cluster).map_err(|e| match e {
                     HarnessError::Config(msg) => HarnessError::Config(format!(
                         "spec '{}': point {index} ({}): {msg}",
                         self.name,

@@ -18,9 +18,12 @@
 //!   the `ServerApp`, `RequestFactory` and `CostModel` constructors plus cluster layout
 //!   and default fan-out.  New workloads plug in with [`Registry::register`]; nothing
 //!   else changes.
-//! * [`Experiment::run`] — the single dispatcher: single server or cluster, all four
-//!   harness modes, steady or scenario load, with capacity probing, hedge-trigger
-//!   resolution and sweep-grid expansion handled internally.
+//! * [`Experiment::run`] — the single dispatcher: all four harness modes, steady or
+//!   scenario load, with capacity probing, hedge-trigger resolution and sweep-grid
+//!   expansion handled internally.  Every point runs through one body on the cluster
+//!   entrypoints; a spec without a topology is the 1×1 cluster, and its topology only
+//!   picks the instances (the single-server build), the capacity probe (back-to-back
+//!   requests on the one instance) and the report variant (`Single` / `Multi`).
 //! * [`ExperimentOutput`] — structured results with Markdown and JSON renderers.
 //!
 //! # Quick start
@@ -90,7 +93,7 @@ use std::collections::BTreeMap;
 use tailbench_core::app::CostModel;
 use tailbench_core::config::ClusterConfig;
 use tailbench_core::error::HarnessError;
-use tailbench_core::report::{ClusterReport, LatencyStats, MultiRunReport, RunReport};
+use tailbench_core::report::{ClusterReport, LatencyStats, MultiRunReport};
 use tailbench_core::runner;
 use tailbench_workloads::rng::derive_seed;
 
@@ -201,8 +204,7 @@ impl Experiment {
             )));
         }
 
-        let mut singles: BTreeMap<String, BenchApp> = BTreeMap::new();
-        let mut clusters: BTreeMap<(String, usize, usize), ClusterApp> = BTreeMap::new();
+        let mut apps: BTreeMap<(String, usize, usize), ClusterApp> = BTreeMap::new();
         let mut cost_models: BTreeMap<String, Box<dyn CostModel>> = BTreeMap::new();
         let mut capacities: BTreeMap<String, f64> = BTreeMap::new();
         let mut baselines: BTreeMap<String, LatencyStats> = BTreeMap::new();
@@ -217,32 +219,17 @@ impl Experiment {
                 cost_models.insert(point.app.clone(), builder.cost_model());
             }
             let model: Option<&dyn CostModel> = cost_models.get(&point.app).map(AsRef::as_ref);
-
             let point_seed = self.spec.point_seed(index, point, single_point);
-
-            let measured = match self.spec.topology {
-                None => self.run_single_point(
-                    point,
-                    builder,
-                    scale,
-                    model,
-                    point_seed,
-                    &mut singles,
-                    &mut capacities,
-                )?,
-                Some(topology) => self.run_cluster_point(
-                    point,
-                    topology,
-                    builder,
-                    scale,
-                    model,
-                    point_seed,
-                    &mut clusters,
-                    &mut capacities,
-                    &mut baselines,
-                )?,
-            };
-            points.push(measured);
+            points.push(self.run_point(
+                point,
+                builder,
+                scale,
+                model,
+                point_seed,
+                &mut apps,
+                &mut capacities,
+                &mut baselines,
+            )?);
         }
         Ok(ExperimentOutput {
             spec: self.spec.clone(),
@@ -265,143 +252,40 @@ impl Experiment {
         }
     }
 
+    /// Measures one grid point in every repeat.  A spec without a topology runs its
+    /// single server as the 1×1 cluster; the topology decides only which instances
+    /// are built, how capacity is probed and which report variant the point gives.
     #[allow(clippy::too_many_arguments)]
-    fn run_single_point(
+    fn run_point(
         &self,
         point: &GridPoint,
         builder: &dyn AppBuilder,
         scale: Scale,
         model: Option<&dyn CostModel>,
         point_seed: u64,
-        singles: &mut BTreeMap<String, BenchApp>,
-        capacities: &mut BTreeMap<String, f64>,
-    ) -> Result<ExperimentPoint, HarnessError> {
-        if !singles.contains_key(&point.app) {
-            singles.insert(point.app.clone(), builder.build(scale));
-        }
-        let built = &singles[&point.app];
-
-        let mut capacity = None;
-        let offered_qps = match (point.qps, point.fraction) {
-            (Some(qps), _) => Some(qps),
-            (None, Some(fraction)) => {
-                let key = format!("single|{}|{}", point.app, point.threads);
-                let cap = match capacities.get(&key) {
-                    Some(cap) => *cap,
-                    None => {
-                        let samples = self.spec.requests.min(800).max(point.threads);
-                        let cap = capacity_qps(built, point.threads, samples);
-                        capacities.insert(key, cap);
-                        cap
-                    }
-                };
-                capacity = Some(cap);
-                Some((cap * fraction).max(1.0))
-            }
-            (None, None) => None,
-        };
-
-        let seeds = self.spec.repeat_seeds(point_seed);
-        let mut runs: Vec<RunReport> = Vec::with_capacity(seeds.len());
-        for seed in &seeds {
-            let report = match &self.spec.load {
-                LoadSpec::Scenario(scenario_spec) => {
-                    let scenario = self.spec.build_scenario(scenario_spec, point.queue);
-                    let factories =
-                        Self::class_factories(*seed, scenario.class_count(), |s| built.factory(s));
-                    tailbench_scenario::execute_scenario(
-                        &built.app,
-                        factories,
-                        &scenario,
-                        point.mode,
-                        point.threads,
-                        *seed,
-                        model,
-                    )?
-                }
-                _ => {
-                    let config = self.spec.steady_config(point, offered_qps, *seed);
-                    let mut factory = built.factory(*seed);
-                    runner::execute(&built.app, factory.as_mut(), &config, model)?
-                }
-            };
-            runs.push(report);
-        }
-        let report = if runs.len() == 1 {
-            PointReport::Single(runs.pop().expect("one run"))
-        } else {
-            PointReport::Multi(MultiRunReport::from_runs(runs, 0.05, self.spec.repeats))
-        };
-        Ok(ExperimentPoint {
-            coords: PointCoords {
-                app: point.app.clone(),
-                mode: point.mode,
-                threads: point.threads,
-                shards: None,
-                replication: None,
-                load_fraction: point.fraction,
-                hedge: None,
-                mitigation: point.mitigation.clone(),
-            },
-            capacity_qps: capacity,
-            hedge_delay_ns: None,
-            report,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_cluster_point(
-        &self,
-        point: &GridPoint,
-        topology: TopologySpec,
-        builder: &dyn AppBuilder,
-        scale: Scale,
-        model: Option<&dyn CostModel>,
-        point_seed: u64,
-        clusters: &mut BTreeMap<(String, usize, usize), ClusterApp>,
+        apps: &mut BTreeMap<(String, usize, usize), ClusterApp>,
         capacities: &mut BTreeMap<String, f64>,
         baselines: &mut BTreeMap<String, LatencyStats>,
     ) -> Result<ExperimentPoint, HarnessError> {
-        let fanout = topology.fanout.unwrap_or(builder.default_fanout());
-        let base_cluster = ExperimentSpec::cluster_config(point, topology, fanout, None);
+        let topology = self.spec.topology;
+        let base_cluster = self
+            .spec
+            .cluster_config(point, builder.default_fanout(), None);
         let (shards, replication) = (base_cluster.shards, base_cluster.replication);
-        let cluster_key = (point.app.clone(), shards, replication);
-        if !clusters.contains_key(&cluster_key) {
-            clusters.insert(
-                cluster_key.clone(),
-                builder.build_cluster(shards, replication, scale),
-            );
-        }
-        let built = &clusters[&cluster_key];
+        // A spec either has a topology or not, so one key never names both builds.
+        let built = &*apps
+            .entry((point.app.clone(), shards, replication))
+            .or_insert_with(|| match topology {
+                // The single-server build: xapian's cluster build indexes another corpus.
+                None => one_instance(builder.build(scale)),
+                Some(_) => builder.build_cluster(shards, replication, scale),
+            });
 
         let mut capacity = None;
         let offered_qps = match (point.qps, point.fraction) {
             (Some(qps), _) => Some(qps),
             (None, Some(fraction)) => {
-                let key = format!(
-                    "cluster|{}|{}|{}x{}|{}|{}",
-                    point.app,
-                    point.threads,
-                    shards,
-                    replication,
-                    base_cluster.fanout.name(),
-                    point.mode.name()
-                );
-                let cap = match capacities.get(&key) {
-                    Some(cap) => *cap,
-                    None => {
-                        let cap = cluster_capacity_qps(
-                            built,
-                            &base_cluster,
-                            point.mode,
-                            point.threads,
-                            self.spec.requests.min(300),
-                            model,
-                        )?;
-                        capacities.insert(key, cap);
-                        cap
-                    }
-                };
+                let cap = self.capacity(point, built, &base_cluster, model, capacities)?;
                 capacity = Some(cap);
                 Some((cap * fraction).max(1.0))
             }
@@ -411,8 +295,7 @@ impl Experiment {
         // Resolve the hedge trigger; percentile triggers need an unhedged baseline at
         // the same coordinates (cached, measured with the root seed like the point
         // itself would be in a single-point run).
-        let hedge_spec = point.hedge.flatten();
-        let hedge_delay_ns = match hedge_spec {
+        let hedge_delay_ns = match point.hedge.flatten() {
             None => None,
             Some(HedgeSpec::DelayNs(delay_ns)) => Some(delay_ns.max(1)),
             Some(HedgeSpec::Percentile(p)) => {
@@ -436,33 +319,35 @@ impl Experiment {
                 Some(percentile_stat(&legs, p).max(1))
             }
         };
-        let hedged_cluster =
-            ExperimentSpec::cluster_config(point, topology, fanout, hedge_delay_ns);
+        let cluster = self
+            .spec
+            .cluster_config(point, builder.default_fanout(), hedge_delay_ns);
 
-        let seeds = self.spec.repeat_seeds(point_seed);
-        let mut runs: Vec<ClusterReport> = Vec::with_capacity(seeds.len());
-        for seed in &seeds {
-            runs.push(self.execute_cluster_once(
-                point,
-                built,
-                &hedged_cluster,
-                offered_qps,
-                *seed,
-                model,
-            )?);
-        }
-        let report = if runs.len() == 1 {
-            PointReport::Cluster(runs.pop().expect("one run"))
-        } else {
-            PointReport::ClusterMulti(runs)
+        let mut runs = self
+            .spec
+            .repeat_seeds(point_seed)
+            .into_iter()
+            .map(|seed| self.execute_cluster_once(point, built, &cluster, offered_qps, seed, model))
+            .collect::<Result<Vec<ClusterReport>, HarnessError>>()?;
+        let report = match (topology, runs.len()) {
+            (None, 1) => PointReport::Single(runs.remove(0).single_server(point.mode)),
+            (None, _) => PointReport::Multi(MultiRunReport::from_runs(
+                runs.into_iter()
+                    .map(|run| run.single_server(point.mode))
+                    .collect(),
+                0.05,
+                self.spec.repeats,
+            )),
+            (Some(_), 1) => PointReport::Cluster(runs.remove(0)),
+            (Some(_), _) => PointReport::ClusterMulti(runs),
         };
         Ok(ExperimentPoint {
             coords: PointCoords {
                 app: point.app.clone(),
                 mode: point.mode,
                 threads: point.threads,
-                shards: Some(shards),
-                replication: Some(replication),
+                shards: topology.map(|_| shards),
+                replication: topology.map(|_| replication),
                 load_fraction: point.fraction,
                 hedge: point.hedge,
                 mitigation: point.mitigation.clone(),
@@ -471,6 +356,57 @@ impl Experiment {
             hedge_delay_ns,
             report,
         })
+    }
+
+    /// The point's capacity, probed once per key.  A single server times
+    /// back-to-back requests on its one instance, a probe that does not depend on the
+    /// mode, so every mode of an app and thread count shares it; a cluster runs a
+    /// low-load probe through the point's own mode.
+    fn capacity(
+        &self,
+        point: &GridPoint,
+        built: &ClusterApp,
+        cluster: &ClusterConfig,
+        model: Option<&dyn CostModel>,
+        capacities: &mut BTreeMap<String, f64>,
+    ) -> Result<f64, HarnessError> {
+        let key = match self.spec.topology {
+            None => format!("single|{}|{}", point.app, point.threads),
+            Some(_) => format!(
+                "cluster|{}|{}|{}x{}|{}|{}",
+                point.app,
+                point.threads,
+                cluster.shards,
+                cluster.replication,
+                cluster.fanout.name(),
+                point.mode.name()
+            ),
+        };
+        if let Some(cap) = capacities.get(&key) {
+            return Ok(*cap);
+        }
+        let cap = match self.spec.topology {
+            None => {
+                let samples = self.spec.requests.min(800).max(point.threads);
+                let mut factory = built.factory(capacity::PROBE_SEED);
+                runner::measure_capacity(
+                    &built.instances[0],
+                    factory.as_mut(),
+                    point.threads,
+                    samples,
+                )
+            }
+            Some(_) => cluster_capacity_qps(
+                built,
+                cluster,
+                point.mode,
+                point.threads,
+                self.spec.requests.min(300),
+                model,
+            )?,
+        };
+        capacities.insert(key, cap);
+        Ok(cap)
     }
 
     /// One cluster run of one point (steady or scenario load).  Any hedge policy is
@@ -506,6 +442,15 @@ impl Experiment {
                 runner::execute_cluster(&built.instances, factory.as_mut(), &config, cluster, model)
             }
         }
+    }
+}
+
+/// A single-server build as the one instance of a 1×1 cluster.
+fn one_instance(bench: BenchApp) -> ClusterApp {
+    ClusterApp {
+        name: bench.name,
+        instances: vec![bench.app],
+        factory_builder: bench.factory_builder,
     }
 }
 

@@ -95,7 +95,8 @@ impl HedgeSpec {
 ///
 /// A spec **with** a topology always runs through the cluster harness (even for one
 /// shard, so fan-out sweeps include the `shards = 1` baseline on the same code path);
-/// a spec without one runs the plain single-server harness.
+/// a spec without one runs the single-server build as the 1×1 cluster, with the
+/// single-server capacity probe and single-server reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopologySpec {
     /// Number of data shards.
@@ -118,7 +119,7 @@ impl TopologySpec {
     #[must_use]
     pub fn sharded(shards: usize) -> TopologySpec {
         TopologySpec {
-            shards: shards.max(1),
+            shards,
             replication: 1,
             fanout: None,
             hedge: None,
@@ -130,7 +131,7 @@ impl TopologySpec {
     /// Sets the replication factor.
     #[must_use]
     pub fn with_replication(mut self, replication: usize) -> TopologySpec {
-        self.replication = replication.max(1);
+        self.replication = replication;
         self
     }
 
@@ -428,7 +429,7 @@ impl ExperimentSpec {
     /// Sets the worker-thread count.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.threads = threads;
         self
     }
 
@@ -456,7 +457,7 @@ impl ExperimentSpec {
     /// Sets the repeat count and seed policy.
     #[must_use]
     pub fn with_repeats(mut self, repeats: usize, seed_policy: SeedPolicy) -> Self {
-        self.repeats = repeats.max(1);
+        self.repeats = repeats;
         self.seed_policy = seed_policy;
         self
     }

@@ -5,10 +5,15 @@
 //! into an explicit open-loop arrival trace, a population of [`ClientClass`]es that
 //! split the offered rate and tag every request for per-class reporting, a
 //! deterministic [`InterferencePlan`] of fault windows (slow shard, full pause,
-//! per-request jitter), and an optional [`HedgePolicy`] for cluster runs.  Compiled
-//! scenarios run unchanged in every harness mode — integrated, loopback, networked and
-//! discrete-event simulated — and the DES path is bit-for-bit deterministic under a
-//! fixed seed, so burst-phase tails and hedging wins can be pinned exactly.
+//! per-request jitter).  Compiled scenarios run unchanged in every harness mode —
+//! integrated, loopback, networked and discrete-event simulated — and the DES path is
+//! bit-for-bit deterministic under a fixed seed, so burst-phase tails and hedging wins
+//! can be pinned exactly.
+//!
+//! [`execute_cluster_scenario`] plays a scenario against a cluster; hedging and the
+//! other mitigations are set on its `ClusterConfig`.  A single server is the 1×1
+//! cluster, so [`execute_scenario`] is `execute_cluster_scenario` on one shard of one
+//! replica, relabelled with `ClusterReport::single_server`.
 //!
 //! # Quick start
 //!
@@ -60,7 +65,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tailbench_core::app::{CostModel, RequestFactory, ServerApp};
 use tailbench_core::collector::RequestTags;
-use tailbench_core::config::{BenchmarkConfig, ClusterConfig, HarnessMode, HedgePolicy};
+use tailbench_core::config::{BenchmarkConfig, ClusterConfig, FanoutPolicy, HarnessMode};
 use tailbench_core::interference::InterferencePlan;
 use tailbench_core::queue::AdmissionPolicy;
 use tailbench_core::report::{ClusterReport, RunReport};
@@ -92,7 +97,7 @@ impl ClientClass {
     }
 }
 
-/// A declarative scenario: phased load, client classes, interference, hedging.
+/// A declarative scenario: phased load, client classes, interference.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Scenario name (used in reports and logs).
@@ -103,8 +108,6 @@ pub struct Scenario {
     pub classes: Vec<ClientClass>,
     /// Deterministic fault schedule (empty = none).
     pub interference: InterferencePlan,
-    /// Hedged-request policy for cluster runs (`None` = no hedging).
-    pub hedge: Option<HedgePolicy>,
     /// Fraction of the trace treated as warmup and excluded from statistics.
     pub warmup_fraction: f64,
     /// Request-queue admission policy for the servers (default: unbounded).
@@ -113,7 +116,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// Creates a scenario from its phases, with one implicit client class, no
-    /// interference, no hedging and 10% warmup.
+    /// interference and 10% warmup.
     #[must_use]
     pub fn new(name: impl Into<String>, phases: Vec<LoadPhase>) -> Self {
         Scenario {
@@ -121,7 +124,6 @@ impl Scenario {
             phases,
             classes: Vec::new(),
             interference: InterferencePlan::none(),
-            hedge: None,
             warmup_fraction: 0.1,
             admission: AdmissionPolicy::unbounded(),
         }
@@ -138,13 +140,6 @@ impl Scenario {
     #[must_use]
     pub fn with_interference(mut self, interference: InterferencePlan) -> Self {
         self.interference = interference;
-        self
-    }
-
-    /// Sets the hedged-request policy (effective in cluster runs with replication ≥ 2).
-    #[must_use]
-    pub fn with_hedge(mut self, hedge: HedgePolicy) -> Self {
-        self.hedge = Some(hedge);
         self
     }
 
@@ -299,35 +294,20 @@ impl RequestFactory for ClassMux {
     }
 }
 
-fn validate_factories(
-    scenario: &Scenario,
-    class_factories: &[Box<dyn RequestFactory>],
-) -> Result<(), HarnessError> {
-    if class_factories.len() == scenario.class_count() {
-        Ok(())
-    } else {
-        Err(HarnessError::Config(format!(
-            "scenario '{}' has {} client classes but {} factories were provided",
-            scenario.name,
-            scenario.class_count(),
-            class_factories.len()
-        )))
-    }
-}
-
 /// Runs a scenario against a single server in any harness mode — the scenario
-/// counterpart of `runner::execute`.
+/// counterpart of `runner::execute`, and like it [`execute_cluster_scenario`] on the
+/// 1×1 cluster.
 ///
 /// `class_factories` holds one payload factory per client class (one factory for
 /// class-less scenarios).  Simulated mode requires `cost_model`; real-time modes ignore
-/// it.  The unified `tailbench_experiment::Experiment` API calls this when an
-/// experiment spec selects a scenario load.
+/// it.
 ///
 /// # Errors
 ///
 /// Returns [`HarnessError::Config`] when the factory count does not match the class
-/// count or simulated mode lacks a cost model, and [`HarnessError::Io`] if a TCP
-/// configuration fails to set up its sockets.
+/// count, the harness rejects the compiled configuration or simulated mode lacks a
+/// cost model, and [`HarnessError::Io`] if a TCP configuration fails to set up its
+/// sockets.
 pub fn execute_scenario(
     app: &Arc<dyn ServerApp>,
     class_factories: Vec<Box<dyn RequestFactory>>,
@@ -337,17 +317,18 @@ pub fn execute_scenario(
     seed: u64,
     cost_model: Option<&dyn CostModel>,
 ) -> Result<RunReport, HarnessError> {
-    validate_factories(scenario, &class_factories)?;
-    let compiled = scenario.compile(seed);
-    let config = scenario.benchmark_config(&compiled, mode, threads, seed);
-    let mut mux = ClassMux {
-        factories: class_factories,
-        class_of: compiled.class_of,
-        next: 0,
-    };
-    let report = runner::execute(app, &mut mux, &config, cost_model)?;
-    warn_on_pacing_skew(&scenario.name, &report);
-    Ok(report)
+    let one_by_one = ClusterConfig::new(1, FanoutPolicy::Broadcast);
+    execute_cluster_scenario(
+        std::slice::from_ref(app),
+        class_factories,
+        scenario,
+        &one_by_one,
+        mode,
+        threads,
+        seed,
+        cost_model,
+    )
+    .map(|report| report.single_server(mode))
 }
 
 /// A scenario's bursts only mean anything if the harness actually issued them on
@@ -355,17 +336,12 @@ pub fn execute_scenario(
 /// stderr warning instead of silently reporting skewed burst tails.
 pub const PACING_WARN_THRESHOLD_NS: u64 = 1_000_000;
 
-fn warn_on_pacing_skew(name: &str, report: &RunReport) {
-    if let Some(warning) = report.pacing_warning(PACING_WARN_THRESHOLD_NS) {
-        eprintln!("scenario '{name}': {warning}");
-    }
-}
-
 /// Runs a scenario against a cluster in any harness mode — the scenario counterpart of
-/// `runner::execute_cluster`.
+/// `runner::execute_cluster`.  The unified `tailbench_experiment::Experiment` API calls
+/// this when an experiment spec selects a scenario load.
 ///
-/// The scenario's hedge policy (if any) is applied on top of `cluster`; everything else
-/// matches [`execute_scenario`].
+/// Hedging and the other mitigations come from `cluster`.  Simulated mode requires
+/// `cost_model`; real-time modes ignore it.
 ///
 /// # Errors
 ///
@@ -382,7 +358,14 @@ pub fn execute_cluster_scenario(
     seed: u64,
     cost_model: Option<&dyn CostModel>,
 ) -> Result<ClusterReport, HarnessError> {
-    validate_factories(scenario, &class_factories)?;
+    if class_factories.len() != scenario.class_count() {
+        return Err(HarnessError::Config(format!(
+            "scenario '{}' has {} client classes but {} factories were provided",
+            scenario.name,
+            scenario.class_count(),
+            class_factories.len()
+        )));
+    }
     let compiled = scenario.compile(seed);
     let config = scenario.benchmark_config(&compiled, mode, threads, seed);
     let mut mux = ClassMux {
@@ -390,12 +373,10 @@ pub fn execute_cluster_scenario(
         class_of: compiled.class_of,
         next: 0,
     };
-    let cluster = match scenario.hedge {
-        Some(policy) => cluster.clone().with_hedge(policy),
-        None => cluster.clone(),
-    };
-    let report = runner::execute_cluster(apps, &mut mux, &config, &cluster, cost_model)?;
-    warn_on_pacing_skew(&scenario.name, &report.cluster);
+    let report = runner::execute_cluster(apps, &mut mux, &config, cluster, cost_model)?;
+    if let Some(warning) = report.cluster.pacing_warning(PACING_WARN_THRESHOLD_NS) {
+        eprintln!("scenario '{}': {warning}", scenario.name);
+    }
     Ok(report)
 }
 

@@ -22,18 +22,22 @@
 //! note.
 
 use std::sync::Arc;
+use std::time::Duration;
 use tailbench::core::app::{CostModel, EchoApp, InstructionRateModel};
 use tailbench::core::config::{
     BenchmarkConfig, ClusterConfig, FanoutPolicy, HarnessMode, HedgePolicy,
 };
 use tailbench::core::{
-    runner, AdmissionPolicy, ClusterReport, InterferencePlan, LoadMode, LoadTrace, RequestTags,
-    ServerApp,
+    runner, AdmissionPolicy, ClusterReport, InterferencePlan, LoadMode, LoadTrace, RequestFactory,
+    RequestTags, RunReport, ServerApp,
 };
+use tailbench::experiment::output::run_report_to_json;
 use tailbench::experiment::{
-    AppBuilder, BenchApp, ClusterApp, Experiment, ExperimentSpec, LoadSpec, Registry, Scale,
-    TopologySpec,
+    AppBuilder, BenchApp, ClusterApp, Experiment, ExperimentSpec, LoadSpec, PointReport, Registry,
+    Scale, ScenarioSpec, SeedPolicy, TopologySpec,
 };
+use tailbench::scenario::{execute_scenario, ClientClass, LoadPhase, Scenario};
+use tailbench::workloads::rng::derive_seed;
 
 /// The shared fixed-seed configuration: 5k QPS Poisson arrivals, 1000 measured
 /// requests after 100 warmup, seed 0x601D.
@@ -257,6 +261,115 @@ fn experiment_json_round_trip_reproduces_the_golden_percentiles() {
     );
     let report = from_json.points[0].report.cluster().unwrap();
     assert_eq!(report.cluster.sojourn.p99_ns, 1_150_870);
+}
+
+// ---------------------------------------------------------------------------
+// A topology-less spec through Experiment::run() equals the direct single-server
+// entrypoints, compared field for field through the output JSON encoder.
+// ---------------------------------------------------------------------------
+
+fn run_json(report: &RunReport) -> String {
+    run_report_to_json(report).to_text()
+}
+
+fn golden_echo() -> Arc<dyn ServerApp> {
+    GoldenEcho.build(Scale::Smoke).app
+}
+
+#[test]
+fn experiment_scenario_spec_equals_a_direct_execute_scenario() {
+    let phases = vec![
+        LoadPhase::constant(4_000.0, Duration::from_millis(100)),
+        LoadPhase::burst(
+            4_000.0,
+            9_000.0,
+            Duration::from_millis(20),
+            0.5,
+            Duration::from_millis(100),
+        ),
+    ];
+    let classes = vec![
+        ClientClass::new("interactive", 0.7),
+        ClientClass::new("batch", 0.3),
+    ];
+    let spec = golden_spec().with_load(LoadSpec::Scenario(ScenarioSpec {
+        phases: phases.clone(),
+        classes: classes.clone(),
+        warmup_fraction: 0.1,
+    }));
+    let output = Experiment::new(spec)
+        .with_registry(golden_registry())
+        .run()
+        .unwrap();
+    let PointReport::Single(through_spec) = &output.points[0].report else {
+        panic!("a topology-less single-repeat point reports a single run");
+    };
+
+    let scenario = Scenario::new("golden", phases)
+        .with_classes(classes)
+        .with_warmup_fraction(0.1);
+    let factories: Vec<Box<dyn RequestFactory>> = vec![
+        Box::new(|| b"golden".to_vec()),
+        Box::new(|| b"golden".to_vec()),
+    ];
+    let direct = execute_scenario(
+        &golden_echo(),
+        factories,
+        &scenario,
+        HarnessMode::Simulated,
+        1,
+        0x601D,
+        Some(&cost_model()),
+    )
+    .unwrap();
+    assert_eq!(direct.per_class.len(), 2);
+    assert_eq!(run_json(through_spec), run_json(&direct));
+}
+
+#[test]
+fn experiment_closed_loop_spec_equals_a_direct_runner_execute() {
+    let spec = golden_spec()
+        .with_load(LoadSpec::Closed { think_ns: 1_000 })
+        .with_threads(2);
+    let output = Experiment::new(spec)
+        .with_registry(golden_registry())
+        .run()
+        .unwrap();
+    let PointReport::Single(through_spec) = &output.points[0].report else {
+        panic!("a topology-less single-repeat point reports a single run");
+    };
+
+    let config = BenchmarkConfig::new(1.0, 1_000)
+        .with_threads(2)
+        .with_warmup(100)
+        .with_seed(0x601D)
+        .with_mode(HarnessMode::Simulated)
+        .with_load(LoadMode::Closed { think_ns: 1_000 });
+    let mut factory = || b"golden".to_vec();
+    let direct =
+        runner::execute(&golden_echo(), &mut factory, &config, Some(&cost_model())).unwrap();
+    assert_eq!(direct.requests, 1_000);
+    assert_eq!(run_json(through_spec), run_json(&direct));
+}
+
+#[test]
+fn experiment_repeats_each_equal_a_direct_runner_execute_at_the_derived_seed() {
+    let spec = golden_spec().with_repeats(3, SeedPolicy::Derive);
+    let output = Experiment::new(spec)
+        .with_registry(golden_registry())
+        .run()
+        .unwrap();
+    let PointReport::Multi(multi) = &output.points[0].report else {
+        panic!("a topology-less repeated point reports a multi-run aggregate");
+    };
+    assert_eq!(multi.runs.len(), 3);
+    for (k, through_spec) in multi.runs.iter().enumerate() {
+        let config = golden_config().with_seed(derive_seed(0x601D, k as u64));
+        let mut factory = || b"golden".to_vec();
+        let direct =
+            runner::execute(&golden_echo(), &mut factory, &config, Some(&cost_model())).unwrap();
+        assert_eq!(run_json(through_spec), run_json(&direct), "repeat {k}");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -133,30 +133,25 @@ fn golden_hedging_cuts_the_broadcast_tail_at_four_shards() {
     // of shard 0 slowed 3x for the middle of the run — enough to back that replica up
     // (3x service at 40% load is transient overload) without drowning the healthy
     // replica in hedge copies.
-    let scenario = |hedge: Option<HedgePolicy>| {
-        let mut s = Scenario::new(
-            "golden-hedge",
-            vec![LoadPhase::constant(8_000.0, Duration::from_millis(300))],
-        )
-        .with_warmup_fraction(0.05)
-        .with_interference(InterferencePlan::none().slow_instance(
-            1,
-            100_000_000,
-            200_000_000,
-            3.0,
-        ));
-        if let Some(policy) = hedge {
-            s = s.with_hedge(policy);
+    let scenario = Scenario::new(
+        "golden-hedge",
+        vec![LoadPhase::constant(8_000.0, Duration::from_millis(300))],
+    )
+    .with_warmup_fraction(0.05)
+    .with_interference(InterferencePlan::none().slow_instance(1, 100_000_000, 200_000_000, 3.0));
+    let cluster = |hedge: Option<HedgePolicy>| {
+        let cluster = ClusterConfig::new(4, FanoutPolicy::Broadcast).with_replication(2);
+        match hedge {
+            Some(policy) => cluster.with_hedge(policy),
+            None => cluster,
         }
-        s
     };
-    let cluster = ClusterConfig::new(4, FanoutPolicy::Broadcast).with_replication(2);
     let run = |hedge: Option<HedgePolicy>| {
         execute_cluster_scenario(
             &make_apps(),
             vec![Box::new(|| b"g".to_vec()) as Box<dyn RequestFactory>],
-            &scenario(hedge),
-            &cluster,
+            &scenario,
+            &cluster(hedge),
             HarnessMode::Simulated,
             1,
             0x601D,
@@ -210,14 +205,14 @@ fn wall_clock_cluster_hedging_completes_and_dedups() {
             vec![LoadPhase::constant(1_500.0, Duration::from_millis(150))],
         )
         .with_warmup_fraction(0.1);
-        let scenario = if tied {
-            scenario
-        } else {
-            scenario.with_hedge(HedgePolicy::after_ns(1_000))
-        };
         let cluster = ClusterConfig::new(2, FanoutPolicy::Broadcast)
             .with_replication(2)
             .with_tied(tied);
+        let cluster = if tied {
+            cluster
+        } else {
+            cluster.with_hedge(HedgePolicy::after_ns(1_000))
+        };
         let report = execute_cluster_scenario(
             &apps,
             vec![Box::new(|| b"wh".to_vec()) as Box<dyn RequestFactory>],
