@@ -9,7 +9,8 @@
 //! * [`HdrHistogram`] — an integer-valued HDR histogram with configurable significant
 //!   digits, equivalent to the structure described in the paper ("the recorded value is
 //!   within 1% of the actual").
-//! * [`LatencySummary`] — an adaptive recorder that stores exact samples for short runs
+//! * [`LatencySummary`] — an adaptive recorder that keeps exact samples for short runs
+//!   (counted per nanosecond value, within 1.25 × the heap of storing them one by one)
 //!   and transparently degrades to an [`HdrHistogram`] once a sample cap is exceeded.
 //! * [`ci`] — confidence-interval helpers that judge whether repeated runs have
 //!   converged (the paper targets 95% confidence intervals within 1% of the mean).

@@ -18,6 +18,7 @@
 
 use std::path::Path;
 use std::process::ExitCode;
+use tailbench::core::HarnessError;
 use tailbench_experiment::{presets, verify_output_text, Experiment, ExperimentSpec, Scale};
 
 const USAGE: &str = "\
@@ -133,9 +134,12 @@ fn run_spec(spec: ExperimentSpec, options: &Options) -> Result<(), CliError> {
         Some(scale) => spec.with_scale(scale),
         None => spec,
     };
-    let output = Experiment::new(spec)
-        .run()
-        .map_err(|e| CliError::runtime(format!("experiment failed: {e}")))?;
+    // `Experiment::run` validates the spec before it measures anything; a spec it
+    // refuses is a spec error, as `tailbench validate` reports it.
+    let output = Experiment::new(spec).run().map_err(|e| match e {
+        HarnessError::Config(_) => CliError::usage(e.to_string()),
+        _ => CliError::runtime(format!("experiment failed: {e}")),
+    })?;
     // `--json -` owns stdout: printing the Markdown table too would make the
     // machine-readable stream unparseable.
     let json_to_stdout = options.json_out.as_deref() == Some("-");
@@ -238,10 +242,7 @@ fn dispatch(command: &str, options: &Options) -> Result<(), CliError> {
     match command {
         "run" => {
             let path = arg.ok_or_else(|| CliError::usage("run needs a spec file path"))?;
-            let spec = load_spec(path)?;
-            spec.validate()
-                .map_err(|e| CliError::usage(e.to_string()))?;
-            run_spec(spec, options)
+            run_spec(load_spec(path)?, options)
         }
         "preset" => {
             let name = arg
