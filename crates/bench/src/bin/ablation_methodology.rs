@@ -7,10 +7,11 @@
 //!    within its configured relative-error bound of the exact values.
 
 use rand::Rng;
-use tailbench_bench::{build_app, capacity_qps, format_latency, print_table, AppId, Scale};
+use tailbench_bench::{build_app, format_latency, print_table, AppId, Scale};
 use tailbench_core::config::BenchmarkConfig;
 use tailbench_core::runner;
 use tailbench_core::traffic::LoadMode;
+use tailbench_experiment::capacity::PROBE_SEED;
 use tailbench_histogram::HdrHistogram;
 use tailbench_workloads::rng::seeded_rng;
 
@@ -23,7 +24,7 @@ fn coordinated_omission() {
     let scale = Scale::from_env();
     let requests = scale.requests(400, 3_000);
     let bench = build_app(AppId::Xapian, scale);
-    let capacity = capacity_qps(&bench, 1, 300);
+    let capacity = runner::measure_capacity(&bench.app, bench.factory(PROBE_SEED).as_mut(), 1, 300);
     let qps = capacity * 0.8;
 
     // Open loop at 80% of capacity.

@@ -18,8 +18,8 @@
 //!   **discrete-event simulation** runner that replaces wall-clock service times with a
 //!   microarchitectural cost model ([`sim`]);
 //! * **repeated runs** aggregate into 95% confidence intervals of each reported latency
-//!   metric ([`MultiRunReport`]; the experiment layer's `repeats` re-run a point with
-//!   fresh seeds);
+//!   metric one level up: the experiment layer's `repeats` re-run a point with fresh
+//!   seeds, and its point report carries the intervals across them;
 //! * a **cluster harness** runs N independent server instances behind a client-side
 //!   router that shards single-key requests or fans partition-aggregate requests out to
 //!   every shard and merges last-response-wins, reporting per-shard and end-to-end
@@ -83,8 +83,7 @@ pub use interference::{FaultEvent, FaultKind, FaultTarget, InterferencePlan};
 pub use pool::{BufferPool, PoolStats};
 pub use queue::AdmissionPolicy;
 pub use report::{
-    ClusterReport, HedgeStats, LabeledLatency, LatencyStats, MultiRunReport, QueueSummary,
-    RunReport,
+    ClusterReport, HedgeStats, LabeledLatency, LatencyStats, QueueSummary, RunReport,
 };
 pub use request::{Request, RequestRecord, Response, WorkProfile};
 pub use runner::{execute, execute_cluster, measure_capacity};

@@ -2,12 +2,13 @@
 //!
 //! A [`RunReport`] captures everything the paper reports about a single measurement run:
 //! offered and achieved load, and the mean / tail latencies of the sojourn, service and
-//! queuing time distributions.  [`MultiRunReport`] aggregates repeated runs and carries
+//! queuing time distributions; a [`ClusterReport`] adds the per-shard and fan-out views of
+//! a cluster run.  The experiment layer's point report aggregates repeated runs with
 //! the confidence intervals mandated by the methodology (§IV-C).
 
 use crate::config::HarnessMode;
 use std::fmt;
-use tailbench_histogram::{ConfidenceInterval, LatencySummary, RunSeries};
+use tailbench_histogram::LatencySummary;
 
 /// Summary statistics of one latency distribution, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -417,75 +418,6 @@ impl fmt::Display for ClusterReport {
     }
 }
 
-/// Aggregate of several repeated runs of the same configuration, with the
-/// confidence-interval bookkeeping from the paper's methodology.
-#[derive(Debug, Clone)]
-pub struct MultiRunReport {
-    /// The individual runs.
-    pub runs: Vec<RunReport>,
-    /// 95% confidence interval of mean sojourn latency across runs.
-    pub mean_ci: ConfidenceInterval,
-    /// 95% confidence interval of the 95th-percentile sojourn latency across runs.
-    pub p95_ci: ConfidenceInterval,
-    /// 95% confidence interval of the 99th-percentile sojourn latency across runs.
-    pub p99_ci: ConfidenceInterval,
-    /// Whether all tracked metrics converged to the target relative CI width.
-    pub converged: bool,
-}
-
-impl MultiRunReport {
-    /// Builds the aggregate from individual runs and a convergence target (e.g. 0.01 for
-    /// the paper's 1% rule).
-    #[must_use]
-    pub fn from_runs(runs: Vec<RunReport>, target_fraction: f64, min_runs: usize) -> Self {
-        let mut mean_series = RunSeries::new("mean_sojourn_ns", target_fraction);
-        let mut p95_series = RunSeries::new("p95_sojourn_ns", target_fraction);
-        let mut p99_series = RunSeries::new("p99_sojourn_ns", target_fraction);
-        for r in &runs {
-            mean_series.push(r.sojourn.mean_ns);
-            p95_series.push(r.sojourn.p95_ns as f64);
-            p99_series.push(r.sojourn.p99_ns as f64);
-        }
-        let converged = mean_series.converged(min_runs)
-            && p95_series.converged(min_runs)
-            && p99_series.converged(min_runs);
-        MultiRunReport {
-            runs,
-            mean_ci: mean_series.interval(),
-            p95_ci: p95_series.interval(),
-            p99_ci: p99_series.interval(),
-            converged,
-        }
-    }
-
-    /// Mean 95th-percentile sojourn latency across runs, in nanoseconds.
-    #[must_use]
-    pub fn p95_ns(&self) -> f64 {
-        self.p95_ci.mean
-    }
-
-    /// Mean achieved throughput across runs, in QPS.
-    #[must_use]
-    pub fn achieved_qps(&self) -> f64 {
-        if self.runs.is_empty() {
-            0.0
-        } else {
-            self.runs.iter().map(|r| r.achieved_qps).sum::<f64>() / self.runs.len() as f64
-        }
-    }
-
-    /// The most representative single run (the one whose p95 is closest to the mean p95).
-    #[must_use]
-    pub fn representative_run(&self) -> Option<&RunReport> {
-        let target = self.p95_ci.mean;
-        self.runs.iter().min_by(|a, b| {
-            let da = (a.sojourn.p95_ns as f64 - target).abs();
-            let db = (b.sojourn.p95_ns as f64 - target).abs();
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,28 +480,6 @@ mod tests {
         let r = report(2.0, 500.0, 498.0);
         assert!((r.load(1000.0) - 0.5).abs() < 1e-9);
         assert_eq!(r.load(0.0), 0.0);
-    }
-
-    #[test]
-    fn multi_run_report_aggregates_and_converges() {
-        let runs = vec![
-            report(2.00, 1000.0, 998.0),
-            report(2.01, 1000.0, 997.0),
-            report(1.99, 1000.0, 999.0),
-            report(2.00, 1000.0, 998.0),
-        ];
-        let multi = MultiRunReport::from_runs(runs, 0.01, 2);
-        assert!(multi.converged);
-        assert!((multi.p95_ns() - 2.0e6).abs() < 2e4);
-        assert!((multi.achieved_qps() - 998.0).abs() < 1.0);
-        assert!(multi.representative_run().is_some());
-    }
-
-    #[test]
-    fn multi_run_report_detects_non_convergence() {
-        let runs = vec![report(2.0, 1000.0, 998.0), report(4.0, 1000.0, 998.0)];
-        let multi = MultiRunReport::from_runs(runs, 0.01, 2);
-        assert!(!multi.converged);
     }
 
     #[test]

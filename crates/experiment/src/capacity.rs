@@ -2,20 +2,20 @@
 //!
 //! The paper expresses offered load as a fraction of each setup's capacity ("latencies
 //! at 20% / 50% / 70% load", Table I); every figure binary used to carry its own copy
-//! of this logic.  It now lives here, shared by `Experiment::run()` and the remaining
-//! hand-rolled binaries:
+//! of this logic.  It now lives here, used by `Experiment::run()`:
 //!
-//! * **single server** — execute `samples` requests back to back across the worker
-//!   threads and measure the completion rate
+//! * **wall-clock single server** — execute `samples` requests back to back across the
+//!   worker threads and measure the completion rate
 //!   ([`tailbench_core::runner::measure_capacity`]);
-//! * **cluster** — run a short low-load probe through the full cluster harness *in the
-//!   point's own mode* and derive the per-leaf service rate from the per-shard service
-//!   means; scale by replication (replicas share a shard's legs) and, for single-shard
-//!   fan-out, by the shard count (shards split the request stream).  Real-time cluster
-//!   modes are additionally capped by the host's core count, since all instances share
-//!   one machine.
+//! * **cluster, or simulated single server (the 1×1 cluster)** — run a short low-load
+//!   probe through the full cluster harness *in the point's own mode* and derive the
+//!   per-leaf service rate from the per-shard service means; scale by replication
+//!   (replicas share a shard's legs) and, for single-shard fan-out, by the shard count
+//!   (shards split the request stream).  Under the simulator this is the cost model's
+//!   rate.  Real-time cluster modes are additionally capped by the host's core count,
+//!   since all instances share one machine.
 
-use crate::registry::{BenchApp, ClusterApp};
+use crate::registry::ClusterApp;
 use tailbench_core::app::CostModel;
 use tailbench_core::config::{BenchmarkConfig, ClusterConfig, FanoutPolicy, HarnessMode};
 use tailbench_core::error::HarnessError;
@@ -24,14 +24,6 @@ use tailbench_core::runner;
 /// Seed used by capacity probes (distinct from measurement seeds so probing never
 /// perturbs a measured request stream).
 pub const PROBE_SEED: u64 = 0xCAFE;
-
-/// Estimates an application's saturation throughput with `threads` worker threads by
-/// timing `samples` back-to-back requests.
-#[must_use]
-pub fn capacity_qps(bench: &BenchApp, threads: usize, samples: usize) -> f64 {
-    let mut factory = bench.factory(PROBE_SEED);
-    runner::measure_capacity(&bench.app, factory.as_mut(), threads, samples)
-}
 
 /// Estimates the sustainable end-to-end rate of a cluster under `mode` from a low-load
 /// probe run.
@@ -115,16 +107,6 @@ mod tests {
                 factory_builder: Box::new(|_| Box::new(|| vec![0u8])),
             }
         }
-    }
-
-    #[test]
-    fn single_server_capacity_scales_with_service_time() {
-        let light = Echo(1_000).build(Scale::Smoke);
-        let heavy = Echo(100_000).build(Scale::Smoke);
-        let light_cap = capacity_qps(&light, 1, 2_000);
-        let heavy_cap = capacity_qps(&heavy, 1, 200);
-        assert!(light_cap > 0.0 && heavy_cap > 0.0);
-        assert!(light_cap > heavy_cap);
     }
 
     #[test]

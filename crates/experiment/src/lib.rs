@@ -22,8 +22,10 @@
 //!   scenario load, with capacity probing, hedge-trigger resolution and sweep-grid
 //!   expansion handled internally.  Every point runs through one body on the cluster
 //!   entrypoints; a spec without a topology is the 1×1 cluster, and its topology only
-//!   picks the instances (the single-server build), the capacity probe (back-to-back
-//!   requests on the one instance) and the report variant (`Single` / `Multi`).
+//!   picks the instances (the single-server build), the wall-clock capacity probe
+//!   (back-to-back requests on the one instance) and how a run is written (its
+//!   end-to-end row alone).  Every point reports one [`PointReport`]: its runs, with
+//!   confidence intervals across them once it has repeats.
 //! * [`ExperimentOutput`] — structured results with Markdown and JSON renderers.
 //!
 //! # Quick start
@@ -77,7 +79,7 @@ pub mod presets;
 pub mod registry;
 pub mod spec;
 
-pub use capacity::{capacity_qps, cluster_capacity_qps};
+pub use capacity::cluster_capacity_qps;
 pub use output::{
     format_latency, verify_output_text, ExperimentOutput, ExperimentPoint, PointCoords, PointReport,
 };
@@ -91,9 +93,9 @@ use grid::GridPoint;
 use spec::SUPPORTED_HEDGE_PERCENTILES;
 use std::collections::BTreeMap;
 use tailbench_core::app::CostModel;
-use tailbench_core::config::ClusterConfig;
+use tailbench_core::config::{ClusterConfig, HarnessMode};
 use tailbench_core::error::HarnessError;
-use tailbench_core::report::{ClusterReport, LatencyStats, MultiRunReport};
+use tailbench_core::report::{ClusterReport, LatencyStats};
 use tailbench_core::runner;
 use tailbench_workloads::rng::derive_seed;
 
@@ -167,27 +169,16 @@ impl Experiment {
         &self.spec
     }
 
-    /// Runs the experiment: validates the spec, expands the sweep grid, probes
-    /// capacities where the load is capacity-relative, resolves hedge triggers
-    /// (measuring unhedged baselines for percentile triggers), and executes every
-    /// point in every repeat.
-    ///
-    /// A spec with no sweep axes and one repeat reproduces the equivalent direct
-    /// `runner::execute` / `execute_cluster` call bit for bit (same seed, same
-    /// config), which the golden determinism tests pin.
+    /// Checks the experiment without running it: the spec's own rules
+    /// ([`ExperimentSpec::validate`]), then that the registry has every app the grid
+    /// names, so a typo in an App axis fails in milliseconds, not mid-sweep.
     ///
     /// # Errors
     ///
-    /// Returns [`HarnessError::Config`] for spec-level inconsistencies (including
-    /// unknown registry names) and propagates harness errors from individual runs.
-    pub fn run(&self) -> Result<ExperimentOutput, HarnessError> {
+    /// Returns [`HarnessError::Config`] for the first rule the spec breaks.
+    pub fn validate(&self) -> Result<(), HarnessError> {
         self.spec.validate()?;
-        let scale = self.spec.scale.unwrap_or_else(Scale::from_env);
         let grid = self.spec.grid();
-        let single_point = grid.len() == 1;
-
-        // Resolve every grid app up front: a typo in an App axis must fail in
-        // milliseconds, not abort a long sweep mid-run and discard completed points.
         let mut unknown: Vec<&str> = grid
             .iter()
             .map(|p| p.app.as_str())
@@ -203,6 +194,27 @@ impl Experiment {
                 self.registry.names().join(", ")
             )));
         }
+        Ok(())
+    }
+
+    /// Runs the experiment: validates it, expands the sweep grid, probes
+    /// capacities where the load is capacity-relative, resolves hedge triggers
+    /// (measuring unhedged baselines for percentile triggers), and executes every
+    /// point in every repeat.
+    ///
+    /// A spec with no sweep axes and one repeat reproduces the equivalent direct
+    /// `runner::execute` / `execute_cluster` call bit for bit (same seed, same
+    /// config), which the golden determinism tests pin.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HarnessError::Config`] for spec-level inconsistencies (including
+    /// unknown registry names) and propagates harness errors from individual runs.
+    pub fn run(&self) -> Result<ExperimentOutput, HarnessError> {
+        self.validate()?;
+        let scale = self.spec.scale.unwrap_or_else(Scale::from_env);
+        let grid = self.spec.grid();
+        let single_point = grid.len() == 1;
 
         let mut apps: BTreeMap<(String, usize, usize), ClusterApp> = BTreeMap::new();
         let mut cost_models: BTreeMap<String, Box<dyn CostModel>> = BTreeMap::new();
@@ -214,7 +226,7 @@ impl Experiment {
             let builder = self
                 .registry
                 .get(&point.app)
-                .expect("grid apps resolved above");
+                .expect("validate resolved every grid app");
             if !cost_models.contains_key(&point.app) {
                 cost_models.insert(point.app.clone(), builder.cost_model());
             }
@@ -254,7 +266,7 @@ impl Experiment {
 
     /// Measures one grid point in every repeat.  A spec without a topology runs its
     /// single server as the 1×1 cluster; the topology decides only which instances
-    /// are built, how capacity is probed and which report variant the point gives.
+    /// are built, how a wall-clock capacity is probed and how the runs are labelled.
     #[allow(clippy::too_many_arguments)]
     fn run_point(
         &self,
@@ -329,18 +341,13 @@ impl Experiment {
             .into_iter()
             .map(|seed| self.execute_cluster_once(point, built, &cluster, offered_qps, seed, model))
             .collect::<Result<Vec<ClusterReport>, HarnessError>>()?;
-        let report = match (topology, runs.len()) {
-            (None, 1) => PointReport::Single(runs.remove(0).single_server(point.mode)),
-            (None, _) => PointReport::Multi(MultiRunReport::from_runs(
-                runs.into_iter()
-                    .map(|run| run.single_server(point.mode))
-                    .collect(),
-                0.05,
-                self.spec.repeats,
-            )),
-            (Some(_), 1) => PointReport::Cluster(runs.remove(0)),
-            (Some(_), _) => PointReport::ClusterMulti(runs),
-        };
+        if topology.is_none() {
+            // A single server's end-to-end row carries its mode's label, as
+            // `ClusterReport::single_server` gives `runner::execute`.
+            for run in &mut runs {
+                run.cluster.configuration = point.mode.name().to_string();
+            }
+        }
         Ok(ExperimentPoint {
             coords: PointCoords {
                 app: point.app.clone(),
@@ -354,14 +361,17 @@ impl Experiment {
             },
             capacity_qps: capacity,
             hedge_delay_ns,
-            report,
+            report: PointReport::from_runs(runs, self.spec.repeats),
         })
     }
 
-    /// The point's capacity, probed once per key.  A single server times
+    /// The point's capacity, probed once per key.  A wall-clock single server times
     /// back-to-back requests on its one instance, a probe that does not depend on the
-    /// mode, so every mode of an app and thread count shares it; a cluster runs a
-    /// low-load probe through the point's own mode.
+    /// mode, so every wall-clock mode of an app and thread count shares it.  Every
+    /// other point runs a low-load probe through its own mode on its own cluster (the
+    /// 1×1 one for a simulated single server), which under the simulator measures the
+    /// cost model's rate, so a simulated load is a fraction of what the simulator
+    /// serves, not of the host's speed.
     fn capacity(
         &self,
         point: &GridPoint,
@@ -370,9 +380,12 @@ impl Experiment {
         model: Option<&dyn CostModel>,
         capacities: &mut BTreeMap<String, f64>,
     ) -> Result<f64, HarnessError> {
-        let key = match self.spec.topology {
-            None => format!("single|{}|{}", point.app, point.threads),
-            Some(_) => format!(
+        let wall_clock_single =
+            self.spec.topology.is_none() && !matches!(point.mode, HarnessMode::Simulated);
+        let key = if wall_clock_single {
+            format!("single|{}|{}", point.app, point.threads)
+        } else {
+            format!(
                 "cluster|{}|{}|{}x{}|{}|{}",
                 point.app,
                 point.threads,
@@ -380,30 +393,29 @@ impl Experiment {
                 cluster.replication,
                 cluster.fanout.name(),
                 point.mode.name()
-            ),
+            )
         };
         if let Some(cap) = capacities.get(&key) {
             return Ok(*cap);
         }
-        let cap = match self.spec.topology {
-            None => {
-                let samples = self.spec.requests.min(800).max(point.threads);
-                let mut factory = built.factory(capacity::PROBE_SEED);
-                runner::measure_capacity(
-                    &built.instances[0],
-                    factory.as_mut(),
-                    point.threads,
-                    samples,
-                )
-            }
-            Some(_) => cluster_capacity_qps(
+        let cap = if wall_clock_single {
+            let samples = self.spec.requests.min(800).max(point.threads);
+            let mut factory = built.factory(capacity::PROBE_SEED);
+            runner::measure_capacity(
+                &built.instances[0],
+                factory.as_mut(),
+                point.threads,
+                samples,
+            )
+        } else {
+            cluster_capacity_qps(
                 built,
                 cluster,
                 point.mode,
                 point.threads,
                 self.spec.requests.min(300),
                 model,
-            )?,
+            )?
         };
         capacities.insert(key, cap);
         Ok(cap)
@@ -502,6 +514,7 @@ mod tests {
     use tailbench_core::config::{FanoutPolicy, HarnessMode, ReplicaSelector};
     use tailbench_core::interference::{FaultKind, FaultTarget};
     use tailbench_core::queue::AdmissionPolicy;
+    use tailbench_histogram::ConfidenceInterval;
     use tailbench_scenario::{ClientClass, LoadPhase, PhaseShape};
 
     /// A fixed-cost echo workload with a deterministic cost model: service time is
@@ -629,14 +642,114 @@ mod tests {
             .with_registry(echo_registry())
             .run()
             .unwrap();
-        let PointReport::Multi(multi) = &output.points[0].report else {
-            panic!("repeats > 1 must aggregate");
-        };
-        assert_eq!(multi.runs.len(), 3);
-        assert!(multi.p95_ci.mean > 0.0 && multi.p95_ci.half_width >= 0.0);
-        assert!(multi.representative_run().is_some());
+        let report = &output.points[0].report;
+        assert_eq!(report.runs.len(), 3);
+        assert!(report.p95_ci.mean > 0.0 && report.p95_ci.half_width >= 0.0);
+        assert_eq!(report.headline().configuration, "simulated");
         // Derived seeds re-randomize arrivals, so runs differ.
-        assert_ne!(multi.runs[0].sojourn.p99_ns, multi.runs[1].sojourn.p99_ns);
+        assert_ne!(
+            report.runs[0].cluster.sojourn.p99_ns,
+            report.runs[1].cluster.sojourn.p99_ns
+        );
+    }
+
+    #[test]
+    fn repeated_cluster_points_carry_intervals_over_their_runs() {
+        let spec = echo_spec()
+            .with_topology(
+                TopologySpec::sharded(2)
+                    .with_replication(2)
+                    .with_fanout(FanoutPolicy::Broadcast),
+            )
+            .with_repeats(3, SeedPolicy::Derive);
+        let output = Experiment::new(spec)
+            .with_registry(echo_registry())
+            .run()
+            .unwrap();
+        let report = &output.points[0].report;
+        assert_eq!(report.runs.len(), 3);
+        let p95s: Vec<f64> = report
+            .runs
+            .iter()
+            .map(|run| run.cluster.sojourn.p95_ns as f64)
+            .collect();
+        assert!(p95s[0] != p95s[1] || p95s[1] != p95s[2], "{p95s:?}");
+        let expected = ConfidenceInterval::from_observations(&p95s);
+        let bits = |ci: &ConfidenceInterval| {
+            (ci.n, [ci.mean, ci.std_dev, ci.half_width].map(f64::to_bits))
+        };
+        assert_eq!(bits(&report.p95_ci), bits(&expected));
+        // The headline is the run nearest the mean p95, the first on ties.
+        let distance = |k: usize| (p95s[k] - expected.mean).abs();
+        let nearest = (0..3)
+            .reduce(|best, k| {
+                if distance(k) < distance(best) {
+                    k
+                } else {
+                    best
+                }
+            })
+            .unwrap();
+        assert!(std::ptr::eq(report.representative(), &report.runs[nearest]));
+        assert!(std::ptr::eq(
+            report.headline(),
+            &report.runs[nearest].cluster
+        ));
+        let text = output.to_json_string();
+        assert!(
+            text.contains("\"p95_ci\"") && text.contains("\"per_shard\""),
+            "{text}"
+        );
+        assert_eq!(verify_output_text(&text), Ok(1));
+    }
+
+    /// An echo app whose cost model charges 10 µs an instruction: its simulated
+    /// service, 1.1 ms, is hundreds of times its wall-clock time.
+    struct SlowModel;
+
+    impl AppBuilder for SlowModel {
+        fn name(&self) -> &str {
+            "slow-model"
+        }
+        fn build(&self, _scale: Scale) -> BenchApp {
+            BenchApp::new("slow-model", Arc::new(EchoApp { spin_iters: 100 }), |_| {
+                Box::new(|| b"slow".to_vec())
+            })
+        }
+        fn cost_model(&self) -> Box<dyn CostModel> {
+            Box::new(InstructionRateModel {
+                ns_per_instruction: 10_000.0,
+            })
+        }
+    }
+
+    #[test]
+    fn simulated_load_fraction_is_the_utilisation_the_simulator_serves() {
+        let run = || {
+            let mut registry = Registry::empty();
+            registry.register(Box::new(SlowModel));
+            let spec = ExperimentSpec::new("utilisation", "slow-model")
+                .with_mode(HarnessMode::Simulated)
+                .with_threads(2)
+                .with_requests(400)
+                .with_warmup(40)
+                .with_seed(0x601D)
+                .with_load(LoadSpec::FractionOfCapacity(0.5))
+                .with_axis(SweepAxis::LoadFraction(vec![0.3, 0.7]));
+            Experiment::new(spec).with_registry(registry).run().unwrap()
+        };
+        let output = run();
+        for point in &output.points {
+            let label = point.coords.load_fraction.unwrap();
+            let headline = point.report.headline();
+            let utilisation = headline.offered_qps.unwrap() * headline.service.mean_ns * 1e-9
+                / point.coords.threads as f64;
+            assert!(
+                (utilisation / label - 1.0).abs() < 0.05,
+                "labelled {label}, served at {utilisation}"
+            );
+        }
+        assert_eq!(output.to_json_string(), run().to_json_string());
     }
 
     #[test]
@@ -651,8 +764,8 @@ mod tests {
             .with_axis(SweepAxis::Shards(vec![1, 4]));
         let output = Experiment::new(spec).with_registry(registry).run().unwrap();
         assert_eq!(output.points.len(), 2);
-        let one = output.points[0].report.cluster().unwrap();
-        let four = output.points[1].report.cluster().unwrap();
+        let one = output.points[0].report.representative();
+        let four = output.points[1].report.representative();
         assert_eq!(one.shards, 1);
         assert_eq!(four.shards, 4);
         // Broadcast hits every shard with the full stream…
@@ -714,9 +827,9 @@ mod tests {
         // Each policy reaches the cluster harness: the baseline is a plain cluster,
         // tied reports duplicate-dispatch stats, the selector shows up in the
         // configuration tag, and the shed policy reaches the per-instance queues.
-        let baseline = output.points[0].report.cluster().unwrap();
+        let baseline = output.points[0].report.representative();
         assert!(baseline.hedge.is_none());
-        let tied = output.points[1].report.cluster().unwrap();
+        let tied = output.points[1].report.representative();
         let tied_stats = tied.hedge.expect("tied runs report dispatch stats");
         assert!(
             tied_stats.issued > 0,
@@ -727,13 +840,13 @@ mod tests {
             "{}",
             tied.cluster.configuration
         );
-        let selector = output.points[2].report.cluster().unwrap();
+        let selector = output.points[2].report.representative();
         assert!(
             selector.cluster.configuration.contains("least-loaded"),
             "{}",
             selector.cluster.configuration
         );
-        let shed = output.points[3].report.cluster().unwrap();
+        let shed = output.points[3].report.representative();
         assert!(
             shed.cluster.queue_depth.policy.contains("drop-deadline"),
             "{}",
@@ -804,13 +917,12 @@ mod tests {
         let unhedged = &output.points[0];
         let hedged = &output.points[1];
         assert_eq!(unhedged.hedge_delay_ns, None);
-        assert!(unhedged.report.cluster().unwrap().hedge.is_none());
+        assert!(unhedged.report.representative().hedge.is_none());
         let delay = hedged.hedge_delay_ns.expect("resolved trigger");
         assert!(delay > 0);
         let stats = hedged
             .report
-            .cluster()
-            .unwrap()
+            .representative()
             .hedge
             .expect("hedged run reports hedge stats");
         assert!(stats.issued > 0, "a p95 trigger must fire sometimes");

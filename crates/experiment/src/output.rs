@@ -3,9 +3,10 @@
 //! `Experiment::run()` returns an [`ExperimentOutput`]: the spec that produced it (for
 //! provenance) plus one [`ExperimentPoint`] per sweep-grid point, each carrying its
 //! resolved coordinates (app, mode, threads, shards, load fraction, hedge trigger),
-//! the probed capacity, and the full harness report.  [`ExperimentOutput::to_markdown`]
-//! renders the human-readable table the figure binaries print;
-//! [`ExperimentOutput::to_json`] emits the machine-readable form the CI smoke gate and
+//! the probed capacity, and one [`PointReport`]: the cluster report of every repeat,
+//! with confidence intervals across them.  [`ExperimentOutput::to_markdown`] renders
+//! the human-readable table the figure binaries print; [`ExperimentOutput::to_json`]
+//! emits the machine-readable form (schema [`OUTPUT_SCHEMA`]) the CI smoke gate and
 //! downstream tooling consume.
 
 use crate::codec::Codec;
@@ -13,10 +14,15 @@ use crate::json::Json;
 use crate::spec::{ExperimentSpec, HedgeSpec};
 use tailbench_core::config::HarnessMode;
 use tailbench_core::report::{
-    markdown_table, ClusterReport, HedgeStats, LabeledLatency, LatencyStats, MultiRunReport,
-    QueueSummary, RunReport,
+    markdown_table, ClusterReport, HedgeStats, LabeledLatency, LatencyStats, QueueSummary,
+    RunReport,
 };
-use tailbench_histogram::ConfidenceInterval;
+use tailbench_histogram::{ConfidenceInterval, RunSeries};
+
+/// The version of the JSON output's shape, written as its top-level `schema` key.
+/// Schema 2 writes every point's report as its list of runs; schema 1 (no key) wrote
+/// one of four report variants.
+pub const OUTPUT_SCHEMA: u64 = 2;
 
 /// Formats a nanosecond latency for table output (µs below 1 ms, ms below 10 s, else s).
 #[must_use]
@@ -63,62 +69,75 @@ impl PointCoords {
     }
 }
 
-/// The harness report of one grid point.
+/// The harness report of one grid point: every repeat's run, in seed order, with the
+/// 95% confidence intervals of the end-to-end sojourn mean, p95 and p99 across them
+/// (the paper's methodology: repeat until the interval is tight).  A topology-less
+/// point's runs are the 1×1 cluster, their end-to-end row under the mode's own label.
 #[derive(Debug, Clone)]
-pub enum PointReport {
-    /// A single-server, single-repeat run.
-    Single(RunReport),
-    /// A single-server point with repeats, aggregated with confidence intervals.
-    Multi(MultiRunReport),
-    /// A cluster, single-repeat run.
-    Cluster(ClusterReport),
-    /// A cluster point with repeats (one report per repeat, in seed order).
-    ClusterMulti(Vec<ClusterReport>),
+pub struct PointReport {
+    /// One report per repeat, in seed order (never empty for a measured point).
+    pub runs: Vec<ClusterReport>,
+    /// 95% confidence interval of the end-to-end mean sojourn across runs.
+    pub mean_ci: ConfidenceInterval,
+    /// 95% confidence interval of the end-to-end p95 sojourn across runs.
+    pub p95_ci: ConfidenceInterval,
+    /// 95% confidence interval of the end-to-end p99 sojourn across runs.
+    pub p99_ci: ConfidenceInterval,
+    /// Whether the point has at least `min_runs` (and two) runs and every interval's
+    /// half-width is within [`PointReport::TARGET_FRACTION`] of its mean.
+    pub converged: bool,
 }
 
 impl PointReport {
-    /// The representative end-to-end report of the point: the run itself, or — for
-    /// repeated points — the repeat whose end-to-end p95 is closest to the
-    /// across-repeat mean (same rule as [`MultiRunReport::representative_run`]).
+    /// The relative half-width every interval must reach for the point to converge.
+    pub const TARGET_FRACTION: f64 = 0.05;
+
+    /// Aggregates a point's runs; `min_runs` is the number of runs convergence needs.
+    #[must_use]
+    pub fn from_runs(runs: Vec<ClusterReport>, min_runs: usize) -> PointReport {
+        let series = |name: &str, metric: fn(&LatencyStats) -> f64| {
+            let mut series = RunSeries::new(name, PointReport::TARGET_FRACTION);
+            for run in &runs {
+                series.push(metric(&run.cluster.sojourn));
+            }
+            series
+        };
+        let mean = series("mean_sojourn_ns", |s| s.mean_ns);
+        let p95 = series("p95_sojourn_ns", |s| s.p95_ns as f64);
+        let p99 = series("p99_sojourn_ns", |s| s.p99_ns as f64);
+        let converged = [&mean, &p95, &p99]
+            .iter()
+            .all(|series| series.converged(min_runs));
+        PointReport {
+            runs,
+            mean_ci: mean.interval(),
+            p95_ci: p95.interval(),
+            p99_ci: p99.interval(),
+            converged,
+        }
+    }
+
+    /// The run whose end-to-end p95 is closest to the across-run mean p95 (the first
+    /// on ties): the run itself when the point has one.
+    #[must_use]
+    pub fn representative(&self) -> &ClusterReport {
+        let target = self.p95_ci.mean;
+        let distance = |run: &ClusterReport| (run.cluster.sojourn.p95_ns as f64 - target).abs();
+        self.runs
+            .iter()
+            .min_by(|a, b| {
+                distance(a)
+                    .partial_cmp(&distance(b))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .expect("a measured point has at least one run")
+    }
+
+    /// The end-to-end report of the representative run.
     #[must_use]
     pub fn headline(&self) -> &RunReport {
-        match self {
-            PointReport::Single(report) => report,
-            PointReport::Multi(multi) => multi
-                .representative_run()
-                .expect("a measured point has at least one run"),
-            PointReport::Cluster(report) => &report.cluster,
-            PointReport::ClusterMulti(reports) => &representative_cluster(reports).cluster,
-        }
+        &self.representative().cluster
     }
-
-    /// The cluster view of the point, if it ran through the cluster harness (the
-    /// representative repeat for repeated points).
-    #[must_use]
-    pub fn cluster(&self) -> Option<&ClusterReport> {
-        match self {
-            PointReport::Cluster(report) => Some(report),
-            PointReport::ClusterMulti(reports) => Some(representative_cluster(reports)),
-            _ => None,
-        }
-    }
-}
-
-/// The repeat whose end-to-end p95 is closest to the across-repeat mean p95.
-fn representative_cluster(reports: &[ClusterReport]) -> &ClusterReport {
-    let mean = reports
-        .iter()
-        .map(|r| r.cluster.sojourn.p95_ns as f64)
-        .sum::<f64>()
-        / reports.len().max(1) as f64;
-    reports
-        .iter()
-        .min_by(|a, b| {
-            let da = (a.cluster.sojourn.p95_ns as f64 - mean).abs();
-            let db = (b.cluster.sojourn.p95_ns as f64 - mean).abs();
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .expect("a measured point has at least one repeat")
 }
 
 /// One measured grid point.
@@ -154,7 +173,6 @@ impl ExperimentOutput {
         let any_fraction = self.points.iter().any(|p| p.coords.load_fraction.is_some());
         let any_hedge = self.points.iter().any(|p| p.coords.hedge.is_some());
         let any_mitigation = self.points.iter().any(|p| p.coords.mitigation.is_some());
-        let any_cluster = self.points.iter().any(|p| p.report.cluster().is_some());
 
         let mut headers = vec!["app", "mode", "threads"];
         if any_shards {
@@ -169,7 +187,7 @@ impl ExperimentOutput {
             headers.push("hedge");
         }
         headers.extend(["offered QPS", "achieved QPS", "mean", "p50", "p95", "p99"]);
-        if any_cluster {
+        if any_shards {
             headers.extend(["shard p99 (mean)", "amplification"]);
         }
         if any_hedge {
@@ -180,7 +198,8 @@ impl ExperimentOutput {
             .points
             .iter()
             .map(|point| {
-                let headline = point.report.headline();
+                let representative = point.report.representative();
+                let headline = &representative.cluster;
                 let mut row = vec![
                     point.coords.app.clone(),
                     point.coords.mode.name().to_string(),
@@ -219,20 +238,12 @@ impl ExperimentOutput {
                 row.push(format_latency(headline.sojourn.p50_ns as f64));
                 row.push(format_latency(headline.sojourn.p95_ns as f64));
                 row.push(format_latency(headline.sojourn.p99_ns as f64));
-                if any_cluster {
-                    match point.report.cluster() {
-                        Some(cluster) => {
-                            row.push(format_latency(cluster.mean_shard_p99_ns()));
-                            row.push(format!("{:.2}x", cluster.p99_amplification()));
-                        }
-                        None => {
-                            row.push("-".to_string());
-                            row.push("-".to_string());
-                        }
-                    }
+                if any_shards {
+                    row.push(format_latency(representative.mean_shard_p99_ns()));
+                    row.push(format!("{:.2}x", representative.p99_amplification()));
                 }
                 if any_hedge {
-                    let stats = point.report.cluster().and_then(|c| c.hedge);
+                    let stats = representative.hedge;
                     row.push(stats.map_or("-".to_string(), |s| s.issued.to_string()));
                     row.push(stats.map_or("-".to_string(), |s| s.wins.to_string()));
                 }
@@ -245,10 +256,11 @@ impl ExperimentOutput {
         out
     }
 
-    /// Encodes the full output (spec + every report) as a JSON tree.
+    /// Encodes the full output (schema version, spec, every report) as a JSON tree.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
+            ("schema", Json::U64(OUTPUT_SCHEMA)),
             ("name", Json::str(self.spec.name.clone())),
             ("spec", self.spec.to_json()),
             (
@@ -302,18 +314,27 @@ fn point_to_json(point: &ExperimentPoint) -> Json {
     if let Some(delay) = point.hedge_delay_ns {
         pairs.push(("hedge_delay_ns", Json::U64(delay)));
     }
-    let report = match &point.report {
-        PointReport::Single(report) => Json::obj(vec![("single", run_report_to_json(report))]),
-        PointReport::Multi(multi) => Json::obj(vec![("multi", multi_report_to_json(multi))]),
-        PointReport::Cluster(report) => {
-            Json::obj(vec![("cluster", cluster_report_to_json(report))])
-        }
-        PointReport::ClusterMulti(reports) => Json::obj(vec![(
-            "cluster_multi",
-            Json::Arr(reports.iter().map(cluster_report_to_json).collect()),
-        )]),
+    // A point with a topology writes each run's cluster view; a single server writes
+    // its end-to-end row, since its one shard's row says the same.
+    let run_to_json = |run: &ClusterReport| match coords.shards {
+        Some(_) => cluster_report_to_json(run),
+        None => run_report_to_json(&run.cluster),
     };
-    pairs.push(("report", report));
+    let report = &point.report;
+    let mut report_pairs = vec![(
+        "runs",
+        Json::Arr(report.runs.iter().map(run_to_json).collect()),
+    )];
+    // One run has no interval: its half-width is infinite.
+    if report.runs.len() > 1 {
+        report_pairs.extend([
+            ("mean_ci", ci_to_json(&report.mean_ci)),
+            ("p95_ci", ci_to_json(&report.p95_ci)),
+            ("p99_ci", ci_to_json(&report.p99_ci)),
+            ("converged", Json::Bool(report.converged)),
+        ]);
+    }
+    pairs.push(("report", Json::obj(report_pairs)));
     Json::obj(pairs)
 }
 
@@ -435,26 +456,11 @@ fn ci_to_json(ci: &ConfidenceInterval) -> Json {
     ])
 }
 
-/// Encodes one [`MultiRunReport`] (per-run reports plus the confidence intervals).
-#[must_use]
-pub fn multi_report_to_json(multi: &MultiRunReport) -> Json {
-    Json::obj(vec![
-        (
-            "runs",
-            Json::Arr(multi.runs.iter().map(run_report_to_json).collect()),
-        ),
-        ("mean_ci", ci_to_json(&multi.mean_ci)),
-        ("p95_ci", ci_to_json(&multi.p95_ci)),
-        ("p99_ci", ci_to_json(&multi.p99_ci)),
-        ("converged", Json::Bool(multi.converged)),
-    ])
-}
-
-/// Verifies that serialized experiment output is structurally sound: it parses, holds
-/// at least one point, and every point's headline report carries a positive end-to-end
-/// `p99_ns` plus the measurement-pipeline fields (`queue_depth` admission accounting
-/// and the `pacing` error summary).  This is the check the CI smoke gate runs against
-/// the `tailbench` CLI's `--json` output.
+/// Verifies that serialized experiment output is structurally sound: it holds at
+/// least one point, it has the current `schema`, and every run of every point carries
+/// a positive end-to-end `p99_ns` plus the measurement-pipeline fields (`queue_depth`
+/// admission accounting and the `pacing` error summary).  This is the check the CI
+/// smoke gate runs against the `tailbench` CLI's `--json` output.
 ///
 /// # Errors
 ///
@@ -468,60 +474,47 @@ pub fn verify_output_text(text: &str) -> Result<usize, String> {
     if points.is_empty() {
         return Err("output has zero points".to_string());
     }
+    let schema = value.get("schema").and_then(Json::as_u64);
+    if schema != Some(OUTPUT_SCHEMA) {
+        return Err(format!(
+            "output schema is {}, not {OUTPUT_SCHEMA}: the file predates the one-report \
+             shape (every point's report is its list of runs)",
+            schema.map_or("missing".to_string(), |s| s.to_string())
+        ));
+    }
     for (i, point) in points.iter().enumerate() {
-        let report = point
+        let runs = point
             .get("report")
-            .ok_or_else(|| format!("point {i} has no report"))?;
-        let (_, Some(body)) = report_variant(report)? else {
-            return Err(format!("point {i}: malformed report"));
-        };
-        let headline = match report_variant(report)?.0 {
-            "single" => body.clone(),
-            "cluster" => body
-                .get("cluster")
-                .cloned()
-                .ok_or_else(|| format!("point {i}: cluster report lacks 'cluster'"))?,
-            "multi" => body
-                .get("runs")
-                .and_then(Json::as_array)
-                .and_then(<[Json]>::first)
-                .cloned()
-                .ok_or_else(|| format!("point {i}: multi report lacks runs"))?,
-            "cluster_multi" => body
-                .as_array()
-                .and_then(<[Json]>::first)
-                .and_then(|r| r.get("cluster"))
-                .cloned()
-                .ok_or_else(|| format!("point {i}: cluster_multi report lacks runs"))?,
-            kind => return Err(format!("point {i}: unknown report kind '{kind}'")),
-        };
-        let p99 = headline
-            .get("sojourn")
-            .and_then(|s| s.get("p99_ns"))
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("point {i}: missing sojourn.p99_ns"))?;
-        if p99 == 0 {
-            return Err(format!("point {i}: sojourn.p99_ns is 0"));
+            .and_then(|r| r.get("runs"))
+            .and_then(Json::as_array)
+            .filter(|runs| !runs.is_empty())
+            .ok_or_else(|| format!("point {i}: report has no runs"))?;
+        for (k, run) in runs.iter().enumerate() {
+            // A cluster run nests its end-to-end row; a single server's run is that row.
+            let end_to_end = run.get("cluster").unwrap_or(run);
+            let p99 = end_to_end
+                .get("sojourn")
+                .and_then(|s| s.get("p99_ns"))
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("point {i} run {k}: missing sojourn.p99_ns"))?;
+            if p99 == 0 {
+                return Err(format!("point {i} run {k}: sojourn.p99_ns is 0"));
+            }
+            end_to_end
+                .get("queue_depth")
+                .and_then(|q| q.get("policy"))
+                .and_then(Json::as_str)
+                .ok_or_else(|| {
+                    format!("point {i} run {k}: missing queue_depth admission summary")
+                })?;
+            end_to_end
+                .get("pacing")
+                .and_then(|p| p.get("count"))
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("point {i} run {k}: missing pacing summary"))?;
         }
-        headline
-            .get("queue_depth")
-            .and_then(|q| q.get("policy"))
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("point {i}: missing queue_depth admission summary"))?;
-        headline
-            .get("pacing")
-            .and_then(|p| p.get("count"))
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("point {i}: missing pacing summary"))?;
     }
     Ok(points.len())
-}
-
-fn report_variant(report: &Json) -> Result<(&str, Option<&Json>), String> {
-    match report {
-        Json::Obj(pairs) if pairs.len() == 1 => Ok((pairs[0].0.as_str(), Some(&pairs[0].1))),
-        _ => Err("report must be a single-variant object".to_string()),
-    }
 }
 
 #[cfg(test)]
@@ -570,6 +563,19 @@ mod tests {
         }
     }
 
+    /// A single server's run as the 1×1 cluster the experiment layer records.
+    fn one_by_one(report: RunReport) -> ClusterReport {
+        ClusterReport {
+            cluster: report.clone(),
+            shard_union_sojourn: report.sojourn,
+            per_shard: vec![report],
+            shards: 1,
+            replication: 1,
+            hedge: None,
+            unmerged: 0,
+        }
+    }
+
     fn output() -> ExperimentOutput {
         ExperimentOutput {
             spec: ExperimentSpec::new("demo", "echo").with_load(LoadSpec::Qps(5_000.0)),
@@ -586,7 +592,7 @@ mod tests {
                 },
                 capacity_qps: None,
                 hedge_delay_ns: None,
-                report: PointReport::Single(run_report()),
+                report: PointReport::from_runs(vec![one_by_one(run_report())], 1),
             }],
         }
     }
@@ -640,9 +646,7 @@ mod tests {
             .unwrap_err()
             .contains("zero points"));
         let mut broken = output();
-        if let PointReport::Single(report) = &mut broken.points[0].report {
-            report.sojourn.p99_ns = 0;
-        }
+        broken.points[0].report.runs[0].cluster.sojourn.p99_ns = 0;
         assert!(verify_output_text(&broken.to_json_string())
             .unwrap_err()
             .contains("p99_ns is 0"));
@@ -677,7 +681,7 @@ mod tests {
                 },
                 capacity_qps: Some(10_000.0),
                 hedge_delay_ns: Some(1_800_000),
-                report: PointReport::Cluster(cluster),
+                report: PointReport::from_runs(vec![cluster], 1),
             }],
         };
         let md = out.to_markdown();
@@ -689,5 +693,35 @@ mod tests {
         assert_eq!(verify_output_text(&text), Ok(1));
         assert!(text.contains("\"hedge_delay_ns\": 1800000"), "{text}");
         assert!(text.contains("\"p99_amplification\""), "{text}");
+    }
+
+    /// A run whose end-to-end p95 is `p95_ms` (mean and p99 scale with it).
+    fn run_with_p95(p95_ms: f64) -> ClusterReport {
+        let mut report = run_report();
+        report.sojourn = stats(p95_ms / 0.9);
+        one_by_one(report)
+    }
+
+    #[test]
+    fn point_report_aggregates_and_converges() {
+        let runs = [2.00, 2.01, 1.99, 2.00].map(run_with_p95).to_vec();
+        let report = PointReport::from_runs(runs, 2);
+        assert!(report.converged);
+        assert_eq!(report.p95_ci.n, 4);
+        assert!((report.p95_ci.mean - 2.0e6).abs() < 2e4);
+        // Runs 0 and 3 are both nearest the mean; the first wins.
+        assert!(std::ptr::eq(report.representative(), &report.runs[0]));
+        assert!(std::ptr::eq(report.headline(), &report.runs[0].cluster));
+    }
+
+    #[test]
+    fn point_report_detects_non_convergence() {
+        let report = PointReport::from_runs(vec![run_with_p95(2.0), run_with_p95(4.0)], 2);
+        assert!(!report.converged);
+        // Too few runs never converge, however close they are.
+        let report = PointReport::from_runs(vec![run_with_p95(2.0), run_with_p95(2.0)], 3);
+        assert!(!report.converged);
+        let one = PointReport::from_runs(vec![run_with_p95(2.0)], 1);
+        assert!(!one.converged && one.p95_ci.half_width.is_infinite());
     }
 }

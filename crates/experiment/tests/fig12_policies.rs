@@ -25,7 +25,7 @@ fn fig12_policy_rows_share_one_trace_and_beat_the_baseline() {
         .points
         .iter()
         .map(|p| {
-            let cluster = p.report.cluster().expect("fig12 points are cluster runs");
+            let cluster = p.report.representative();
             (
                 p.coords.mitigation.clone().expect("mitigation label"),
                 cluster.cluster.sojourn.p99_ns,

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let output = Experiment::new(reloaded).run()?;
     print!("{}", output.to_markdown());
     for point in &output.points {
-        let cluster = point.report.cluster().expect("topology => cluster report");
+        let cluster = point.report.representative();
         println!(
             "shards={:2}  cluster p99 = {:9} ns  amplification = {:.2}x",
             cluster.shards,

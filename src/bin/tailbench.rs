@@ -134,8 +134,8 @@ fn run_spec(spec: ExperimentSpec, options: &Options) -> Result<(), CliError> {
         Some(scale) => spec.with_scale(scale),
         None => spec,
     };
-    // `Experiment::run` validates the spec before it measures anything; a spec it
-    // refuses is a spec error, as `tailbench validate` reports it.
+    // `Experiment::run` validates the experiment before it measures anything; a spec
+    // it refuses is a spec error, as `tailbench validate` reports it.
     let output = Experiment::new(spec).run().map_err(|e| match e {
         HarnessError::Config(_) => CliError::usage(e.to_string()),
         _ => CliError::runtime(format!("experiment failed: {e}")),
@@ -264,9 +264,12 @@ fn dispatch(command: &str, options: &Options) -> Result<(), CliError> {
         }
         "validate" => {
             let path = arg.ok_or_else(|| CliError::usage("validate needs a spec file path"))?;
-            let spec = load_spec(path)?;
-            spec.validate()
+            // The checks `run` makes before it measures anything, registry included.
+            let experiment = Experiment::new(load_spec(path)?);
+            experiment
+                .validate()
                 .map_err(|e| CliError::usage(e.to_string()))?;
+            let spec = experiment.spec();
             println!(
                 "{path}: ok — '{}' on app '{}', {} point(s)",
                 spec.name,

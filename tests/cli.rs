@@ -251,6 +251,26 @@ fn validate_rejects_specs_run_would_reject_or_rewrite_with_exit_2() {
 }
 
 #[test]
+fn validate_refuses_an_unknown_app_as_run_does() {
+    let path = temp_file(
+        "unknown_app.json",
+        r#"{"name": "typo", "app": "nosuchapp", "mode": "simulated",
+            "load": {"qps": 100.0}, "threads": 1, "requests": 10, "seed": 1}"#,
+    );
+    let validated = tailbench(&["validate", path.to_str().unwrap()]);
+    let ran = tailbench(&["run", path.to_str().unwrap(), "--quiet"]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(validated.status.code(), Some(2), "{}", stdout(&validated));
+    assert_eq!(ran.status.code(), Some(2), "{}", stderr(&ran));
+    assert!(
+        stderr(&validated).contains("spec 'typo': unknown app(s) nosuchapp (registered: "),
+        "{}",
+        stderr(&validated)
+    );
+    assert_eq!(stderr(&validated), stderr(&ran));
+}
+
+#[test]
 fn run_writes_json_output_that_verifies() {
     let out = std::env::temp_dir().join(format!(
         "tailbench-cli-{}-fig9_smoke_out.json",
@@ -289,28 +309,47 @@ fn run_with_json_to_stdout_prints_only_the_json() {
 
 #[test]
 fn verify_output_fails_with_exit_1_on_a_zero_p99() {
-    let output_json = |p99: u64| {
+    let run = |p99: u64| {
         format!(
-            r#"{{"points": [{{"report": {{"single": {{
-                "sojourn": {{"p99_ns": {p99}}},
+            r#"{{"sojourn": {{"p99_ns": {p99}}},
                 "queue_depth": {{"policy": "block"}},
-                "pacing": {{"count": 0}}
-            }}}}}}]}}"#
+                "pacing": {{"count": 0}}}}"#
         )
     };
-    let good = temp_file("good.json", &output_json(5));
-    let bad = temp_file("bad.json", &output_json(0));
+    let output_json = |runs: &[u64]| {
+        let runs: Vec<String> = runs.iter().map(|&p99| run(p99)).collect();
+        format!(
+            r#"{{"schema": 2, "points": [{{"report": {{"runs": [{}]}}}}]}}"#,
+            runs.join(", ")
+        )
+    };
+    // Every run is checked, not only the first.
+    let good = temp_file("good.json", &output_json(&[5, 7]));
+    let bad = temp_file("bad.json", &output_json(&[5, 0]));
+    // A schema-1 file (one report variant per point, no `schema` key) is refused.
+    let old = temp_file(
+        "schema1.json",
+        &format!(r#"{{"points": [{{"report": {{"single": {}}}}}]}}"#, run(5)),
+    );
     let passed = tailbench(&["verify-output", good.to_str().unwrap()]);
     let failed = tailbench(&["verify-output", bad.to_str().unwrap()]);
-    let _ = std::fs::remove_file(&good);
-    let _ = std::fs::remove_file(&bad);
+    let refused = tailbench(&["verify-output", old.to_str().unwrap()]);
+    for path in [&good, &bad, &old] {
+        let _ = std::fs::remove_file(path);
+    }
 
     assert!(passed.status.success(), "{}", stderr(&passed));
     assert_eq!(failed.status.code(), Some(1));
     assert!(
-        stderr(&failed).contains("sojourn.p99_ns is 0"),
+        stderr(&failed).contains("point 0 run 1: sojourn.p99_ns is 0"),
         "{}",
         stderr(&failed)
+    );
+    assert_eq!(refused.status.code(), Some(1));
+    assert!(
+        stderr(&refused).contains("predates the one-report shape"),
+        "{}",
+        stderr(&refused)
     );
 }
 

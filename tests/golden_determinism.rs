@@ -33,8 +33,8 @@ use tailbench::core::{
 };
 use tailbench::experiment::output::run_report_to_json;
 use tailbench::experiment::{
-    AppBuilder, BenchApp, ClusterApp, Experiment, ExperimentSpec, LoadSpec, PointReport, Registry,
-    Scale, ScenarioSpec, SeedPolicy, TopologySpec,
+    AppBuilder, BenchApp, ClusterApp, Experiment, ExperimentSpec, LoadSpec, Registry, Scale,
+    ScenarioSpec, SeedPolicy, TopologySpec,
 };
 use tailbench::scenario::{execute_scenario, ClientClass, LoadPhase, Scenario};
 use tailbench::workloads::rng::derive_seed;
@@ -229,7 +229,7 @@ fn experiment_cluster_path_reproduces_the_golden_percentiles() {
         .with_registry(golden_registry())
         .run()
         .unwrap();
-    let report = output.points[0].report.cluster().expect("cluster report");
+    let report = output.points[0].report.representative();
     assert_eq!(report.cluster.requests, 1_000);
     assert_eq!(report.cluster.sojourn.p50_ns, 252_115);
     assert_eq!(report.cluster.sojourn.p95_ns, 757_913);
@@ -259,7 +259,7 @@ fn experiment_json_round_trip_reproduces_the_golden_percentiles() {
         from_json.to_json_string(),
         "spec-file and builder paths must produce byte-identical output"
     );
-    let report = from_json.points[0].report.cluster().unwrap();
+    let report = from_json.points[0].report.representative();
     assert_eq!(report.cluster.sojourn.p99_ns, 1_150_870);
 }
 
@@ -301,9 +301,7 @@ fn experiment_scenario_spec_equals_a_direct_execute_scenario() {
         .with_registry(golden_registry())
         .run()
         .unwrap();
-    let PointReport::Single(through_spec) = &output.points[0].report else {
-        panic!("a topology-less single-repeat point reports a single run");
-    };
+    let through_spec = &output.points[0].report.runs[0].cluster;
 
     let scenario = Scenario::new("golden", phases)
         .with_classes(classes)
@@ -335,9 +333,7 @@ fn experiment_closed_loop_spec_equals_a_direct_runner_execute() {
         .with_registry(golden_registry())
         .run()
         .unwrap();
-    let PointReport::Single(through_spec) = &output.points[0].report else {
-        panic!("a topology-less single-repeat point reports a single run");
-    };
+    let through_spec = &output.points[0].report.runs[0].cluster;
 
     let config = BenchmarkConfig::new(1.0, 1_000)
         .with_threads(2)
@@ -359,11 +355,9 @@ fn experiment_repeats_each_equal_a_direct_runner_execute_at_the_derived_seed() {
         .with_registry(golden_registry())
         .run()
         .unwrap();
-    let PointReport::Multi(multi) = &output.points[0].report else {
-        panic!("a topology-less repeated point reports a multi-run aggregate");
-    };
-    assert_eq!(multi.runs.len(), 3);
-    for (k, through_spec) in multi.runs.iter().enumerate() {
+    let runs = &output.points[0].report.runs;
+    assert_eq!(runs.len(), 3);
+    for (k, through_spec) in runs.iter().map(|run| &run.cluster).enumerate() {
         let config = golden_config().with_seed(derive_seed(0x601D, k as u64));
         let mut factory = || b"golden".to_vec();
         let direct =
