@@ -12,6 +12,15 @@ use std::fmt::Debug;
 /// Maximum number of keys a node holds before it splits.
 const MAX_KEYS: usize = 31;
 
+/// Index of the child of an internal node whose subtree holds `key`: keys equal to a
+/// separator live to its right.
+fn child_index<K: Ord>(keys: &[K], key: &K) -> usize {
+    match keys.binary_search(key) {
+        Ok(i) => i + 1,
+        Err(i) => i,
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Node<K, V> {
     Leaf {
@@ -66,10 +75,7 @@ impl<K: Ord + Clone, V> Node<K, V> {
                 }
             },
             Node::Internal { keys, children } => {
-                let idx = match keys.binary_search(&key) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
+                let idx = child_index(keys, &key);
                 let (old, split) = children[idx].insert(key, value);
                 if let Some((sep, right)) = split {
                     keys.insert(idx, sep);
@@ -100,13 +106,14 @@ impl<K: Ord + Clone, V> Node<K, V> {
     fn get(&self, key: &K) -> Option<&V> {
         match self {
             Node::Leaf { keys, values } => keys.binary_search(key).ok().map(|i| &values[i]),
-            Node::Internal { keys, children } => {
-                let idx = match keys.binary_search(key) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
-                children[idx].get(key)
-            }
+            Node::Internal { keys, children } => children[child_index(keys, key)].get(key),
+        }
+    }
+
+    fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        match self {
+            Node::Leaf { keys, values } => keys.binary_search(key).ok().map(|i| &mut values[i]),
+            Node::Internal { keys, children } => children[child_index(keys, key)].get_mut(key),
         }
     }
 
@@ -116,46 +123,32 @@ impl<K: Ord + Clone, V> Node<K, V> {
                 keys.remove(i);
                 values.remove(i)
             }),
-            Node::Internal { keys, children } => {
-                let idx = match keys.binary_search(key) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
-                children[idx].remove(key)
-            }
+            Node::Internal { keys, children } => children[child_index(keys, key)].remove(key),
         }
     }
 
-    /// Appends up to `limit - out.len()` entries with key >= `start` in key order.
-    fn scan_into(&self, start: &K, limit: usize, out: &mut Vec<(K, V)>)
-    where
-        V: Clone,
-    {
-        if out.len() >= limit {
-            return;
-        }
+    /// Visits up to `*left` entries with key >= `start` in key order, counting `*left`
+    /// down by one per entry.
+    fn scan_with(&self, start: &K, left: &mut usize, visit: &mut impl FnMut(&K, &V)) {
         match self {
             Node::Leaf { keys, values } => {
                 let begin = match keys.binary_search(start) {
                     Ok(i) | Err(i) => i,
                 };
-                for i in begin..keys.len() {
-                    if out.len() >= limit {
+                for (key, value) in keys[begin..].iter().zip(&values[begin..]) {
+                    if *left == 0 {
                         return;
                     }
-                    out.push((keys[i].clone(), values[i].clone()));
+                    *left -= 1;
+                    visit(key, value);
                 }
             }
             Node::Internal { keys, children } => {
-                let begin = match keys.binary_search(start) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
-                for child in &children[begin..] {
-                    if out.len() >= limit {
+                for child in &children[child_index(keys, start)..] {
+                    if *left == 0 {
                         return;
                     }
-                    child.scan_into(start, limit, out);
+                    child.scan_with(start, left, visit);
                 }
             }
         }
@@ -183,8 +176,9 @@ impl<K: Ord + Clone, V> Node<K, V> {
 /// tree.insert(1, "one");
 /// assert_eq!(tree.get(&1), Some(&"one"));
 /// assert_eq!(tree.len(), 2);
-/// let entries = tree.scan(&0, 10);
-/// assert_eq!(entries[0].0, 1);
+/// let mut keys = Vec::new();
+/// assert_eq!(tree.scan_with(&0, 10, |k, _| keys.push(*k)), 2);
+/// assert_eq!(keys, [1, 3]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BPlusTree<K, V> {
@@ -259,6 +253,13 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         self.root.get(key)
     }
 
+    /// Looks up a key for an in-place update.  The tree's shape is untouched, so
+    /// neither [`len`](Self::len) nor [`depth`](Self::depth) can change through it.
+    #[must_use]
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.root.get_mut(key)
+    }
+
     /// Returns `true` if the key is present.
     #[must_use]
     pub fn contains_key(&self, key: &K) -> bool {
@@ -274,14 +275,22 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         removed
     }
 
-    /// Returns up to `limit` entries with keys `>= start`, in ascending key order.
-    #[must_use]
-    pub fn scan(&self, start: &K, limit: usize) -> Vec<(K, V)>
+    /// Calls `visit` on up to `limit` entries with keys `>= start`, in ascending key
+    /// order, and returns how many it visited.  Nothing is cloned.
+    pub fn scan_with(&self, start: &K, limit: usize, mut visit: impl FnMut(&K, &V)) -> usize {
+        let mut left = limit;
+        self.root.scan_with(start, &mut left, &mut visit);
+        limit - left
+    }
+
+    /// Up to `limit` entries with keys `>= start`, cloned, in ascending key order.
+    #[cfg(test)]
+    fn scan(&self, start: &K, limit: usize) -> Vec<(K, V)>
     where
         V: Clone,
     {
         let mut out = Vec::with_capacity(limit.min(128));
-        self.root.scan_into(start, limit, &mut out);
+        self.scan_with(start, limit, |k, v| out.push((k.clone(), v.clone())));
         out
     }
 }
@@ -314,6 +323,40 @@ mod tests {
         assert_eq!(t.insert(1, "b"), Some("a"));
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(&1), Some(&"b"));
+    }
+
+    #[test]
+    fn get_mut_updates_in_place_without_changing_the_shape() {
+        let mut t = BPlusTree::new();
+        for i in 0..5_000u64 {
+            t.insert(i, vec![i as u8]);
+        }
+        let (len, depth) = (t.len(), t.depth());
+        for i in (0..5_000u64).step_by(3) {
+            let value = t.get_mut(&i).expect("every key was inserted");
+            value.clear();
+            value.extend_from_slice(&[1, 2, 3]);
+        }
+        assert_eq!(t.get_mut(&5_000), None);
+        assert_eq!((t.len(), t.depth(), t.walked_depth()), (len, depth, depth));
+        assert_eq!(t.get(&3), Some(&vec![1, 2, 3]));
+        assert_eq!(t.get(&4), Some(&vec![4]));
+    }
+
+    #[test]
+    fn scan_with_visits_in_order_and_counts_what_it_visited() {
+        let mut t = BPlusTree::new();
+        for i in (0..500u64).rev() {
+            t.insert(i * 2, i);
+        }
+        let mut keys = Vec::new();
+        assert_eq!(t.scan_with(&101, 5, |k, _| keys.push(*k)), 5);
+        assert_eq!(keys, [102, 104, 106, 108, 110]);
+        assert_eq!(t.scan_with(&990, 100, |_, _| {}), 5);
+        assert_eq!(
+            t.scan_with(&0, 0, |_, _| panic!("limit 0 visits nothing")),
+            0
+        );
     }
 
     #[test]
@@ -489,6 +532,8 @@ mod proptests {
     #[derive(Debug, Clone)]
     enum Op {
         Insert(u16, u32),
+        /// Overwrites the key's value through `get_mut` if it is present.
+        Update(u16, u32),
         Remove(u16),
         Scan(u16, u8),
     }
@@ -496,35 +541,54 @@ mod proptests {
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
             (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k, v)),
+            (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Update(k, v)),
             any::<u16>().prop_map(Op::Remove),
             (any::<u16>(), 1u8..50).prop_map(|(k, n)| Op::Scan(k, n)),
         ]
+    }
+
+    /// Applies `op` to the tree and to the model, and checks that they agree.
+    fn apply(
+        tree: &mut BPlusTree<u16, u32>,
+        model: &mut BTreeMap<u16, u32>,
+        op: Op,
+    ) -> Result<(), String> {
+        match op {
+            Op::Insert(k, v) => {
+                prop_assert_eq!(tree.insert(k, v), model.insert(k, v));
+            }
+            Op::Update(k, v) => {
+                let depth = tree.depth();
+                match (tree.get_mut(&k), model.get_mut(&k)) {
+                    (Some(slot), Some(want)) => (*slot, *want) = (v, v),
+                    (got, want) => prop_assert_eq!(got, want),
+                }
+                prop_assert_eq!(tree.depth(), depth);
+            }
+            Op::Remove(k) => {
+                prop_assert_eq!(tree.remove(&k), model.remove(&k));
+            }
+            Op::Scan(k, n) => {
+                let got = tree.scan(&k, n as usize);
+                let want: Vec<(u16, u32)> = model
+                    .range(k..)
+                    .take(n as usize)
+                    .map(|(a, b)| (*a, *b))
+                    .collect();
+                prop_assert_eq!(got, want);
+            }
+        }
+        prop_assert_eq!(tree.len(), model.len());
+        Ok(())
     }
 
     proptest! {
         #[test]
         fn behaves_like_btreemap(ops in prop::collection::vec(op_strategy(), 1..400)) {
             let mut tree = BPlusTree::new();
-            let mut model: BTreeMap<u16, u32> = BTreeMap::new();
+            let mut model = BTreeMap::new();
             for op in ops {
-                match op {
-                    Op::Insert(k, v) => {
-                        prop_assert_eq!(tree.insert(k, v), model.insert(k, v));
-                    }
-                    Op::Remove(k) => {
-                        prop_assert_eq!(tree.remove(&k), model.remove(&k));
-                    }
-                    Op::Scan(k, n) => {
-                        let got = tree.scan(&k, n as usize);
-                        let want: Vec<(u16, u32)> = model
-                            .range(k..)
-                            .take(n as usize)
-                            .map(|(a, b)| (*a, *b))
-                            .collect();
-                        prop_assert_eq!(got, want);
-                    }
-                }
-                prop_assert_eq!(tree.len(), model.len());
+                apply(&mut tree, &mut model, op)?;
             }
         }
 
@@ -547,26 +611,9 @@ mod proptests {
             )
         ) {
             let mut tree = BPlusTree::new();
-            let mut model: BTreeMap<u16, u32> = BTreeMap::new();
+            let mut model = BTreeMap::new();
             for op in ops {
-                match op {
-                    Op::Insert(k, v) => {
-                        prop_assert_eq!(tree.insert(k, v), model.insert(k, v));
-                    }
-                    Op::Remove(k) => {
-                        prop_assert_eq!(tree.remove(&k), model.remove(&k));
-                    }
-                    Op::Scan(k, n) => {
-                        let got = tree.scan(&k, n as usize);
-                        let want: Vec<(u16, u32)> = model
-                            .range(k..)
-                            .take(n as usize)
-                            .map(|(a, b)| (*a, *b))
-                            .collect();
-                        prop_assert_eq!(got, want);
-                    }
-                }
-                prop_assert_eq!(tree.len(), model.len());
+                apply(&mut tree, &mut model, op)?;
             }
         }
     }

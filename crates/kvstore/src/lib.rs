@@ -5,8 +5,9 @@
 //! from-scratch Rust substitute with the same architectural ingredients:
 //!
 //! * [`bptree`] — a wide-node B+-tree, the ordered index at the heart of the store;
-//! * [`layered`] — a Masstree-style trie-of-B+-trees for byte-string keys;
-//! * [`store`] — a range-sharded, reader-writer-locked concurrent store;
+//! * [`store`] — a range-sharded, reader-writer-locked concurrent store that serves
+//!   values in place: reads append to the caller's buffer, overwrites reuse the stored
+//!   value, scans lend entries to a visitor;
 //! * [`service`] — the [`ServerApp`](tailbench_core::app::ServerApp) adapter and the
 //!   mycsb-a request factory that plug the store into the TailBench harness.
 //!
@@ -16,19 +17,19 @@
 //! use tailbench_kvstore::store::KvStore;
 //!
 //! let store = KvStore::new(4, 1_000);
-//! store.put(17, b"value".to_vec());
-//! assert_eq!(store.get(17), Some(b"value".to_vec()));
+//! assert!(!store.put(17, b"value"), "17 is a new key");
+//! let mut response = vec![1];
+//! assert!(store.get_into(17, &mut response));
+//! assert_eq!(response, b"\x01value");
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bptree;
-pub mod layered;
 pub mod service;
 pub mod store;
 
 pub use bptree::BPlusTree;
-pub use layered::LayeredTree;
 pub use service::{MasstreeApp, YcsbRequestFactory};
 pub use store::KvStore;

@@ -5,6 +5,11 @@
 //! over a [`BPlusTree`](crate::bptree::BPlusTree): reads proceed concurrently within and
 //! across shards, writes serialize only within their shard.  Range partitioning (rather
 //! than hash partitioning) keeps scans ordered and mostly shard-local.
+//!
+//! Values stay in the store and are served from it under the shard's lock: a read
+//! appends the value to the caller's buffer, a write takes the new value as a slice
+//! and overwrites an existing key's value in place, and a scan lends each entry to a
+//! visitor.  Only a write of a new key allocates.
 
 use crate::bptree::BPlusTree;
 use parking_lot::RwLock;
@@ -17,8 +22,8 @@ pub struct KvStore {
     /// Size of each contiguous key range assigned to one shard.
     range_per_shard: u64,
     /// Height of the deepest shard.  Trees never shrink (DESIGN.md, "The B+-tree
-    /// no-shrink invariant"), so only `put` raises it and nothing lowers it.  It
-    /// publishes no other data, hence `Relaxed`.
+    /// no-shrink invariant"), so only `put` of a new key raises it and nothing lowers
+    /// it.  It publishes no other data, hence `Relaxed`.
     max_depth: AtomicUsize,
 }
 
@@ -50,21 +55,33 @@ impl KvStore {
         ((key / self.range_per_shard) as usize).min(self.shards.len() - 1)
     }
 
-    /// Inserts or overwrites a key. Returns `true` if the key already existed.
-    pub fn put(&self, key: u64, value: Vec<u8>) -> bool {
+    /// Writes `value` under `key`, overwriting an existing value in place. Returns `true`
+    /// if the key already existed; only a new key allocates or can deepen the tree.
+    pub fn put(&self, key: u64, value: &[u8]) -> bool {
         let mut shard = self.shards[self.shard_for(key)].write();
-        let existed = shard.insert(key, value).is_some();
+        if let Some(old) = shard.get_mut(&key) {
+            old.clear();
+            old.extend_from_slice(value);
+            return true;
+        }
+        shard.insert(key, value.to_vec());
         let depth = shard.depth();
         if depth > self.max_depth.load(Ordering::Relaxed) {
             self.max_depth.fetch_max(depth, Ordering::Relaxed);
         }
-        existed
+        false
     }
 
-    /// Reads a key.
-    #[must_use]
-    pub fn get(&self, key: u64) -> Option<Vec<u8>> {
-        self.shards[self.shard_for(key)].read().get(&key).cloned()
+    /// Appends the value of `key` to `out`. Returns `false`, leaving `out` as it was, if
+    /// the key is absent.
+    pub fn get_into(&self, key: u64, out: &mut Vec<u8>) -> bool {
+        match self.shards[self.shard_for(key)].read().get(&key) {
+            Some(value) => {
+                out.extend_from_slice(value);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Removes a key, returning its value if present.
@@ -72,20 +89,21 @@ impl KvStore {
         self.shards[self.shard_for(key)].write().remove(&key)
     }
 
-    /// Returns up to `limit` entries with keys `>= start` in ascending order, possibly
-    /// spanning multiple shards.
-    #[must_use]
-    pub fn scan(&self, start: u64, limit: usize) -> Vec<(u64, Vec<u8>)> {
-        let mut out = Vec::with_capacity(limit.min(128));
+    /// Calls `visit` on up to `limit` entries with keys `>= start` in ascending order,
+    /// possibly spanning multiple shards, and returns how many it visited.  Each shard
+    /// is read-locked while its entries are visited.
+    pub fn scan_with(&self, start: u64, limit: usize, mut visit: impl FnMut(u64, &[u8])) -> usize {
+        let mut visited = 0;
         let mut shard = self.shard_for(start);
         let mut cursor = start;
-        while out.len() < limit && shard < self.shards.len() {
-            let chunk = self.shards[shard].read().scan(&cursor, limit - out.len());
-            out.extend(chunk);
+        while visited < limit && shard < self.shards.len() {
+            visited += self.shards[shard]
+                .read()
+                .scan_with(&cursor, limit - visited, |k, v| visit(*k, v));
             shard += 1;
             cursor = (shard as u64) * self.range_per_shard;
         }
-        out
+        visited
     }
 
     /// Total number of entries across all shards.
@@ -108,6 +126,13 @@ impl KvStore {
     }
 }
 
+/// The value of `key` as a fresh `Vec`, for tests that compare whole values.
+#[cfg(test)]
+fn get(store: &KvStore, key: u64) -> Option<Vec<u8>> {
+    let mut out = Vec::new();
+    store.get_into(key, &mut out).then_some(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,35 +142,47 @@ mod tests {
     fn put_get_remove_across_shards() {
         let store = KvStore::new(8, 1_000);
         for k in 0..1_000u64 {
-            assert!(!store.put(k, vec![k as u8]));
+            assert!(!store.put(k, &[k as u8]));
         }
         assert_eq!(store.len(), 1_000);
-        assert_eq!(store.get(999), Some(vec![231]));
-        assert!(store.put(999, vec![1, 2, 3]));
-        assert_eq!(store.get(999), Some(vec![1, 2, 3]));
+        assert_eq!(get(&store, 999), Some(vec![231]));
+        assert!(store.put(999, &[1, 2, 3]));
+        assert_eq!(get(&store, 999), Some(vec![1, 2, 3]));
         assert_eq!(store.remove(500), Some(vec![244]));
-        assert_eq!(store.get(500), None);
+        assert_eq!(get(&store, 500), None);
         assert_eq!(store.len(), 999);
+    }
+
+    #[test]
+    fn get_into_appends_and_leaves_a_miss_untouched() {
+        let store = KvStore::new(2, 100);
+        store.put(7, b"seven");
+        let mut out = vec![1];
+        assert!(store.get_into(7, &mut out));
+        assert_eq!(out, b"\x01seven");
+        assert!(!store.get_into(8, &mut out));
+        assert_eq!(out, b"\x01seven");
     }
 
     #[test]
     fn scan_crosses_shard_boundaries_in_order() {
         let store = KvStore::new(4, 400);
         for k in 0..400u64 {
-            store.put(k, vec![(k % 251) as u8]);
+            store.put(k, &[(k % 251) as u8]);
         }
         // A scan starting near the end of shard 0 (keys 0..100) must continue into shard 1.
-        let result = store.scan(95, 20);
-        assert_eq!(result.len(), 20);
-        let keys: Vec<u64> = result.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, (95..115).collect::<Vec<u64>>());
+        let mut entries = Vec::new();
+        let visited = store.scan_with(95, 20, |k, v| entries.push((k, v.to_vec())));
+        assert_eq!(visited, 20);
+        let want: Vec<(u64, Vec<u8>)> = (95..115).map(|k| (k, vec![k as u8])).collect();
+        assert_eq!(entries, want);
     }
 
     #[test]
     fn keys_beyond_capacity_hint_land_in_last_shard() {
         let store = KvStore::new(4, 100);
-        store.put(1_000_000, vec![9]);
-        assert_eq!(store.get(1_000_000), Some(vec![9]));
+        store.put(1_000_000, &[9]);
+        assert_eq!(get(&store, 1_000_000), Some(vec![9]));
         assert_eq!(store.shard_for(1_000_000), 3);
     }
 
@@ -158,7 +195,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..2_500u64 {
                         let key = t * 2_500 + i;
-                        store.put(key, key.to_le_bytes().to_vec());
+                        store.put(key, &key.to_le_bytes());
                     }
                 })
             })
@@ -168,7 +205,7 @@ mod tests {
         }
         assert_eq!(store.len(), 10_000);
         for key in [0u64, 2_499, 2_500, 9_999] {
-            assert_eq!(store.get(key), Some(key.to_le_bytes().to_vec()));
+            assert_eq!(get(&store, key), Some(key.to_le_bytes().to_vec()));
         }
     }
 
@@ -183,6 +220,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -190,6 +228,16 @@ mod proptests {
         Remove(u16),
         /// Puts the run `start..start + len`, so a case reaches several root splits.
         Fill(u16, u16),
+    }
+
+    /// An operation on one of 150 keys, so that about a quarter of the puts overwrite.
+    #[derive(Debug, Clone)]
+    enum ModelOp {
+        /// Puts `len` copies of `byte`: overwrites change a value's length as often as not.
+        Put(u16, u8, u8),
+        Get(u16),
+        Remove(u16),
+        Scan(u16, u8),
     }
 
     fn walked_max_depth(store: &KvStore) -> usize {
@@ -220,17 +268,76 @@ mod proptests {
             for op in ops {
                 match op {
                     Op::Put(k) => {
-                        store.put(u64::from(k), vec![1]);
+                        store.put(u64::from(k), &[1]);
                     }
                     Op::Remove(k) => {
                         store.remove(u64::from(k));
                     }
                     Op::Fill(start, len) => {
                         for k in u64::from(start)..u64::from(start) + u64::from(len) {
-                            store.put(k, vec![2]);
+                            store.put(k, &[2]);
                         }
                     }
                 }
+                prop_assert_eq!(store.max_depth(), walked_max_depth(&store));
+            }
+        }
+
+        /// The store is a `BTreeMap<u64, Vec<u8>>`: `put`'s existed flag, `get_into`,
+        /// `scan_with` and `len` agree with the model after in-place overwrites of any
+        /// length, and an overwrite never moves `max_depth`.
+        #[test]
+        fn store_behaves_like_a_btreemap_of_byte_values(
+            shards in 1usize..5,
+            ops in prop::collection::vec(
+                prop_oneof![
+                    // Listed twice: two draws in five are puts.
+                    (0u16..150, any::<u8>(), 0u8..40).prop_map(|(k, b, n)| ModelOp::Put(k, b, n)),
+                    (0u16..150, any::<u8>(), 0u8..40).prop_map(|(k, b, n)| ModelOp::Put(k, b, n)),
+                    (0u16..150).prop_map(ModelOp::Get),
+                    (0u16..150).prop_map(ModelOp::Remove),
+                    (0u16..150, 0u8..80).prop_map(|(k, n)| ModelOp::Scan(k, n)),
+                ],
+                1..500,
+            )
+        ) {
+            let store = KvStore::new(shards, 150);
+            let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+            for op in ops {
+                match op {
+                    ModelOp::Put(k, byte, len) => {
+                        let (key, value) = (u64::from(k), vec![byte; usize::from(len)]);
+                        let depth = store.max_depth();
+                        let existed = store.put(key, &value);
+                        prop_assert_eq!(existed, model.insert(key, value).is_some());
+                        if existed {
+                            prop_assert_eq!(store.max_depth(), depth);
+                        }
+                    }
+                    ModelOp::Get(k) => {
+                        let key = u64::from(k);
+                        prop_assert_eq!(get(&store, key), model.get(&key).cloned());
+                    }
+                    ModelOp::Remove(k) => {
+                        let key = u64::from(k);
+                        prop_assert_eq!(store.remove(key), model.remove(&key));
+                    }
+                    ModelOp::Scan(k, n) => {
+                        let mut got = Vec::new();
+                        let visited =
+                            store.scan_with(u64::from(k), usize::from(n), |key, value| {
+                                got.push((key, value.to_vec()));
+                            });
+                        let want: Vec<(u64, Vec<u8>)> = model
+                            .range(u64::from(k)..)
+                            .take(usize::from(n))
+                            .map(|(key, value)| (*key, value.clone()))
+                            .collect();
+                        prop_assert_eq!(visited, want.len());
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                prop_assert_eq!(store.len(), model.len());
                 prop_assert_eq!(store.max_depth(), walked_max_depth(&store));
             }
         }

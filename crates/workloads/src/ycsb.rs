@@ -177,11 +177,6 @@ impl YcsbGenerator {
         &self.config
     }
 
-    /// The keys (and deterministic values) to preload before measurement.
-    pub fn load_keys(&self) -> impl Iterator<Item = (u64, Vec<u8>)> + '_ {
-        (0..self.config.records).map(move |k| (k, self.value_for(k)))
-    }
-
     /// Deterministic value payload for a key (used by loading and by PUTs).
     #[must_use]
     pub fn value_for(&self, key: u64) -> Vec<u8> {
@@ -191,11 +186,12 @@ impl YcsbGenerator {
     }
 
     /// Appends [`value_for`](Self::value_for)`(key)` to `out`, so a request frame can
-    /// hold the value without a separate allocation.
+    /// hold the value without a separate allocation.  Byte `i` is
+    /// `(key * 31 + i * 7) mod 256`, computed in `u8` arithmetic so the loop vectorises.
     pub fn write_value(&self, key: u64, out: &mut Vec<u8>) {
+        let base = (key as u8).wrapping_mul(31);
         out.extend(
-            (0..self.config.value_size)
-                .map(|i| ((key as usize).wrapping_mul(31).wrapping_add(i * 7) & 0xFF) as u8),
+            (0..self.config.value_size).map(|i| base.wrapping_add((i as u8).wrapping_mul(7))),
         );
     }
 
@@ -289,20 +285,35 @@ mod tests {
     }
 
     #[test]
-    fn load_keys_cover_the_space_exactly_once() {
-        let gen = YcsbGenerator::new(YcsbConfig::small());
-        let keys: Vec<u64> = gen.load_keys().map(|(k, _)| k).collect();
-        assert_eq!(keys.len(), gen.config().records as usize);
-        assert_eq!(keys[0], 0);
-        assert_eq!(*keys.last().unwrap(), gen.config().records - 1);
-    }
-
-    #[test]
     fn values_are_deterministic_and_sized() {
         let gen = YcsbGenerator::new(YcsbConfig::small());
         assert_eq!(gen.value_for(42), gen.value_for(42));
         assert_ne!(gen.value_for(42), gen.value_for(43));
         assert_eq!(gen.value_for(7).len(), gen.config().value_size);
+        // Byte i of key k is (31k + 7i) mod 256, past the u8 wrap of k and of i too.
+        let long = YcsbGenerator::new(YcsbConfig {
+            value_size: 300,
+            ..YcsbConfig::small()
+        });
+        for key in [0u64, 9, 255, 256, 1_000_003, u64::MAX] {
+            let value = long.value_for(key);
+            for (i, &b) in value.iter().enumerate() {
+                let want = (u128::from(key) * 31 + i as u128 * 7) % 256;
+                assert_eq!(u128::from(b), want, "key {key} byte {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn write_value_appends_after_what_the_buffer_holds() {
+        let gen = YcsbGenerator::new(YcsbConfig::small());
+        let mut out = vec![0xAB; 9];
+        gen.write_value(5, &mut out);
+        assert_eq!(out[..9], [0xAB; 9]);
+        assert_eq!(out[9..], gen.value_for(5)[..]);
+        gen.write_value(6, &mut out);
+        assert_eq!(out.len(), 9 + 2 * gen.config().value_size);
+        assert_eq!(out[9 + gen.config().value_size..], gen.value_for(6)[..]);
     }
 
     #[test]
